@@ -1,10 +1,10 @@
 """Decoder-artifact store: cold vs artifact-warm startup, per process.
 
-The MWPM decoder (paper Section 5.3) front-loads two expensive tables per
-decoding graph — the all-pairs shortest-path distance/predecessor matrices
-and the frame-parity table — and every worker process of a sweep pays that
-cost again from scratch.  The artifact store
-(:mod:`repro.decoder.artifacts`) persists the tables once, content-addressed
+The MWPM decoder (paper Section 5.3) front-loads one table per decoding
+graph — the space-time table of :mod:`repro.decoder.matching`, a Dijkstra
+row per layer-0 check with frame parities and an ambiguity mask — and every
+worker process of a sweep pays that cost again from scratch.  The artifact
+store (:mod:`repro.decoder.artifacts`) persists the table once, content-addressed
 by the graph identity, and every later process memory-maps them back, so the
 fleet shares one physical copy and the startup cost is paid once per
 machine, not once per process.
@@ -12,7 +12,7 @@ machine, not once per process.
 Three lanes are reported per distance:
 
 * **in-process** — best-of-``REPEATS`` wall clock of preparing a fresh
-  graph's tables with an empty store (cold build) vs a populated store
+  graph's table with an empty store (cold build) vs a populated store
   (mmap load).  This is the lane the acceptance floor guards: at d=7 the
   warm path must eliminate >= 90% of the cold build time.
 * **subprocess** — the same measurement taken inside a child interpreter,
@@ -47,7 +47,7 @@ from repro.codes import DEFAULT_CODE_FAMILY, make_code
 from repro.core.policies import make_policy
 from repro.decoder.artifacts import get_artifact_store
 from repro.decoder.graph import DecodingGraph, clear_shared_graphs
-from repro.decoder.matching import _frame_parity_table
+from repro.decoder.matching import _all_pairs
 from repro.experiments.memory import MemoryExperiment
 
 CYCLES = 2
@@ -55,7 +55,7 @@ REPEATS = 3
 DECODE_POLICY = "eraser"
 
 #: Acceptance: at d=7 the artifact-warm table preparation must eliminate
-#: >= 90% of the cold APSP + frame-table build time.  Quick mode (smaller
+#: >= 90% of the cold space-time table build time.  Quick mode (smaller
 #: max distance) only guards against losing the edge.
 TARGET_DISTANCE = 7
 TARGET_REDUCTION = 0.90
@@ -66,7 +66,7 @@ import json, sys, time
 from repro.codes import make_code
 from repro.decoder.artifacts import get_artifact_store
 from repro.decoder.graph import DecodingGraph
-from repro.decoder.matching import _frame_parity_table
+from repro.decoder.matching import _all_pairs
 
 distance, rounds, store_dir = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
 store = get_artifact_store(store_dir) if store_dir else None
@@ -74,7 +74,7 @@ graph = DecodingGraph(
     make_code("{family}", distance), rounds, artifact_store=store
 )
 start = time.perf_counter()
-_frame_parity_table(graph)
+_all_pairs(graph)
 print(json.dumps({{
     "prepare_s": time.perf_counter() - start,
     "artifact_hits": graph.artifact_hits,
@@ -85,7 +85,7 @@ print(json.dumps({{
 
 
 def _prepare_time(distance, rounds, store):
-    """Best-of-REPEATS wall clock of preparing a fresh graph's tables."""
+    """Best-of-REPEATS wall clock of preparing a fresh graph's table."""
     best = float("inf")
     graph = None
     for _ in range(REPEATS):
@@ -93,7 +93,7 @@ def _prepare_time(distance, rounds, store):
             make_code(DEFAULT_CODE_FAMILY, distance), rounds, artifact_store=store
         )
         start = time.perf_counter()
-        _frame_parity_table(graph)
+        _all_pairs(graph)
         best = min(best, time.perf_counter() - start)
     return best, graph
 

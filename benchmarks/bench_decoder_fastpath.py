@@ -2,13 +2,13 @@
 
 Times the full syndrome->correction pipeline on fig14-style workloads
 (ERASER policy, p=1e-3, ``cycles * distance`` rounds) at d=3/5/7 and
-compares the layered fast path (frame-parity tables, syndrome dedup + LRU,
+compares the layered fast path (space-time table, syndrome dedup + LRU,
 bitmask DP, native blossom port — see ``docs/ARCHITECTURE.md``) against the
 seed implementation preserved in :mod:`repro.decoder.reference`.  Reported
 per distance:
 
 * decode throughput (shots/s) for both pipelines and the speedup,
-* per-stage timings: detector construction, frame-parity table build
+* per-stage timings: detector construction, space-time table build
   (one-off per graph), and the matching tail,
 * fast-path dispatch counters: dedup/LRU hit rates and how many syndromes
   each matching engine (bitmask DP / blossom / greedy) served.
@@ -35,7 +35,7 @@ from conftest import emit
 
 from repro.core.policies import make_policy
 from repro.decoder.decoder import DecoderStats
-from repro.decoder.matching import _all_pairs, _frame_parity_rows, build_matcher
+from repro.decoder.matching import _all_pairs, build_matcher
 from repro.decoder.reference import build_reference_matcher, reference_decode_batch
 from repro.experiments.memory import MemoryExperiment
 
@@ -115,17 +115,16 @@ def test_decoder_fastpath(shots, seed, max_distance):
         )
         observed = finals[:, decoder._logical_support()].sum(axis=1) % 2
 
-        # Stage: one-off frame-parity table build (fast path only).  The
+        # Stage: one-off space-time table build (fast path only).  The
         # graph caches it, so clear first and measure a cold build.
         graph.clear_caches()
-        distances_matrix, predecessors = _all_pairs(graph)
         start = time.perf_counter()
-        _frame_parity_rows(graph, distances_matrix, predecessors)
+        _all_pairs(graph)
         t_frame_table = time.perf_counter() - start
 
         # Seed pipeline: per-shot blossom + Python frame walks.
         reference = build_reference_matcher(graph, "auto")
-        reference.decode(detectors[0])  # warm the APSP cache
+        reference.decode(detectors[0])  # warm the reference's APSP cache
         t_seed_tail, seed_errors = _best_of(
             lambda: reference_decode_batch(reference, graph, detectors, observed)
         )

@@ -159,7 +159,7 @@ def _add_orchestration_args(parser: argparse.ArgumentParser) -> None:
         "--decoder-artifact-dir",
         type=str,
         default=default_artifact_dir(),
-        help="Persistent decoder-artifact store: decoding-graph APSP/frame "
+        help="Persistent decoder-artifact store: decoding-graph shortest-path "
         "tables (and the syndrome->correction LRU) are saved here once and "
         "mmap-loaded by every process, so repeat runs and pool workers start "
         "warm.  Tuning knob only: corrections are bit-identical with or "

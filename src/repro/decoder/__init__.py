@@ -2,8 +2,8 @@
 
 The paper decodes memory experiments with MWPM (Section 5.3).  This package
 provides a from-scratch implementation: a space-time decoding graph built from
-the code structure, exact shortest paths via scipy's Dijkstra with cached
-frame-parity tables, and a layered matching fast path — syndrome dedup + LRU,
+the code structure, exact shortest paths and frame parities from one cached
+scipy Dijkstra row per layer-0 check (the space-time table), and a layered matching fast path — syndrome dedup + LRU,
 an exact bitmask DP for small syndromes, a native array-indexed blossom port
 (bit-identical to networkx), a vectorised greedy matcher, and a Union-Find
 decoder.  The seed implementation is preserved in

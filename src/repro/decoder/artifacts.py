@@ -1,13 +1,13 @@
 """Persistent, mmap-shared decoder artifacts (content-addressed store).
 
 Infrastructure for the Section 5.3 MWPM decoding pipeline: the decoder's
-expensive per-graph precomputation — the all-pairs shortest-path (APSP)
-distance/predecessor matrices and the frame-parity table of
-:mod:`repro.decoder.matching` — is persisted to an on-disk store so that
-every process decoding the same graph starts warm.  At d=7 those tables
-cost more to build than a cold decode itself (``BENCH_decoder.json``), and
-every worker of a :class:`~repro.experiments.executor.SweepExecutor` pool
-used to pay that build from scratch.
+per-graph precomputation — the space-time table of
+:mod:`repro.decoder.matching`, one row per layer-0 check of Dijkstra
+distances/predecessors, frame parities and the ambiguity mask — is
+persisted to an on-disk store so that every process decoding the same
+graph starts warm instead of every worker of a
+:class:`~repro.experiments.executor.SweepExecutor` pool building it from
+scratch.
 
 Layout and semantics mirror the experiment result cache
 (:mod:`repro.experiments.store`): entries are content-addressed by the
@@ -18,7 +18,7 @@ atomically (temp file + ``os.replace``) with arrays first and a JSON commit
 marker last, and read back treating missing, torn, or mismatched entries as
 misses.  Each graph entry is a pair of files under the store root::
 
-    <graph-key>.npz             APSP distances/predecessors + frame table
+    <graph-key>.npz             table rows: distances, predecessors, masks
     <graph-key>.json            commit marker (format + identity)
     <graph-key>.lru-<id>.npz    syndrome->correction LRU snapshot
     <graph-key>.lru-<id>.json   commit marker (format + LRU identity)
@@ -43,6 +43,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import os
 import tempfile
 import zipfile
@@ -53,7 +54,9 @@ from typing import Dict, Iterable, Optional, Tuple
 import numpy as np
 
 #: Bump when the on-disk layout changes; mismatched entries read as misses.
-ARTIFACT_FORMAT_VERSION = 1
+#: Version 2 stores the ``(num_checks, num_nodes + 1)`` space-time table
+#: rows; version 1 stored full all-pairs matrices.
+ARTIFACT_FORMAT_VERSION = 2
 
 #: Environment variable naming the default artifact directory.
 ENV_ARTIFACT_DIR = "ERASER_REPRO_DECODER_ARTIFACT_DIR"
@@ -81,7 +84,7 @@ def default_artifact_dir() -> Optional[str]:
 def graph_identity(graph) -> Dict[str, object]:
     """Canonical, process-independent identity of a decoding graph.
 
-    Covers everything the APSP/frame tables depend on: the code family and
+    Covers everything the space-time table depends on: the code family and
     distance, the round count, the decoded stabilizer type, the scalar edge
     weights, and a digest of the flat edge arrays *in construction order*
     (order is load-bearing: Union-Find tie-breaking and blossom edge
@@ -114,9 +117,13 @@ def _canonical_json(payload: Dict[str, object]) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _identity_key(identity: Dict[str, object]) -> str:
+    return hashlib.sha256(_canonical_json(identity).encode("utf-8")).hexdigest()
+
+
 def graph_key(graph) -> str:
     """SHA-256 content address of a graph's artifact entry."""
-    return hashlib.sha256(_canonical_json(graph_identity(graph)).encode("utf-8")).hexdigest()
+    return _identity_key(graph_identity(graph))
 
 
 def lru_identity_key(identity: Dict[str, object]) -> str:
@@ -137,47 +144,68 @@ def _read_npy_header(handle) -> Tuple[Tuple[int, ...], bool, np.dtype]:
     raise ValueError(f"unsupported npy format version {version}")
 
 
+def _npz_layout(handle) -> Dict[str, Tuple[int, Tuple[int, ...], bool, np.dtype]]:
+    """``(data offset, shape, fortran order, dtype)`` of every ``.npy`` member.
+
+    Offsets come from the zip directory (local header + npy header), so the
+    array bytes can be mapped in place.  Raises on compressed members or
+    object dtypes.
+    """
+    layout = {}
+    with zipfile.ZipFile(handle) as archive:
+        infos = archive.infolist()
+    for info in infos:
+        if not info.filename.endswith(".npy"):
+            continue
+        if info.compress_type != zipfile.ZIP_STORED:
+            raise ValueError(f"{info.filename} is compressed; cannot mmap")
+        # Local file header: 30 fixed bytes, then name + extra field
+        # (their lengths can differ from the central directory's copy).
+        handle.seek(info.header_offset)
+        local = handle.read(30)
+        if len(local) != 30 or local[:4] != b"PK\x03\x04":
+            raise ValueError(f"bad local header for {info.filename}")
+        name_len = int.from_bytes(local[26:28], "little")
+        extra_len = int.from_bytes(local[28:30], "little")
+        handle.seek(info.header_offset + 30 + name_len + extra_len)
+        shape, fortran_order, dtype = _read_npy_header(handle)
+        if dtype.hasobject:
+            raise ValueError(f"{info.filename} holds objects; cannot mmap")
+        layout[info.filename[: -len(".npy")]] = (
+            handle.tell(), tuple(shape), bool(fortran_order), dtype
+        )
+    return layout
+
+
+def _map_members(path, layout) -> Dict[str, np.ndarray]:
+    """Map ``path`` once and view every member of ``layout`` in place."""
+    mapping = np.memmap(path, dtype=np.uint8, mode="r")
+    arrays: Dict[str, np.ndarray] = {}
+    for name, (start, shape, fortran_order, dtype) in layout.items():
+        count = math.prod(shape)
+        flat = mapping[start : start + count * dtype.itemsize].view(dtype)
+        if flat.size != count:
+            raise ValueError(f"{name} is truncated")
+        arrays[name] = (
+            flat.reshape(shape[::-1]).T if fortran_order else flat.reshape(shape)
+        )
+    return arrays
+
+
 def mmap_npz(path) -> Dict[str, np.ndarray]:
     """Memory-map every member of an *uncompressed* ``.npz`` archive.
 
     ``numpy.load(path, mmap_mode="r")`` quietly ignores ``mmap_mode`` for
     zip archives and returns in-memory copies, which would defeat the whole
-    point of a shared store.  This helper resolves each ``.npy`` member's
-    data offset from the zip directory (local header + npy header) and maps
-    the array bytes in place with ``mode="r"``, so concurrent processes
-    share one set of physical pages.  Raises on compressed members or
-    object dtypes; callers treat any failure as a cache miss.
+    point of a shared store.  This helper resolves each member's data
+    offset (:func:`_npz_layout`) and maps the array bytes in place with
+    ``mode="r"``, so concurrent processes share one set of physical pages.
+    The file is mapped once; every member is a (still ``numpy.memmap``)
+    view into that mapping.  Callers treat any failure as a cache miss.
     """
-    arrays: Dict[str, np.ndarray] = {}
-    with zipfile.ZipFile(path) as archive:
-        infos = archive.infolist()
     with open(path, "rb") as handle:
-        for info in infos:
-            if not info.filename.endswith(".npy"):
-                continue
-            if info.compress_type != zipfile.ZIP_STORED:
-                raise ValueError(f"{info.filename} is compressed; cannot mmap")
-            # Local file header: 30 fixed bytes, then name + extra field
-            # (their lengths can differ from the central directory's copy).
-            handle.seek(info.header_offset)
-            local = handle.read(30)
-            if len(local) != 30 or local[:4] != b"PK\x03\x04":
-                raise ValueError(f"bad local header for {info.filename}")
-            name_len = int.from_bytes(local[26:28], "little")
-            extra_len = int.from_bytes(local[28:30], "little")
-            handle.seek(info.header_offset + 30 + name_len + extra_len)
-            shape, fortran_order, dtype = _read_npy_header(handle)
-            if dtype.hasobject:
-                raise ValueError(f"{info.filename} holds objects; cannot mmap")
-            arrays[info.filename[: -len(".npy")]] = np.memmap(
-                path,
-                dtype=dtype,
-                mode="r",
-                offset=handle.tell(),
-                shape=shape,
-                order="F" if fortran_order else "C",
-            )
-    return arrays
+        layout = _npz_layout(handle)
+    return _map_members(path, layout)
 
 
 # ----------------------------------------------------------------------
@@ -231,9 +259,22 @@ class DecoderArtifactStore:
     ) -> None:
         buffer = io.BytesIO()
         # np.savez (not savez_compressed): members must stay ZIP_STORED so
-        # mmap_npz can map them in place.
+        # they can be mapped in place.
         np.savez(buffer, **arrays)
-        self._atomic_write(npz_path, buffer.getvalue())
+        data = buffer.getvalue()
+        # The marker records the archive size and every member's layout, so
+        # a warm load maps the arrays without re-reading the zip directory
+        # or npy headers; a size mismatch (torn file) reads as a miss.
+        marker = dict(
+            marker,
+            npz_bytes=len(data),
+            members={
+                name: [offset, dtype.str, list(shape), fortran_order]
+                for name, (offset, shape, fortran_order, dtype)
+                in _npz_layout(buffer).items()
+            },
+        )
+        self._atomic_write(npz_path, data)
         self._atomic_write(
             json_path, json.dumps(marker, sort_keys=True, indent=1).encode("utf-8")
         )
@@ -256,8 +297,9 @@ class DecoderArtifactStore:
         distances: np.ndarray,
         predecessors: np.ndarray,
         frames: np.ndarray,
+        ambiguous: np.ndarray,
     ) -> None:
-        """Persist a graph's APSP matrices and frame-parity table."""
+        """Persist a graph's space-time table rows."""
         key = graph_key(graph)
         self._save_entry(
             self.graph_npz_path(key),
@@ -265,7 +307,9 @@ class DecoderArtifactStore:
             {
                 "distances": np.ascontiguousarray(distances),
                 "predecessors": np.ascontiguousarray(predecessors),
-                "frames": np.ascontiguousarray(frames, dtype=bool),
+                # Frames and the ambiguity mask share one member: fewer
+                # headers to parse on every warm load.
+                "masks": np.stack((frames, ambiguous)).astype(bool),
             },
             {
                 "format": ARTIFACT_FORMAT_VERSION,
@@ -276,31 +320,43 @@ class DecoderArtifactStore:
 
     def load_graph_tables(
         self, graph
-    ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Memory-mapped ``(distances, predecessors, frames)``, or ``None``.
+    ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """Memory-mapped ``(distances, predecessors, frames, ambiguous)``.
 
-        The returned arrays are read-only :class:`numpy.memmap` views backed
-        by the store file; every consumer indexes out the (small) rows it
-        needs, so pages are shared across all processes mapping the entry.
+        Returns ``None`` on a miss.  The arrays are read-only
+        :class:`numpy.memmap` views backed by the store file; every consumer
+        indexes out the (small) entries it needs, so pages are shared
+        across all processes mapping the entry.
         """
-        key = graph_key(graph)
+        identity = graph_identity(graph)
+        key = _identity_key(identity)
         try:
             marker = self._load_marker(self.graph_json_path(key))
-            if marker is None or marker.get("identity") != graph_identity(graph):
+            if marker is None or marker.get("identity") != identity:
                 return None
-            arrays = mmap_npz(self.graph_npz_path(key))
+            npz_path = self.graph_npz_path(key)
+            if os.path.getsize(npz_path) != marker["npz_bytes"]:
+                return None
+            arrays = _map_members(
+                npz_path,
+                {
+                    name: (int(offset), tuple(shape), bool(fortran_order), np.dtype(dtype))
+                    for name, (offset, dtype, shape, fortran_order)
+                    in marker["members"].items()
+                },
+            )
             distances = arrays["distances"]
             predecessors = arrays["predecessors"]
-            frames = arrays["frames"]
-            size = graph.num_nodes + 1
+            masks = arrays["masks"]
+            shape = (graph.num_checks, graph.num_nodes + 1)
             if (
-                distances.shape != (size, size)
-                or predecessors.shape != (size, size)
-                or frames.shape != (size, size)
-                or frames.dtype != np.bool_
+                distances.shape != shape
+                or predecessors.shape != shape
+                or masks.shape != (2,) + shape
+                or masks.dtype != np.bool_
             ):
                 return None
-            return distances, predecessors, frames
+            return distances, predecessors, masks[0], masks[1]
         except _MISS_ERRORS:
             return None
 
@@ -365,8 +421,8 @@ class DecoderArtifactStore:
             ):
                 return None
             # LRU snapshots are small and mutate on save; plain load copies
-            # are simpler than mapping here (the big shared tables are the
-            # APSP/frame matrices above).
+            # are simpler than mapping here (the shared tables are the
+            # space-time table rows above).
             with np.load(self.lru_npz_path(key, lru_key)) as archive:
                 keys_array = archive["keys"]
                 corrections = archive["corrections"]
@@ -401,20 +457,18 @@ def ensure_graph_tables(graph) -> bool:
 
     Returns ``True`` when the tables were built and saved by this call,
     ``False`` when the store already held them (or the graph cannot use
-    them: no store attached, above the APSP cache limit, or non-positive
-    edge weights).  Used by the sweep executor to pre-build artifacts once
-    before fanning out, so workers never race on construction.
+    them: no store attached, or non-positive edge weights).  Used by the
+    sweep executor to pre-build artifacts once before fanning out, so
+    workers never race on construction.
     """
     store = getattr(graph, "artifact_store", None)
     if store is None:
         return False
-    from repro.decoder.matching import _APSP_NODE_LIMIT, _frame_parity_table
+    from repro.decoder.matching import _all_pairs
 
-    if graph.adjacency.shape[0] > _APSP_NODE_LIMIT:
-        return False
     if store.contains_graph(graph):
         return False
-    _frame_parity_table(graph)  # computes and saves through the store hook
+    _all_pairs(graph)  # builds and saves through the store hook
     return store.contains_graph(graph)
 
 

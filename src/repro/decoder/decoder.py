@@ -48,12 +48,15 @@ class DecoderStats:
 
     The ``artifact_*``/``*_builds`` counters mirror the decoding graph's
     artifact-store bookkeeping (:mod:`repro.decoder.artifacts`): how often
-    the APSP/frame-parity tables were loaded from the store versus rebuilt.
+    the space-time table was loaded from the store versus built
+    (``apsp_builds`` and ``frame_table_builds`` both count table builds).
     Shared graphs accumulate over every decoder using them, so after a warm
-    start ``frame_table_builds`` (and ``apsp_builds``) stay ``0`` — the
-    assertion the cross-process reuse tests and the CI smoke job grep for.
-    ``lru_prewarmed`` counts the syndrome->correction entries restored into
-    the LRU at construction.
+    start both stay ``0`` — the assertion the cross-process reuse tests and
+    the CI smoke job grep for.  ``lru_prewarmed`` counts the
+    syndrome->correction entries restored into the LRU at construction.
+    ``frame_fallbacks`` counts ambiguous frame queries (shortest paths of
+    both observable parities tie) that the matcher answered with an exact
+    per-source Dijkstra row instead of the table.
     """
 
     shots: int = 0
@@ -66,6 +69,7 @@ class DecoderStats:
     apsp_builds: int = 0
     frame_table_builds: int = 0
     lru_prewarmed: int = 0
+    frame_fallbacks: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -79,6 +83,7 @@ class DecoderStats:
             "apsp_builds": self.apsp_builds,
             "frame_table_builds": self.frame_table_builds,
             "lru_prewarmed": self.lru_prewarmed,
+            "frame_fallbacks": self.frame_fallbacks,
         }
 
 
@@ -107,7 +112,7 @@ class SurfaceCodeDecoder:
             :class:`~repro.decoder.artifacts.DecoderArtifactStore` (or a
             directory's store from
             :func:`~repro.decoder.artifacts.get_artifact_store`).  When set,
-            the decoding graph loads its APSP/frame-parity tables from the
+            the decoding graph loads its space-time table from the
             store (memory-mapped — shared physical pages across processes)
             and the LRU is pre-warmed from, and persisted to
             (:meth:`save_artifacts`), the store.  Performance-only:
@@ -266,12 +271,14 @@ class SurfaceCodeDecoder:
         }
 
     def _sync_artifact_stats(self) -> None:
-        """Mirror the (possibly shared) graph's artifact counters into stats."""
+        """Mirror the graph's artifact and the matcher's fallback counters."""
         graph = self.graph
         self.stats.artifact_hits = graph.artifact_hits
         self.stats.artifact_misses = graph.artifact_misses
         self.stats.apsp_builds = graph.apsp_builds
         self.stats.frame_table_builds = graph.frame_table_builds
+        matcher_stats = getattr(self._matcher, "stats", None) or {}
+        self.stats.frame_fallbacks = matcher_stats.get("frame_fallbacks", 0)
 
     def save_artifacts(self) -> None:
         """Persist the syndrome->correction LRU to the artifact store.
@@ -296,7 +303,7 @@ class SurfaceCodeDecoder:
     # Decoding
     # ------------------------------------------------------------------
     def clear_caches(self) -> None:
-        """Drop the correction LRU and the graph's shortest-path caches.
+        """Drop the correction LRU and the graph's space-time table.
 
         Also releases any artifact-store ``numpy.memmap`` handles held by
         the graph, so mapped store files can be reclaimed.

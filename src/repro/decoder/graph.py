@@ -13,6 +13,15 @@ virtual boundary node.  Edges model the dominant error mechanisms:
 * optional *diagonal edges* between adjacent checks in consecutive rounds
   (hook errors from mid-round CNOT faults).
 
+Every layer gets the same space and boundary edges and every pair of
+consecutive layers the same time and diagonal edges (diagonals in both
+orientations), with weights and frames independent of the layer.  The graph
+is therefore uniform in time and symmetric under time reflection, which
+lets ``repro.decoder.matching`` answer every shortest-path query from one
+Dijkstra row per layer-0 check (its space-time table) instead of all-pairs
+or per-shot searches.  Changes to the construction must keep both
+properties.
+
 The decoder is deliberately leakage-unaware, exactly as in the paper: leakage
 shows up to the decoder only through the random Pauli/measurement errors it
 induces.
@@ -47,10 +56,9 @@ class DecodingGraph:
             disables diagonal edges.
         artifact_store: Optional
             :class:`~repro.decoder.artifacts.DecoderArtifactStore`.  When
-            set, the matching layer loads the graph's APSP/frame-parity
-            tables from the store (memory-mapped, shared across processes)
-            instead of rebuilding them, and persists them after a cold
-            build.  Performance-only: corrections are bit-identical either
+            set, the matching layer loads the graph's space-time table
+            from the store (memory-mapped, shared across processes)
+            instead of rebuilding it, and persists it after a cold build.  Performance-only: corrections are bit-identical either
             way.  The ``artifact_hits``/``artifact_misses``/``apsp_builds``/
             ``frame_table_builds`` counters record what actually happened.
     """
@@ -198,8 +206,9 @@ class DecodingGraph:
         )
         # Flat edge arrays (one entry per undirected edge, in construction
         # order — order is load-bearing for Union-Find tie-breaking) power
-        # the vectorised consumers: the frame-parity table propagation in
-        # ``repro.decoder.matching`` and the Union-Find decoder's edge setup.
+        # the vectorised consumers: the space-time table's frame and
+        # ambiguity propagation in ``repro.decoder.matching`` and the
+        # Union-Find decoder's edge setup.
         # Weights are taken from the (rows, cols, weights) triplets directly,
         # whose even positions list each edge once in insertion order.
         num_edges = len(self._edge_frames)
@@ -247,17 +256,22 @@ class DecodingGraph:
         return self._edge_frame_bits_sorted[idx]
 
     def clear_caches(self) -> None:
-        """Drop the cached all-pairs shortest-path and frame-parity arrays.
+        """Drop the cached space-time table (and the reference's APSP cache).
 
         Long-lived processes that decode many distinct graph shapes can call
-        this to release the ~13 bytes/node**2 held by a cached graph (see
-        ``repro.decoder.matching._APSP_NODE_LIMIT``) once a decoder is done.
-        When the tables came from an artifact store they are ``numpy.memmap``
-        views; dropping them here releases the underlying file handles, so
-        the mapped store files can be deleted or replaced even on platforms
-        that lock mapped files (Windows-style semantics).
+        this to release the ~14 bytes per (check, node) the table holds (see
+        ``repro.decoder.matching``) once a decoder is done.  When the rows
+        came from an artifact store they are ``numpy.memmap`` views;
+        dropping them here releases the underlying file handles, so the
+        mapped store files can be deleted or replaced even on platforms that
+        lock mapped files (Windows-style semantics).
         """
-        for attr in ("_apsp_cache", "_frame_parity_cache"):
+        for attr in (
+            "_apsp_cache",
+            "_frame_parity_cache",
+            "_ambiguity_cache",
+            "_reference_apsp_cache",
+        ):
             if hasattr(self, attr):
                 delattr(self, attr)
 
@@ -305,7 +319,7 @@ def shared_decoding_graph(
     """One :class:`DecodingGraph` per construction signature, per process.
 
     Jobs in one executor run with the same (code family, distance, rounds,
-    weights) used to rebuild identical graphs — and their APSP/frame tables
+    weights) used to rebuild identical graphs — and their space-time tables
     — once per decoder.  Code construction is deterministic per (family,
     distance), so the signature below pins the graph bit-for-bit and every
     same-shape decoder can share a single instance and its caches.  Codes

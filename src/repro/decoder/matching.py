@@ -13,22 +13,48 @@ Three matchers are provided:
   with option generation and sorting fully vectorised in numpy.
 * :class:`AutoMatcher` — exact below a syndrome-size threshold, greedy above.
 
-All matchers share the same distance/path infrastructure: scipy's Dijkstra
-over the sparse decoding graph is cached all-pairs per graph, and a
-*frame-parity table* — ``frame_parity[source, node]`` = XOR of edge frames
-along the shortest path — is propagated once over the predecessor trees so
-every per-path observable-frame query is an O(1) table lookup instead of a
-Python predecessor walk.
+All matchers share one distance/path layer, the per-graph *space-time
+table* (:class:`_SpaceTimeTable`): ``C`` Dijkstra rows, one from each
+layer-0 check (``C = num_checks``), holding distances, frame parities (XOR
+of edge frames along the shortest path) and an *ambiguous* mask.  No
+all-pairs matrix and no per-shot Dijkstra is needed, because the decoding
+graph is layer-uniform (every layer has the same space and boundary edges,
+every layer pair the same time and diagonal edges) and time-reflection
+symmetric (diagonal edges come in both orientations):
+
+* Folding the layer axis with a triangle wave of period ``2 * |t2 - t1|``
+  (period 2 when ``t1 == t2``) maps any path from ``(s1, t1)`` to
+  ``(s2, t2)`` onto a path with the same edge weights and frames inside
+  the window of layers between them (a two-layer window when they are
+  equal); edges to the boundary node map to boundary edges.  Windows of
+  equal width are isomorphic under translation and reflection, so
+  ``D((s1, t1), (s2, t2)) = dist[s1, |t2 - t1| * C + s2]`` and
+  ``D((s, t), boundary) = dist[s, boundary]``, bit for bit (Dijkstra's
+  float distance is the minimum over paths of the left-to-right sum, and
+  the fold preserves each path's weight sequence).
+* The fold preserves frames too, so whenever every shortest path between
+  two nodes has the same frame, that frame is route-independent and
+  equals what the seed's predecessor walk from either endpoint gives.
+  Entries where shortest paths of both parities tie are flagged in the
+  mask; those queries fall back to the seed's exact route, a Dijkstra row
+  from the query's source plus a predecessor walk.  Graphs with a
+  non-positive edge weight get no table and use exact per-shot rows.
+
+Corrections therefore stay bit-identical to
+:mod:`repro.decoder.reference` for every matcher.  The table costs 14
+bytes per (row, node) entry (8-byte distance, 4-byte predecessor, 1-byte
+frame, 1-byte mask), ``14 * C * (N + 1)`` bytes for ``N`` detectors: 2 MB
+at d=9 with 90 rounds, where all-pairs tables took 13 bytes per node pair.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import networkx as nx
 import numpy as np
-from scipy.sparse.csgraph import dijkstra
+import scipy.sparse as sp
+from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
 from repro.decoder.blossom import (
     min_weight_matching_complete,
@@ -66,59 +92,254 @@ def _default_dp_threshold(graph: DecodingGraph) -> int:
 _DP_PARITY_RTOL = 1e-9
 
 
-@dataclass
-class _ShortestPaths:
-    """Dijkstra output from every flipped detector to every graph node.
+#: Relative slack (of a row's largest finite distance) under which an arc
+#: still counts as *tight* when the ambiguity mask is propagated.  Float
+#: rounding along a path is ~1e-16 per edge, so genuine shortest paths are
+#: never cut; the slack can only add arcs, which only adds (exact)
+#: fallbacks.
+_TIGHT_RTOL = 1e-9
 
-    ``distances``/``predecessors``/``frames`` may be the graph's *full*
-    cached matrices (``rows`` then holds each source's row index, avoiding a
-    per-shot row copy) or per-shot row blocks from a direct Dijkstra call
-    (``rows`` is then ``0..k-1``).  ``frames`` is the frame-parity table:
-    entry ``[row, node]`` is the XOR of edge frames along the shortest path
-    from the row's source to ``node``, exactly as the seed's predecessor
-    walk would have accumulated it (both derive from the same cached scipy
-    predecessor trees).  It is ``None`` when no table is available (graphs
-    above the APSP cache limit, or non-positive edge weights);
-    :meth:`path_frame` then falls back to the walk.
+
+class _SpaceTimeTable(NamedTuple):
+    """The graph's all-pairs distance oracle: one Dijkstra row per layer-0 check.
+
+    Row ``s`` describes the shortest paths from detector ``(s, layer 0)`` to
+    every node: ``distances``, ``frames`` (XOR of edge frames along scipy's
+    shortest-path tree, from :func:`_frame_parity_rows`) and ``ambiguous``
+    (shortest paths of *both* frame parities exist, so the frame depends on
+    the route).  Time translation and reflection (module docstring) turn
+    these ``C`` rows into every detector-detector and detector-boundary
+    entry; :meth:`index` does the addressing.
     """
 
-    graph: DecodingGraph
-    sources: np.ndarray
+    num_checks: int
     distances: np.ndarray
-    predecessors: np.ndarray
-    frames: Optional[np.ndarray]
-    rows: np.ndarray
+    frames: np.ndarray
+    ambiguous: np.ndarray
 
-    def distance(self, source_pos: int, target_node: int) -> float:
-        return float(self.distances[self.rows[source_pos], target_node])
+    def index(self, sources: np.ndarray, boundary: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Row/column indices of the ``(k, k + 1)`` queries among ``sources``.
 
-    def pair_distances(self) -> np.ndarray:
-        """``(k, k)`` distance matrix between the flipped detectors."""
-        return self.distances[np.ix_(self.rows, self.sources)]
+        Entry ``[i, j]`` addresses the path from ``sources[i]`` to
+        ``sources[j]`` for ``j < k`` and to the boundary for ``j == k``:
+        ``D((s1, t1), (s2, t2)) = distances[s1, |t2 - t1| * C + s2]`` and
+        ``D((s, t), boundary) = distances[s, boundary]``.
+        """
+        k = sources.size
+        layers, checks = np.divmod(sources, self.num_checks)
+        cols = np.empty((k, k + 1), dtype=np.int64)
+        cols[:, :k] = np.abs(layers[None, :] - layers[:, None]) * self.num_checks + checks
+        cols[:, k] = boundary
+        return checks[:, None], cols
 
-    def boundary_distances(self) -> np.ndarray:
-        """Length-``k`` distances from each detector to the boundary."""
-        return self.distances[self.rows, self.graph.boundary_node]
 
-    def pair_frames(self) -> Optional[np.ndarray]:
-        if self.frames is None:
-            return None
-        return self.frames[np.ix_(self.rows, self.sources)]
+def _frame_parity_rows(
+    graph: DecodingGraph, distances: np.ndarray, predecessors: np.ndarray
+) -> np.ndarray:
+    """XOR of edge frames from each row's source along its Dijkstra tree.
 
-    def boundary_frames(self) -> Optional[np.ndarray]:
-        if self.frames is None:
-            return None
-        return self.frames[self.rows, self.graph.boundary_node]
+    Entry ``[row, node]`` is exactly the XOR the seed implementation
+    accumulates by walking ``node``'s predecessor chain back to the source.
+    Computed by pointer jumping, vectorised over all rows: every node keeps
+    an ancestor and the frame XOR up to it, and each round replaces the
+    ancestor by the ancestor's ancestor (XOR-ing in its frame), so
+    ``log2(tree depth)`` rounds reach every root.  Unreachable nodes read
+    ``False``; ``distances`` only fixes the shape.
+    """
+    k, n = distances.shape
+    nodes = np.broadcast_to(np.arange(n), (k, n))
+    has_parent = predecessors >= 0
+    ancestors = np.where(has_parent, predecessors, nodes)
+    frames = np.zeros((k, n), dtype=bool)
+    frames[has_parent] = graph.edge_frames_lookup(
+        predecessors[has_parent], nodes[has_parent]
+    )
+    while True:
+        next_ancestors = np.take_along_axis(ancestors, ancestors, axis=1)
+        if np.array_equal(next_ancestors, ancestors):
+            return frames
+        frames ^= np.take_along_axis(frames, ancestors, axis=1)
+        ancestors = next_ancestors
 
-    def path_frame(self, source_pos: int, target_node: int) -> bool:
-        """XOR of edge frames along the shortest path source -> target."""
-        row = self.rows[source_pos]
-        if self.frames is not None:
-            return bool(self.frames[row, target_node])
+
+def _ambiguity_rows(
+    graph: DecodingGraph, distances: np.ndarray, frames: np.ndarray
+) -> np.ndarray:
+    """Where a shortest path's frame depends on the route, per table row.
+
+    An arc ``u -> v`` is *tight* in a row when ``dist[u] + w == dist[v]``
+    (up to :data:`_TIGHT_RTOL`): exactly the arcs on some shortest path.
+    ``frames`` already gives one reachable parity per node (the tree's), so
+    propagating "frame 0 / frame 1 reachable" over tight arcs in distance
+    order reduces to reachability: a node reaches both parities iff some
+    tight walk to it crosses an *inconsistent* tight arc, one with
+    ``frames[u] ^ frame(u, v) != frames[v]``.  (A walk of the other parity
+    has a first arc where its running parity leaves the tree's; conversely
+    the tree path, an inconsistent arc and any tight continuation give a
+    second parity.)  So the mask is one breadth-first search from the heads
+    of inconsistent arcs over the tight arcs of all rows at once.
+    Unreachable nodes are flagged too, so queries about them take the exact
+    path, which reports them.
+    """
+    k, n = distances.shape
+    ends = graph.edge_endpoints
+    tails = np.concatenate((ends[:, 0], ends[:, 1]))
+    heads = np.concatenate((ends[:, 1], ends[:, 0]))
+    weights = np.tile(graph.edge_weights, 2)
+    arc_frames = np.tile(graph.edge_frame_bits, 2)
+    finite = np.isfinite(distances)
+    scale = max(1.0, float(distances[finite].max())) if finite.any() else 1.0
+    tail_dist = distances[:, tails]
+    tight = np.isfinite(tail_dist) & (
+        tail_dist + weights <= distances[:, heads] + _TIGHT_RTOL * scale
+    )
+    inconsistent = tight & (frames[:, tails] ^ arc_frames != frames[:, heads])
+    ambiguous = ~finite
+    seed_rows, seed_arcs = np.nonzero(inconsistent)
+    if seed_rows.size:
+        # Row r's node v is vertex r * n + v; one extra root feeds the seeds.
+        root = k * n
+        seeds = np.unique(seed_rows * n + heads[seed_arcs])
+        arc_rows, arc_ids = np.nonzero(tight)
+        src = np.concatenate((arc_rows * n + tails[arc_ids], np.full(seeds.size, root)))
+        dst = np.concatenate((arc_rows * n + heads[arc_ids], seeds))
+        arcs = sp.csr_matrix(
+            (np.ones(src.size, dtype=np.int8), (src, dst)), shape=(root + 1, root + 1)
+        )
+        reached = breadth_first_order(arcs, root, directed=True, return_predecessors=False)
+        ambiguous.reshape(-1)[reached[reached != root]] = True
+    return ambiguous
+
+
+def _all_pairs(graph: DecodingGraph) -> Optional[_SpaceTimeTable]:
+    """The graph's space-time table, built (or loaded) once and cached.
+
+    The rows live on the graph as ``_apsp_cache`` (``(distances,
+    predecessors)``), ``_frame_parity_cache`` and ``_ambiguity_cache``;
+    ``DecodingGraph.clear_caches()`` drops all three.  Tables are built
+    for strictly positive edge weights only, like the frame tables before
+    them; any other graph gets ``None`` (the refusal is cached as
+    ``_frame_parity_cache = False``) and decodes on exact per-shot
+    Dijkstra rows.
+
+    With an artifact store attached (:mod:`repro.decoder.artifacts`) the
+    rows are looked up there first: a hit installs memory-mapped views
+    instead of building, and a cold build is persisted for every later
+    process.  The rows are deterministic functions of the graph identity
+    the store hashes, so loaded and built tables are bit-identical.
+    ``apsp_builds`` and ``frame_table_builds`` both count table builds.
+    """
+    frames = getattr(graph, "_frame_parity_cache", None)
+    if frames is None:
+        frames = _install_table(graph)
+    if frames is False:
+        return None
+    return _SpaceTimeTable(
+        graph.num_checks, graph._apsp_cache[0], frames, graph._ambiguity_cache
+    )
+
+
+def _install_table(graph: DecodingGraph):
+    """Load or build the table rows and cache them on ``graph``."""
+    if graph.edge_weights.size and not (graph.edge_weights > 0).all():
+        graph._frame_parity_cache = False
+        return False
+    store = graph.artifact_store
+    loaded = None if store is None else store.load_graph_tables(graph)
+    if loaded is not None:
+        graph.artifact_hits += 1
+        distances, predecessors, frames, ambiguous = loaded
+    else:
+        if store is not None:
+            graph.artifact_misses += 1
+        distances, predecessors = dijkstra(
+            graph.adjacency,
+            directed=False,
+            indices=np.arange(graph.num_checks),
+            return_predecessors=True,
+        )
+        frames = _frame_parity_rows(graph, distances, predecessors)
+        ambiguous = _ambiguity_rows(graph, distances, frames)
+        graph.apsp_builds += 1
+        graph.frame_table_builds += 1
+        if store is not None:
+            store.save_graph_tables(graph, distances, predecessors, frames, ambiguous)
+    graph._apsp_cache = (distances, predecessors)
+    graph._ambiguity_cache = ambiguous
+    graph._frame_parity_cache = frames
+    return frames
+
+
+def _frame_parity_table(graph: DecodingGraph) -> Optional[np.ndarray]:
+    """The frame-parity rows of the graph's table (``None`` without one)."""
+    table = _all_pairs(graph)
+    return None if table is None else table.frames
+
+
+class _ShortestPaths:
+    """Distances and observable frames among one syndrome's detectors.
+
+    ``dist[i, j]`` is the shortest-path weight from detector ``i`` to
+    detector ``j`` (``j < k``) or to the boundary (``j == k``), and
+    :meth:`frame` the XOR of edge frames along that path exactly as the
+    seed's predecessor walk from ``sources[i]`` accumulates it.  Entries
+    come from the space-time table; ambiguous ones are answered by an exact
+    Dijkstra row from the source and a walk, counted in ``fallbacks``.
+    Graphs without a table run one exact Dijkstra per shot instead.
+    """
+
+    def __init__(self, graph: DecodingGraph, sources: np.ndarray):
+        self.graph = graph
+        self.sources = sources
+        self.fallbacks = 0
+        self._rows: Dict[int, np.ndarray] = {}
+        k = sources.size
+        table = _all_pairs(graph)
+        if table is None:
+            distances, predecessors = dijkstra(
+                graph.adjacency,
+                directed=False,
+                indices=sources,
+                return_predecessors=True,
+            )
+            self.dist = distances[:, np.append(sources, graph.boundary_node)]
+            self._rows = dict(enumerate(predecessors))
+            self._frames = self._ambiguous = None
+        else:
+            rows, cols = table.index(sources, graph.boundary_node)
+            self.dist = table.distances[rows, cols]
+            self._frames = table.frames[rows, cols]
+            self._ambiguous = table.ambiguous[rows, cols]
+        self.pair_dist = self.dist[:, :k]
+        self.boundary_dist = self.dist[:, k]
+        #: The ``(k, k + 1)`` frame block when no entry is route-dependent
+        #: (the bitmask DP's precondition), else ``None``.
+        self.exact_frames = (
+            None
+            if self._ambiguous is None or self._ambiguous.any()
+            else self._frames
+        )
+
+    def frame(self, i: int, j: int) -> bool:
+        """XOR of edge frames along the shortest path from detector ``i``
+        to detector ``j`` (``j == k``: the boundary)."""
+        if self._ambiguous is not None:
+            if not self._ambiguous[i, j]:
+                return bool(self._frames[i, j])
+            self.fallbacks += 1
+        source = int(self.sources[i])
+        preds = self._rows.get(i)
+        if preds is None:
+            _, preds = dijkstra(
+                self.graph.adjacency,
+                directed=False,
+                indices=source,
+                return_predecessors=True,
+            )
+            self._rows[i] = preds
+        k = self.sources.size
+        node = self.graph.boundary_node if j == k else int(self.sources[j])
         frame = False
-        node = target_node
-        preds = self.predecessors[row]
-        source = int(self.sources[source_pos])
         while node != source:
             prev = int(preds[node])
             if prev < 0:
@@ -126,156 +347,6 @@ class _ShortestPaths:
             frame ^= self.graph.edge_frame(prev, node)
             node = prev
         return frame
-
-
-#: Largest graph (node count) for which all-pairs shortest paths are cached.
-#: Three arrays are cached per graph: distances (float64, 8 B/entry),
-#: predecessors (int32, 4 B/entry) and the frame-parity table (bool,
-#: 1 B/entry) — 13 bytes per node pair, i.e. ~55 MB at the 2048-node limit.
-#: Typical memory-experiment graphs (d=5, 50 rounds: 613 detector nodes +
-#: boundary) stay below 5 MB.  ``DecodingGraph.clear_caches()`` releases all
-#: three.
-_APSP_NODE_LIMIT = 2048
-
-
-def _all_pairs(graph: DecodingGraph):
-    """All-pairs Dijkstra output, computed once and cached on the graph.
-
-    Decoding runs one shortest-path query per shot from the shot's flipped
-    detectors; precomputing the full matrix turns the per-shot work into a
-    row slice.  Per-source Dijkstra is deterministic and independent of the
-    source set, so cached rows are identical to a direct per-shot call.
-
-    When the graph carries an artifact store
-    (:mod:`repro.decoder.artifacts`), the matrices are first looked up
-    there: a hit installs memory-mapped views of the persisted tables (APSP
-    *and* the frame-parity table, which travel together) instead of
-    recomputing, so a warm store eliminates the whole build.  The tables
-    are deterministic functions of the graph identity the store hashes, so
-    loaded and computed tables are bit-identical.
-    """
-    cached = getattr(graph, "_apsp_cache", None)
-    if cached is None:
-        store = getattr(graph, "artifact_store", None)
-        if store is not None:
-            loaded = store.load_graph_tables(graph)
-            if loaded is not None:
-                distances, predecessors, frames = loaded
-                graph.artifact_hits += 1
-                cached = (distances, predecessors)
-                graph._apsp_cache = cached
-                if getattr(graph, "_frame_parity_cache", None) is None:
-                    graph._frame_parity_cache = frames
-                return cached
-            graph.artifact_misses += 1
-        distances, predecessors = dijkstra(
-            graph.adjacency,
-            directed=False,
-            return_predecessors=True,
-        )
-        graph.apsp_builds += 1
-        cached = (distances, predecessors)
-        graph._apsp_cache = cached
-    return cached
-
-
-def _frame_parity_rows(
-    graph: DecodingGraph, distances: np.ndarray, predecessors: np.ndarray
-) -> np.ndarray:
-    """Propagate edge-frame XORs over shortest-path trees, vectorised.
-
-    For every source row, targets are visited in increasing-distance order,
-    so each node's predecessor is finalised before the node itself and
-
-        parity[s, t] = parity[s, pred[s, t]] XOR frame(pred[s, t], t)
-
-    reproduces exactly the XOR the seed implementation accumulated by
-    walking the predecessor chain.  Requires strictly positive edge weights
-    (a predecessor is then strictly closer than its child); the caller
-    checks this.  One pass over ``n`` distance-ordered columns with all
-    sources advanced per step — O(k*n) total with numpy inner loops.
-    """
-    k, n = distances.shape
-    frames = np.zeros((k, n), dtype=bool)
-    if k == 0 or n == 0:
-        return frames
-    order = np.argsort(distances, axis=1, kind="stable")
-    rows = np.arange(k)
-    for col in range(n):
-        targets = order[:, col]
-        preds = predecessors[rows, targets]
-        valid = preds >= 0
-        if not valid.any():
-            continue
-        rv = rows[valid]
-        tv = targets[valid]
-        pv = preds[valid]
-        frames[rv, tv] = frames[rv, pv] ^ graph.edge_frames_lookup(pv, tv)
-    return frames
-
-
-def _frame_parity_table(graph: DecodingGraph) -> Optional[np.ndarray]:
-    """The graph's full frame-parity table, computed once and cached.
-
-    Returns ``None`` (and caches the refusal) when the graph has
-    non-positive edge weights, for which distance-ordered propagation is not
-    well defined; path frames then fall back to predecessor walks.
-
-    With an artifact store attached, a cold build persists the freshly
-    computed APSP matrices and frame table together (atomically, via the
-    store), so every later process mapping the same graph identity starts
-    warm.  The non-positive-weight refusal is never persisted — such graphs
-    have no table to share.
-    """
-    cached = getattr(graph, "_frame_parity_cache", None)
-    if cached is None:
-        if graph.edge_weights.size and not (graph.edge_weights > 0).all():
-            cached = False
-        else:
-            distances, predecessors = _all_pairs(graph)
-            # An artifact hit inside _all_pairs installs the frame table
-            # too; re-check before paying for the propagation.
-            cached = getattr(graph, "_frame_parity_cache", None)
-            if cached is None:
-                cached = _frame_parity_rows(graph, distances, predecessors)
-                graph.frame_table_builds += 1
-                store = getattr(graph, "artifact_store", None)
-                if store is not None:
-                    store.save_graph_tables(graph, distances, predecessors, cached)
-        graph._frame_parity_cache = cached
-    return None if cached is False else cached
-
-
-def _shortest_paths(graph: DecodingGraph, nodes: np.ndarray) -> _ShortestPaths:
-    if graph.adjacency.shape[0] <= _APSP_NODE_LIMIT:
-        distances, predecessors = _all_pairs(graph)
-        # The full cached matrices are shared, not sliced: consumers index
-        # through ``rows`` so no per-shot row copies are made.
-        return _ShortestPaths(
-            graph=graph,
-            sources=nodes,
-            distances=distances,
-            predecessors=predecessors,
-            frames=_frame_parity_table(graph),
-            rows=nodes,
-        )
-    distances, predecessors = dijkstra(
-        graph.adjacency,
-        directed=False,
-        indices=nodes,
-        return_predecessors=True,
-    )
-    if nodes.size == 1:
-        distances = np.atleast_2d(distances)
-        predecessors = np.atleast_2d(predecessors)
-    return _ShortestPaths(
-        graph=graph,
-        sources=nodes,
-        distances=distances,
-        predecessors=predecessors,
-        frames=None,
-        rows=np.arange(nodes.size, dtype=np.int64),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -464,7 +535,7 @@ def _dp_parity_costs(
     return cost0, cost1
 
 
-def _dp_correction(paths: _ShortestPaths, boundary: int) -> Optional[int]:
+def _dp_correction(paths: _ShortestPaths) -> Optional[int]:
     """Exact correction via the bitmask DP, or ``None`` to defer to blossom.
 
     The DP tracks the minimum matching weight *per correction-parity class*
@@ -477,19 +548,18 @@ def _dp_correction(paths: _ShortestPaths, boundary: int) -> Optional[int]:
 
     * the two parity classes tie (several minimum-weight matchings exist
       and they disagree on the observable) — blossom's tie-break decides;
-    * the pairwise frame table is asymmetric (two equal-weight shortest
-      paths between a detector pair cross the observable differently, so
-      the accumulated parity depends on which endpoint's Dijkstra tree is
-      walked) — blossom's edge orientation decides;
     * no finite-weight matching exists at all.
+
+    Route-dependent frames (two equal-weight shortest paths between a pair
+    that cross the observable differently) never reach the DP: the caller
+    only runs it when :attr:`_ShortestPaths.exact_frames` is set.
     """
     k = int(paths.sources.size)
-    pair_w = paths.pair_distances()
-    pair_f = paths.pair_frames()
-    if k > 1 and not np.array_equal(pair_f, pair_f.T):
-        return None
-    boundary_w = paths.boundary_distances()
-    boundary_f = paths.boundary_frames()
+    frames = paths.exact_frames
+    pair_w = paths.pair_dist
+    pair_f = frames[:, :k]
+    boundary_w = paths.boundary_dist
+    boundary_f = frames[:, k]
     if k >= _DP_VEC_MIN:
         cost0, cost1 = _dp_parity_costs_vec(pair_w, pair_f, boundary_w, boundary_f)
     else:
@@ -512,8 +582,8 @@ class _BaseMatcher:
         #: read by ``benchmarks/bench_decoder_fastpath.py``.
         self.stats: Dict[str, int] = {}
 
-    def _count(self, key: str) -> None:
-        self.stats[key] = self.stats.get(key, 0) + 1
+    def _count(self, key: str, amount: int = 1) -> None:
+        self.stats[key] = self.stats.get(key, 0) + amount
 
     def decode(self, detector_matrix: np.ndarray) -> int:
         """Return the predicted logical-observable correction (0 or 1)."""
@@ -524,17 +594,19 @@ class _BaseMatcher:
         nodes = np.asarray(nodes, dtype=np.int64)
         if nodes.size == 0:
             return 0
-        paths = _shortest_paths(self.graph, nodes)
+        paths = _ShortestPaths(self.graph, nodes)
         fast = self._fast_correction(paths)
         if fast is not None:
             return fast
         pairs, to_boundary = self._match(paths)
         correction = False
         for i, j in pairs:
-            correction ^= paths.path_frame(i, int(nodes[j]))
-        boundary = self.graph.boundary_node
+            correction ^= paths.frame(i, j)
         for i in to_boundary:
-            correction ^= paths.path_frame(i, boundary)
+            correction ^= paths.frame(i, nodes.size)
+        if paths.fallbacks:
+            # Ambiguous frame queries answered by an exact per-source row.
+            self._count("frame_fallbacks", paths.fallbacks)
         return int(correction)
 
     def _fast_correction(self, paths: _ShortestPaths) -> Optional[int]:
@@ -554,7 +626,7 @@ class MwpmMatcher(_BaseMatcher):
     node included, so the distance between two detectors already accounts for
     the cheapest route *through* the boundary; a matched pair whose shortest
     path crosses the boundary is physically two boundary terminations, and
-    :meth:`_ShortestPaths.path_frame` accumulates its observable frame
+    :meth:`_ShortestPaths.frame` accumulates its observable frame
     correctly either way.  A minimum-weight perfect matching on the ``k``
     detectors alone (plus one virtual boundary node when ``k`` is odd) is
     therefore exactly equivalent to the classic construction that mirrors
@@ -588,10 +660,10 @@ class MwpmMatcher(_BaseMatcher):
 
     def _fast_correction(self, paths: _ShortestPaths) -> Optional[int]:
         limit = min(self.dp_threshold, _DP_HARD_CAP)
-        if paths.frames is None or not 0 < paths.sources.size <= limit:
+        if paths.exact_frames is None or not 0 < paths.sources.size <= limit:
             self._count("blossom")
             return None
-        result = _dp_correction(paths, self.graph.boundary_node)
+        result = _dp_correction(paths)
         self._count("dp" if result is not None else "dp_fallback")
         return result
 
@@ -609,7 +681,7 @@ class MwpmMatcher(_BaseMatcher):
         """
         k = paths.sources.size
         odd = k % 2 == 1
-        boundary_dist = paths.boundary_distances() if odd else None
+        boundary_dist = paths.boundary_dist if odd else None
         if np.isfinite(pair_dist).all():
             rows = pair_dist.tolist()
             edges: List[Tuple[int, int, float]] = []
@@ -631,7 +703,7 @@ class MwpmMatcher(_BaseMatcher):
     ) -> List[Tuple[int, int, float]]:
         k = paths.sources.size
         odd = k % 2 == 1
-        boundary_dist = paths.boundary_distances() if odd else None
+        boundary_dist = paths.boundary_dist if odd else None
         # Rare non-finite pair distances: simulate networkx's insertion
         # bookkeeping literally (node order = first appearance among the
         # *added* edges, which no longer follows the dense pattern).
@@ -663,12 +735,10 @@ class MwpmMatcher(_BaseMatcher):
 
     def _match(self, paths: _ShortestPaths) -> Tuple[List[Tuple[int, int]], List[int]]:
         nodes = paths.sources
-        pair_dist = paths.pair_distances()
+        pair_dist = paths.pair_dist
         if self.blossom == "native":
             if np.isfinite(pair_dist).all():
-                boundary_dist = (
-                    paths.boundary_distances() if nodes.size % 2 == 1 else None
-                )
+                boundary_dist = paths.boundary_dist if nodes.size % 2 == 1 else None
                 matching = min_weight_matching_complete(
                     pair_dist, boundary_dist, boundary_label=self._BOUNDARY
                 )
@@ -706,8 +776,8 @@ class GreedyMatcher(_BaseMatcher):
         nodes = paths.sources
         k = nodes.size
         self._count("greedy")
-        boundary_dist = paths.boundary_distances()
-        pair_dist = paths.pair_distances()
+        boundary_dist = paths.boundary_dist
+        pair_dist = paths.pair_dist
         i_idx, j_idx = np.triu_indices(k, 1)
         total = k + i_idx.size
         option_w = np.empty(total, dtype=np.float64)

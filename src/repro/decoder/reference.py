@@ -59,13 +59,12 @@ _REFERENCE_APSP_NODE_LIMIT = 2048
 
 
 def _reference_all_pairs(graph: DecodingGraph):
-    """All-pairs Dijkstra, cached on the graph (shared with the fast path).
+    """All-pairs Dijkstra, cached on the graph under the reference's own key.
 
-    Both pipelines cache under the same attribute, so equivalence tests and
-    benchmarks compare against *identical* distance/predecessor matrices —
-    scipy's per-source Dijkstra is deterministic, so sharing changes nothing.
+    The fast path caches its space-time table under different attributes,
+    so the oracle never reads anything the code under test wrote.
     """
-    cached = getattr(graph, "_apsp_cache", None)
+    cached = getattr(graph, "_reference_apsp_cache", None)
     if cached is None:
         distances, predecessors = dijkstra(
             graph.adjacency,
@@ -73,7 +72,7 @@ def _reference_all_pairs(graph: DecodingGraph):
             return_predecessors=True,
         )
         cached = (distances, predecessors)
-        graph._apsp_cache = cached
+        graph._reference_apsp_cache = cached
     return cached
 
 

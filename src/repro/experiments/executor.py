@@ -44,7 +44,7 @@ def execute_chunk_with_stats(
 
     The sweep service uses this variant so its telemetry layer can merge
     every worker's :class:`~repro.decoder.decoder.DecoderStats` (cache/LRU
-    hits, artifact loads, APSP rebuilds) into the shared
+    hits, artifact loads, table builds) into the shared
     :class:`~repro.experiments.metrics.MetricsRegistry`.
     """
     shots = job.chunk_sizes()[index]
@@ -650,10 +650,10 @@ class SweepExecutor:
         decoder_artifact_dir: Persistent decoder-artifact store directory
             (:mod:`repro.decoder.artifacts`).  When set, every decode job in
             the plan inherits it (jobs that already carry their own keep it),
-            and the executor pre-builds each unique decoding graph's tables
-            *once* before fan-out so worker processes start artifact-warm
-            instead of rebuilding APSP/frame tables N times.  Perf-only: job
-            cache identity is unchanged.
+            and the executor pre-builds each unique decoding graph's
+            shortest-path table *once* before fan-out so worker processes
+            start artifact-warm instead of rebuilding it N times.
+            Perf-only: job cache identity is unchanged.
         metrics: Optional :class:`~repro.experiments.metrics.MetricsRegistry`
             counting chunk/cache traffic and per-chunk latency (the same
             registry the sweep service snapshots over its API).
@@ -703,7 +703,7 @@ class SweepExecutor:
         plan = apply_decoder_artifact_dir(plan, self.decoder_artifact_dir)
         plan = apply_adaptive(plan, self.adaptive)
         execution = PlanExecution(plan, store=self.store, metrics=self.metrics)
-        # Build each unique decoding graph's APSP/frame tables once, here, so
+        # Build each unique decoding graph's shortest-path table once, here, so
         # the fan-out below (including every pool worker) loads them back as
         # shared memory maps instead of recomputing per process.
         execution.prebuild_artifacts()

@@ -12,20 +12,22 @@ divergence in tie-breaking or frame accumulation fails loudly.
 import numpy as np
 import networkx as nx
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
+from repro.codes.repetition import RepetitionCode
 from repro.codes.rotated_surface import RotatedSurfaceCode
 from repro.decoder.blossom import (
     min_weight_matching_complete,
     min_weight_matching_edges,
 )
 from repro.decoder.decoder import SurfaceCodeDecoder
-from repro.decoder.graph import DecodingGraph
-from repro.decoder.matching import (
-    MwpmMatcher,
-    _all_pairs,
-    _frame_parity_rows,
-    build_matcher,
+from repro.decoder import graph as graph_module
+from repro.decoder.graph import (
+    DecodingGraph,
+    clear_shared_graphs,
+    shared_decoding_graph,
 )
+from repro.decoder.matching import MwpmMatcher, _all_pairs, build_matcher
 from repro.decoder.reference import (
     build_reference_matcher,
     reference_decode_batch,
@@ -148,7 +150,17 @@ class TestBlossomPort:
 
 
 class TestFrameParityTable:
-    """frame_parity[source, node] must equal the seed's predecessor walk."""
+    """The space-time table vs full scipy Dijkstra and the seed's walk."""
+
+    @staticmethod
+    def _walk(graph, predecessors, source, target):
+        frame = False
+        node = target
+        while node != source:
+            prev = int(predecessors[source, node])
+            frame ^= graph.edge_frame(prev, node)
+            node = prev
+        return frame
 
     @pytest.mark.parametrize(
         "weights",
@@ -159,25 +171,30 @@ class TestFrameParityTable:
         ],
     )
     def test_table_matches_walk(self, weights):
-        graph = DecodingGraph(RotatedSurfaceCode(3), num_rounds=3, **weights)
-        distances, predecessors = _all_pairs(graph)
-        table = _frame_parity_rows(graph, distances, predecessors)
-        # Re-walk a sample of (source, target) pairs exactly as the seed did.
-        rng = np.random.default_rng(0)
-        n = graph.num_nodes + 1
-        for _ in range(300):
-            source = int(rng.integers(n))
-            target = int(rng.integers(n))
-            walked = False
-            node = target
-            while node != source:
-                prev = int(predecessors[source, node])
-                if prev < 0:
-                    break
-                walked ^= graph.edge_frame(prev, node)
-                node = prev
-            else:
-                assert bool(table[source, target]) == walked
+        """Exhaustive: every (detector, target) entry, on three graph shapes."""
+        for code, rounds in (
+            (RotatedSurfaceCode(3), 3),
+            (RotatedSurfaceCode(5), 4),
+            (RepetitionCode(5), 6),
+        ):
+            graph = DecodingGraph(code, num_rounds=rounds, **weights)
+            table = _all_pairs(graph)
+            distances, predecessors = dijkstra(
+                graph.adjacency, directed=False, return_predecessors=True
+            )
+            detectors = np.arange(graph.num_nodes)
+            rows, cols = table.index(detectors, graph.boundary_node)
+            targets = np.append(detectors, graph.boundary_node)
+            np.testing.assert_array_equal(
+                table.distances[rows, cols], distances[np.ix_(detectors, targets)]
+            )
+            frames = table.frames[rows, cols]
+            ambiguous = table.ambiguous[rows, cols]
+            for source in detectors.tolist():
+                for pos, target in enumerate(targets.tolist()):
+                    if not ambiguous[source, pos]:
+                        walked = self._walk(graph, predecessors, source, target)
+                        assert bool(frames[source, pos]) == walked
 
 
 class TestDecoderFastPath:
@@ -308,3 +325,81 @@ class TestUnionFindEdgeOrder:
             for (u, v), frame in graph._edge_frames.items()
         ]
         assert matcher._edges == expected
+
+
+TABLE_ATTRS = ("_apsp_cache", "_frame_parity_cache", "_ambiguity_cache")
+
+
+class TestTableLifetime:
+    """The space-time table is released by every cache-dropping path."""
+
+    def test_clear_caches_drops_table(self):
+        code = RotatedSurfaceCode(3)
+        decoder = SurfaceCodeDecoder(code, num_rounds=3, cache_size=0)
+        rng = np.random.default_rng(18)
+        histories = (rng.random((16, 3, code.num_stabilizers)) < 0.05).astype(np.uint8)
+        finals = (rng.random((16, code.num_data_qubits)) < 0.05).astype(np.uint8)
+        first = decoder.decode_batch(histories, finals)
+        assert all(hasattr(decoder.graph, attr) for attr in TABLE_ATTRS)
+        decoder.clear_caches()
+        assert not any(hasattr(decoder.graph, attr) for attr in TABLE_ATTRS)
+        np.testing.assert_array_equal(decoder.decode_batch(histories, finals), first)
+
+    def test_shared_graph_eviction_drops_table(self):
+        code = RotatedSurfaceCode(3)
+        clear_shared_graphs()
+        try:
+            first = shared_decoding_graph(code, 2, space_weight=1.25)
+            assert _all_pairs(first) is not None
+            for rounds in range(3, 3 + graph_module._SHARED_GRAPH_LIMIT):
+                shared_decoding_graph(code, rounds, space_weight=1.25)
+            assert not any(hasattr(first, attr) for attr in TABLE_ATTRS)
+        finally:
+            clear_shared_graphs()
+
+    def test_reference_keeps_its_own_cache(self):
+        graph = DecodingGraph(RotatedSurfaceCode(3), num_rounds=3)
+        detectors = np.zeros((graph.num_layers, graph.num_checks), dtype=bool)
+        detectors[1, 0] = detectors[2, 1] = True
+        build_reference_matcher(graph, "mwpm").decode(detectors)
+        assert not any(hasattr(graph, attr) for attr in TABLE_ATTRS)
+        build_matcher(graph, "mwpm").decode(detectors)
+        distances, _ = graph._reference_apsp_cache
+        assert distances.shape == (graph.num_nodes + 1, graph.num_nodes + 1)
+        assert graph._apsp_cache[0].shape == (graph.num_checks, graph.num_nodes + 1)
+
+
+class TestFrameFallbacks:
+    """Ambiguous table entries take the exact route and are counted."""
+
+    def test_ambiguous_pair_falls_back_and_counts(self):
+        code = RotatedSurfaceCode(3)
+        decoder = SurfaceCodeDecoder(code, num_rounds=3, method="mwpm")
+        graph = decoder.graph
+        table = _all_pairs(graph)
+        rows, cols = np.nonzero(table.ambiguous[:, : graph.num_nodes])
+        assert rows.size, "the d=3 unit-weight graph has tied frames"
+        detectors = np.zeros((graph.num_layers, graph.num_checks), dtype=bool)
+        detectors[0, rows[0]] = True
+        detectors.reshape(-1)[cols[0]] = True
+        expected = build_reference_matcher(graph, "mwpm").decode(detectors)
+        assert decoder.predict_correction(detectors) == expected
+        assert decoder.stats.frame_fallbacks == 1
+        assert decoder.stats.as_dict()["frame_fallbacks"] == 1
+        assert decoder._matcher.stats["frame_fallbacks"] == 1
+
+
+class TestAboveAllPairsLimit:
+    """Bit-identity on a graph past the old 2048-node all-pairs limit, where
+    the seed decodes every shot with a fresh per-shot Dijkstra."""
+
+    @pytest.mark.parametrize("method", ["mwpm", "auto"])
+    def test_d9_matches_reference(self, method):
+        graph = DecodingGraph(RotatedSurfaceCode(9), num_rounds=60)
+        assert graph.num_nodes + 1 > 2048
+        fast = build_matcher(graph, method)
+        ref = build_reference_matcher(graph, method)
+        rng = np.random.default_rng(19 + len(method))
+        for _ in range(20):
+            detectors = random_detectors(graph, rng, max_flips=14)
+            assert fast.decode(detectors) == ref.decode(detectors)
