@@ -46,7 +46,7 @@ DISTANCES = (3, 5, 7)
 #: The acceptance workload: d=5, 50 rounds, 200 shots — the fast path must
 #: decode it >= 3x faster than the seed pipeline.  CI's quick mode runs
 #: fewer shots, where fixed per-batch costs weigh more, so the guard there
-#: is looser (like ``bench_batched_vs_scalar.py``).
+#: is looser.
 TARGET_DISTANCE = 5
 TARGET_SPEEDUP = 3.0
 QUICK_SPEEDUP = 1.5
@@ -59,7 +59,7 @@ def _workload(distance, shots, seed):
         policy=make_policy(POLICY),
         cycles=CYCLES,
         seed=seed,
-        engine="batched",
+        engine="packed",
         decode=True,
     )
     captured = {"h": [], "f": []}

@@ -8,7 +8,7 @@ to laptop budgets; two environment variables let you trade time for precision:
 * ``ERASER_REPRO_SHOTS`` — shots per configuration (default 200).
 * ``ERASER_REPRO_MAX_DISTANCE`` — largest code distance swept (default 5).
 * ``ERASER_REPRO_ENGINE`` — Monte-Carlo engine
-  (``auto``/``packed``/``batched``/``scalar``).
+  (``auto``/``packed``/``scalar``).
 * ``ERASER_REPRO_BATCH`` — shots per simulator batch (0 = engine default).
 
 Sweep orchestration (see :mod:`repro.experiments.executor`) is controlled the
@@ -61,9 +61,9 @@ def seed() -> int:
 
 @pytest.fixture(scope="session")
 def engine() -> str:
-    """Monte-Carlo engine driving the sweeps (auto = batched when possible)."""
+    """Monte-Carlo engine driving the sweeps (auto = packed when possible)."""
     value = os.environ.get("ERASER_REPRO_ENGINE", "auto").strip().lower()
-    return value if value in ("auto", "batched", "scalar", "packed") else "auto"
+    return value if value in ("auto", "scalar", "packed") else "auto"
 
 
 @pytest.fixture(scope="session")

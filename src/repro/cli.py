@@ -52,6 +52,7 @@ from repro.densitymatrix.study import SingleStabilizerLeakageStudy
 from repro.decoder.artifacts import default_artifact_dir
 from repro.dqlr.protocol import run_dqlr_comparison
 from repro.experiments.executor import SweepExecutor
+from repro.experiments.memory import ENGINES
 from repro.experiments.registry import format_experiment_index, get_experiment
 from repro.experiments.results import PolicySweepResult
 from repro.experiments.store import DEFAULT_SERVICE_SHARDS, default_cache_dir
@@ -81,10 +82,11 @@ def _add_common_sweep_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--engine",
-        choices=["auto", "batched", "scalar", "packed"],
+        choices=list(ENGINES),
         default="auto",
-        help="Monte-Carlo engine: bit-packed words, vectorised batched "
-        "shots, or the scalar loop (auto picks packed for large runs).",
+        help="Monte-Carlo engine: bit-packed words (64 shots per word) or "
+        "the scalar reference loop (auto picks packed whenever the policy "
+        "supports vectorised decisions).",
     )
     parser.add_argument(
         "--code-family",
@@ -105,7 +107,8 @@ def _add_common_sweep_args(parser: argparse.ArgumentParser) -> None:
         "--batch-size",
         type=int,
         default=None,
-        help="Shots simulated together per batch (batched engine only).",
+        help="Shots simulated together per packed-engine batch "
+        "(default 16384; ignored by the scalar engine).",
     )
     parser.add_argument(
         "--decoder-dp-threshold",

@@ -393,7 +393,7 @@ class SurfaceCodeDecoder:
         """Return True when the shot suffered a logical error after correction.
 
         Runs through the same layered batch pipeline as :meth:`decode_batch`
-        (as a batch of one), so scalar and batched engines share one code
+        (as a batch of one), so scalar and packed engines share one code
         path — including the cross-batch correction cache.
         """
         history = np.asarray(syndrome_history, dtype=np.uint8)

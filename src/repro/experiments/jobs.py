@@ -36,7 +36,7 @@ from repro.codes import DEFAULT_CODE_FAMILY, canonical_code_family, make_code
 from repro.core.policies import make_policy
 from repro.core.policies.base import LrcPolicy
 from repro.core.qsg import PROTOCOL_SWAP
-from repro.experiments.memory import MemoryExperiment
+from repro.experiments.memory import ENGINES, MemoryExperiment
 from repro.experiments.results import MemoryExperimentResult
 from repro.experiments.store import config_hash
 from repro.noise.leakage import LeakageModel, LeakageTransportModel
@@ -48,6 +48,14 @@ from repro.sim.rng import RngLike
 #: four-configuration sweep still fans out across a pool, large enough that
 #: per-task overhead (fork, pickle, simulator setup) stays negligible.
 DEFAULT_CHUNK_SHOTS = 256
+
+#: Version of what a cached result *means*.  Folded into every job's
+#: :meth:`SweepJob.config_dict` (and so into its cache key, its chunk-spill
+#: keys and its adaptive prefix keys); bump it whenever a change alters the
+#: statistics an unchanged job configuration produces, so a warm cache never
+#: serves a stale answer.  Version 1: ``engine="auto"`` resolves to the
+#: packed engine at every shot count.
+RESULT_SEMANTICS_VERSION = 1
 
 
 def resolve_policy(name: str, **kwargs) -> LrcPolicy:
@@ -158,6 +166,13 @@ class SweepJob:
             )
         if self.chunk_shots < 1:
             raise ValueError(f"chunk_shots must be >= 1, got {self.chunk_shots}")
+        # Checked here, not only by MemoryExperiment, so a bad engine is
+        # rejected when a plan is built or a submission is decoded instead of
+        # failing the whole sweep later inside a worker.
+        if self.engine not in ENGINES:
+            raise ValueError(
+                f"unknown engine {self.engine!r}; expected one of {ENGINES}"
+            )
 
     # ------------------------------------------------------------------
     # Identity
@@ -167,9 +182,9 @@ class SweepJob:
 
         ``code_family`` and ``noise_profile`` join the identity only when
         they deviate from the degenerate defaults (rotated surface code,
-        uniform noise), so every pre-existing cache entry keeps its address.
+        uniform noise).  :data:`RESULT_SEMANTICS_VERSION` is always present.
         """
-        config: Dict[str, object] = {}
+        config: Dict[str, object] = {"semantics": RESULT_SEMANTICS_VERSION}
         if self.code_family != DEFAULT_CODE_FAMILY:
             config["code_family"] = self.code_family
         if self.noise_profile is not None:

@@ -11,22 +11,18 @@ The harness additionally records, per round, the leakage population ratio
 and the confusion matrix of the policy's per-qubit LRC decisions against the
 simulator's ground-truth leakage.
 
-Three execution engines are provided.  The scalar engine runs one shot at a
+Two execution engines are provided.  The scalar engine runs one shot at a
 time through a fresh :class:`~repro.sim.frame_simulator.LeakageFrameSimulator`
-(the reference implementation).  The batched engine drives all shots of a
+(the reference implementation).  The packed engine drives all shots of a
 batch through one
-:class:`~repro.sim.batched_frame_simulator.BatchedLeakageFrameSimulator`:
-each round, the policy produces per-shot LRC assignments in one vectorised
-call and the per-shot LRC tails run as flattened pair instances over the 2-D
-frame arrays.  The packed engine
-(:class:`~repro.sim.packed_frame_simulator.PackedLeakageFrameSimulator`)
-shares the batched control flow but carries the frames as bit-packed uint64
-words — 64 shots per word — with sparsely sampled noise, unpacking only at
-the syndrome-extraction boundary where the decoder and the policy's
-``decide_batch`` take over.  The engines are statistically equivalent
-(``tests/test_batched_equivalence.py``); the batched engine is several times
-faster than scalar at realistic shot counts, and the packed engine is an
-order of magnitude faster again at >= 10k shots (``BENCH_packed.json``).
+:class:`~repro.sim.packed_frame_simulator.PackedLeakageFrameSimulator`,
+which carries the frames as bit-packed uint64 words — 64 shots per word —
+with sparsely sampled noise: each round, the policy produces per-shot LRC
+assignments in one vectorised ``decide_batch`` call, the per-shot LRC tails
+run as flattened pair instances, and the frames are unpacked only at the
+syndrome-extraction boundary where the decoder and the policy take over.
+The engines are statistically equivalent
+(``tests/test_engine_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -52,34 +48,19 @@ from repro.experiments.results import MemoryExperimentResult
 from repro.noise.leakage import LeakageModel
 from repro.noise.model import NoiseParams
 from repro.noise.profiles import NoiseProfile
-from repro.sim.batched_frame_simulator import BatchedLeakageFrameSimulator
 from repro.sim.circuit import MeasureReset
 from repro.sim.frame_simulator import LeakageFrameSimulator
 from repro.sim.packed_frame_simulator import PackedLeakageFrameSimulator
 from repro.sim.rng import RngLike, make_rng
 
-#: Shots simulated together per batch unless the caller overrides it.
-DEFAULT_BATCH_SIZE = 1024
-
-#: Default batch size for the packed engine.  Packed per-batch costs are
-#: dominated by fixed per-operation overhead (a few numpy calls each), so
-#: larger batches amortise better; 16384 shots is 256 words per qubit.
-DEFAULT_PACKED_BATCH_SIZE = 16384
-
-#: Shot count at which ``engine="auto"`` switches from batched to packed.
-#: Kept above the sweep runner's default chunk size (256) so existing
-#: chunked sweeps — and their content-addressed result caches — keep
-#: resolving to the batched engine and its random stream.
-PACKED_AUTO_MIN_SHOTS = 4096
+#: Shots simulated together per packed batch unless the caller overrides
+#: it.  Packed per-batch costs are dominated by fixed per-operation overhead
+#: (a few numpy calls each), so larger batches amortise better; 16384 shots
+#: is 256 words per qubit.
+DEFAULT_BATCH_SIZE = 16384
 
 #: Valid ``engine`` arguments of :class:`MemoryExperiment`.
-ENGINES = ("auto", "batched", "scalar", "packed")
-
-#: Multi-shot simulator class behind each vectorised engine name.
-_BATCH_SIMULATORS = {
-    "batched": BatchedLeakageFrameSimulator,
-    "packed": PackedLeakageFrameSimulator,
-}
+ENGINES = ("auto", "scalar", "packed")
 
 
 @dataclass
@@ -127,16 +108,13 @@ class MemoryExperiment:
             Performance-only: corrections are bit-identical either way.
         seed: Seed or generator for reproducibility.
         engine: ``"packed"`` (bit-packed word-parallel execution, 64 shots
-            per uint64 word), ``"batched"`` (vectorised boolean-array
-            execution), ``"scalar"`` (the reference one-shot-at-a-time
-            loop), or ``"auto"`` (packed for runs of at least
-            :data:`PACKED_AUTO_MIN_SHOTS` shots, else batched, whenever the
-            policy supports vectorised decisions).  All engines are
+            per uint64 word), ``"scalar"`` (the reference one-shot-at-a-time
+            loop), or ``"auto"`` (packed whenever the policy supports
+            vectorised decisions, else scalar).  The engines are
             statistically equivalent but draw random numbers in different
             orders, so per-shot outcomes differ bit-for-bit between them.
-        batch_size: Shots simulated together per batch in the vectorised
-            engines (defaults: :data:`DEFAULT_BATCH_SIZE` batched,
-            :data:`DEFAULT_PACKED_BATCH_SIZE` packed); ignored by scalar.
+        batch_size: Shots simulated together per packed batch (default
+            :data:`DEFAULT_BATCH_SIZE`); ignored by scalar.
     """
 
     def __init__(
@@ -193,7 +171,7 @@ class MemoryExperiment:
         self.rng = make_rng(seed)
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-        if engine in _BATCH_SIMULATORS and not policy.supports_batch:
+        if engine == "packed" and not policy.supports_batch:
             raise ValueError(
                 f"policy {policy.name!r} does not support the {engine} engine"
             )
@@ -230,7 +208,7 @@ class MemoryExperiment:
         self.policy.bind(code, rng=self.rng)
         self._data_indices = np.asarray(code.data_indices, dtype=np.int64)
         self._parity_indices = np.asarray(code.parity_indices, dtype=np.int64)
-        # Static lookups used by the batched engine's instance execution.
+        # Static lookups used by the packed engine's instance execution.
         n_stabs = code.num_stabilizers
         self._ancilla_of_stab = np.asarray(
             [code.ancilla_of(s) for s in range(n_stabs)], dtype=np.int64
@@ -322,7 +300,7 @@ class MemoryExperiment:
         counts.update(tp, fp, tn, fn)
 
     # ------------------------------------------------------------------
-    # Batched execution
+    # Packed (multi-shot) execution
     # ------------------------------------------------------------------
     def _assignment_instances(
         self, assignments: np.ndarray
@@ -355,13 +333,12 @@ class MemoryExperiment:
 
     def _run_batch(
         self,
-        engine: str,
         batch_shots: int,
         lpr_sums: np.ndarray,
         speculation: SpeculationCounts,
     ) -> Tuple[int, int]:
-        """Run one batch; returns (logical errors, LRCs scheduled)."""
-        sim = _BATCH_SIMULATORS[engine](
+        """Run one packed batch; returns (logical errors, LRCs scheduled)."""
+        sim = PackedLeakageFrameSimulator(
             self.code.num_qubits, self.noise, self.leakage, shots=batch_shots,
             rng=self.rng,
         )
@@ -448,19 +425,10 @@ class MemoryExperiment:
             logical_errors = int(np.count_nonzero(errors))
         return logical_errors, total_lrcs
 
-    def _resolve_engine(self, shots: int) -> str:
-        """Resolve ``"auto"`` against the policy and the requested shot count.
-
-        ``auto`` picks the packed engine once the run is large enough to
-        amortise its fixed per-operation cost (and always above the sweep
-        runner's chunk size, so chunked sweep caches keep their batched
-        random streams); smaller vectorisable runs stay batched, and
-        policies without ``decide_batch`` fall back to the scalar loop.
-        """
+    def _resolve_engine(self) -> str:
+        """Resolve ``"auto"``: packed if the policy decides in batch, else scalar."""
         if self.engine == "auto":
-            if not self.policy.supports_batch:
-                return "scalar"
-            return "packed" if shots >= PACKED_AUTO_MIN_SHOTS else "batched"
+            return "packed" if self.policy.supports_batch else "scalar"
         return self.engine
 
     # ------------------------------------------------------------------
@@ -470,23 +438,20 @@ class MemoryExperiment:
         """Run ``shots`` Monte-Carlo shots and aggregate the observations."""
         if shots < 1:
             raise ValueError("shots must be >= 1")
-        engine = self._resolve_engine(shots)
+        engine = self._resolve_engine()
         lpr_total = np.zeros(self.rounds)
         lpr_data = np.zeros(self.rounds)
         lpr_parity = np.zeros(self.rounds)
         speculation = SpeculationCounts()
         logical_errors = 0
         total_lrcs = 0
-        if engine in _BATCH_SIMULATORS:
-            default_size = (
-                DEFAULT_PACKED_BATCH_SIZE if engine == "packed" else DEFAULT_BATCH_SIZE
-            )
-            batch_size = self.batch_size or default_size
+        if engine == "packed":
+            batch_size = self.batch_size or DEFAULT_BATCH_SIZE
             lpr_sums = np.zeros((3, self.rounds))
             done = 0
             while done < shots:
                 batch_shots = min(batch_size, shots - done)
-                errors, lrcs = self._run_batch(engine, batch_shots, lpr_sums, speculation)
+                errors, lrcs = self._run_batch(batch_shots, lpr_sums, speculation)
                 logical_errors += errors
                 total_lrcs += lrcs
                 done += batch_shots

@@ -8,37 +8,27 @@ simulator executes the lightweight circuit IR defined in
 :mod:`repro.sim.circuit` and implements the circuit-level noise and leakage
 model of Section 5.2 of the paper.
 
-Three engines share that IR:
+Two engines share that IR:
 
 * :class:`~repro.sim.frame_simulator.LeakageFrameSimulator` — the scalar
   reference engine; one Monte-Carlo shot per instance, frames are
   ``(num_qubits,)`` boolean arrays.
-* :class:`~repro.sim.batched_frame_simulator.BatchedLeakageFrameSimulator` —
-  the batched engine; frames are ``(shots, num_qubits)`` arrays and every
-  operation is vectorised across the shot axis, which removes the Python
-  interpreter from the Monte-Carlo hot path.
 * :class:`~repro.sim.packed_frame_simulator.PackedLeakageFrameSimulator` —
-  the packed engine; frames are ``(ceil(shots / 64), num_qubits)`` uint64
-  words (64 shots per word), gates are word-wide XOR/AND kernels, and noise
-  is sampled sparsely (binomial hit counts on random distinct cells), so
-  per-channel work scales with the expected number of errors instead of
+  the vectorised engine; frames are ``(ceil(shots / 64), num_qubits)``
+  uint64 words (64 shots per word), gates are word-wide XOR/AND kernels, and
+  noise is sampled sparsely (binomial hit counts on random distinct cells),
+  so per-channel work scales with the expected number of errors instead of
   with ``shots``.
 
 The experiment harness (:class:`~repro.experiments.memory.MemoryExperiment`)
 selects between them via its ``engine`` argument (``"auto"`` uses the packed
-engine for large vectorisable runs and the batched engine for smaller ones,
-whenever the scheduling policy supports vectorised decisions, which all
-built-in policies do) and sizes the batches with ``batch_size``.  The
+engine whenever the scheduling policy supports vectorised decisions, which
+all built-in policies do) and sizes the batches with ``batch_size``.  The
 engines draw random numbers in different orders, so they are *statistically*
 — not bitwise — equivalent; noise-free circuits produce exactly equal output
-on all of them.  ``tests/test_batched_equivalence.py`` enforces this
-contract.
+on both.  ``tests/test_engine_equivalence.py`` enforces this contract.
 """
 
-from repro.sim.batched_frame_simulator import (
-    BatchedLeakageFrameSimulator,
-    BatchedMeasurementRecord,
-)
 from repro.sim.circuit import (
     Cnot,
     Hadamard,
@@ -51,7 +41,10 @@ from repro.sim.circuit import (
     RoundNoise,
 )
 from repro.sim.frame_simulator import LeakageFrameSimulator, MeasurementRecord
-from repro.sim.packed_frame_simulator import PackedLeakageFrameSimulator
+from repro.sim.packed_frame_simulator import (
+    BatchedMeasurementRecord,
+    PackedLeakageFrameSimulator,
+)
 from repro.sim.rng import make_rng
 
 __all__ = [
@@ -66,7 +59,6 @@ __all__ = [
     "LeakISwap",
     "LeakageFrameSimulator",
     "MeasurementRecord",
-    "BatchedLeakageFrameSimulator",
     "BatchedMeasurementRecord",
     "PackedLeakageFrameSimulator",
     "make_rng",

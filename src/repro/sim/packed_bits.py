@@ -13,9 +13,8 @@ holds the supporting primitives:
   fair bits per word, for the probability-1/2 draws (random Pauli frames,
   leaked-measurement outcomes);
 * :func:`sample_cells` — the sparse Bernoulli sampler: instead of drawing a
-  float per (shot, qubit) cell as the batched engine does, draw the *count*
-  of hits from the exact binomial and place them on a uniformly random
-  distinct cell subset.  Per-qubit rate arrays are honoured by sampling at
+  float per (shot, qubit) cell, draw the *count* of hits from the exact
+  binomial and place them on a uniformly random distinct cell subset.  Per-qubit rate arrays are honoured by sampling at
   the maximum rate and thinning, which keeps the per-cell distribution
   exact.  At the circuit-level rates the paper sweeps (``p ~ 1e-3``) this
   touches thousands of cells instead of millions.

@@ -78,7 +78,7 @@ class TestConstruction:
         assert experiment.noise.p == pytest.approx(1e-3)
         assert experiment.leakage.p_leak_round == pytest.approx(1e-4)
 
-    @pytest.mark.parametrize("engine", ["scalar", "batched", "packed", "auto"])
+    @pytest.mark.parametrize("engine", ["scalar", "packed", "auto"])
     def test_accepts_policy_by_name(self, code, engine):
         """String policies resolve through the registry instead of crashing."""
         experiment = MemoryExperiment(
@@ -101,12 +101,32 @@ class TestConstruction:
             leakage=LeakageModel.standard(1e-3),
             cycles=1,
             seed=99,
-            engine="batched",
+            engine="packed",
         )
         by_name = MemoryExperiment(policy="always-lrc", **kwargs).run(16)
         by_instance = MemoryExperiment(policy=make_policy("always-lrc"), **kwargs).run(16)
         assert by_name.logical_errors == by_instance.logical_errors
         np.testing.assert_array_equal(by_name.lpr_total, by_instance.lpr_total)
+
+    @pytest.mark.parametrize("shots", [1, 8, 256])
+    def test_auto_engine_is_packed_at_every_shot_count(self, code, shots):
+        experiment = make_experiment(code, policy="eraser", engine="auto")
+        assert experiment.run(shots).metadata["engine"] == "packed"
+
+    def test_auto_engine_falls_back_to_scalar_without_batch_decisions(self, code):
+        policy = make_policy("no-lrc")
+        policy.supports_batch = False
+        experiment = MemoryExperiment(
+            code=code, policy=policy, cycles=1, seed=3, engine="auto"
+        )
+        assert experiment.run(2).metadata["engine"] == "scalar"
+        with pytest.raises(ValueError, match="does not support the packed engine"):
+            MemoryExperiment(code=code, policy=policy, cycles=1, engine="packed")
+
+    @pytest.mark.parametrize("engine", ["batched", "nope"])
+    def test_unknown_engine_rejected(self, code, engine):
+        with pytest.raises(ValueError, match="unknown engine"):
+            MemoryExperiment(code=code, policy="eraser", cycles=1, engine=engine)
 
     def test_unknown_policy_name_raises_with_choices(self, code):
         with pytest.raises(ValueError, match="eraser"):

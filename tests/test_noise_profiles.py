@@ -7,7 +7,7 @@ uniform error model:
   path on every Monte-Carlo engine under a fixed seed (and so are degenerate
   per-qubit profiles, which exercise the array plumbing with uniform rates);
 * for every non-uniform profile and for the repetition-code family, the
-  scalar and batched engines remain statistically equivalent;
+  scalar and packed engines remain statistically equivalent;
 * each profile shape has the physics it claims (Z-bias skews the Pauli mix,
   hot spots concentrate errors, heterogeneity is seed-reproducible across
   processes);
@@ -24,14 +24,15 @@ from repro.codes import RepetitionCode, RotatedSurfaceCode, make_code
 from repro.core.policies import make_policy
 from repro.experiments.memory import MemoryExperiment
 from repro.noise import LeakageModel, NoiseParams, NoiseProfile, QubitNoise
-from repro.sim.batched_frame_simulator import BatchedLeakageFrameSimulator
 from repro.sim.circuit import Cnot, Hadamard, Measure, MeasureReset, RoundNoise
 from repro.sim.frame_simulator import LeakageFrameSimulator
+from repro.sim.packed_bits import unpack_words
+from repro.sim.packed_frame_simulator import PackedLeakageFrameSimulator
 
 #: Boosted error rate so small seeded runs see plenty of events.
 P = 3e-3
 
-#: Boosted leakage injection (as in ``test_batched_equivalence``): at the
+#: Boosted leakage injection (as in ``test_engine_equivalence``): at the
 #: paper's ``0.1 p`` rates a 300-shot run sees only a handful of strongly
 #: autocorrelated leakage episodes, making aggregate LPR comparisons noise.
 BOOSTED_LEAKAGE = LeakageModel(
@@ -83,13 +84,13 @@ def assert_results_identical(a, b):
 class TestUniformBitIdentical:
     """The degenerate profile must not perturb a single random draw."""
 
-    @pytest.mark.parametrize("engine", ["scalar", "batched", "packed"])
+    @pytest.mark.parametrize("engine", ["scalar", "packed"])
     def test_uniform_profile_matches_noise_params_path(self, engine):
         plain = run_memory(engine, profile=None)
         profiled = run_memory(engine, profile=NoiseProfile.uniform())
         assert_results_identical(plain, profiled)
 
-    @pytest.mark.parametrize("engine", ["scalar", "batched", "packed"])
+    @pytest.mark.parametrize("engine", ["scalar", "packed"])
     @pytest.mark.parametrize(
         "name,profile", DEGENERATE_PROFILES, ids=[n for n, _ in DEGENERATE_PROFILES]
     )
@@ -108,19 +109,19 @@ class TestUniformBitIdentical:
 
 
 class TestCrossEngineEquivalence:
-    """Scalar vs batched differential checks for every new scenario."""
+    """Scalar vs packed differential checks for every new scenario."""
 
     @staticmethod
-    def _assert_statistically_close(scalar, batched, lpr_rel=0.5):
+    def _assert_statistically_close(scalar, packed, lpr_rel=0.5):
         for attr in ("lpr_total", "lpr_data", "lpr_parity"):
             a = float(np.mean(getattr(scalar, attr)))
-            b = float(np.mean(getattr(batched, attr)))
+            b = float(np.mean(getattr(packed, attr)))
             if max(a, b) < 2e-4:
                 continue
             assert abs(a - b) <= lpr_rel * max(a, b), (
-                f"{attr} diverged: scalar={a:.6f} batched={b:.6f}"
+                f"{attr} diverged: scalar={a:.6f} packed={b:.6f}"
             )
-        a, b = scalar.lrcs_per_round, batched.lrcs_per_round
+        a, b = scalar.lrcs_per_round, packed.lrcs_per_round
         assert abs(a - b) <= 0.35 * max(a, b) + 0.05
 
     @pytest.mark.parametrize(
@@ -130,10 +131,10 @@ class TestCrossEngineEquivalence:
         scalar = run_memory(
             "scalar", profile=profile, shots=300, decode=False, leakage=BOOSTED_LEAKAGE
         )
-        batched = run_memory(
-            "batched", profile=profile, shots=300, decode=False, leakage=BOOSTED_LEAKAGE
+        packed = run_memory(
+            "packed", profile=profile, shots=300, decode=False, leakage=BOOSTED_LEAKAGE
         )
-        self._assert_statistically_close(scalar, batched)
+        self._assert_statistically_close(scalar, packed)
 
     @pytest.mark.parametrize("policy", ["no-lrc", "always-lrc", "eraser", "optimal"])
     def test_repetition_code_equivalent_across_engines(self, policy):
@@ -141,22 +142,22 @@ class TestCrossEngineEquivalence:
             "scalar", code=RepetitionCode(5), policy=policy, shots=300, decode=False,
             leakage=BOOSTED_LEAKAGE,
         )
-        batched = run_memory(
-            "batched", code=RepetitionCode(5), policy=policy, shots=300, decode=False,
+        packed = run_memory(
+            "packed", code=RepetitionCode(5), policy=policy, shots=300, decode=False,
             leakage=BOOSTED_LEAKAGE,
         )
-        self._assert_statistically_close(scalar, batched)
+        self._assert_statistically_close(scalar, packed)
         if policy in ("no-lrc", "always-lrc"):
             # Static schedules do not depend on the noise stream at all.
-            assert scalar.lrcs_per_round == batched.lrcs_per_round
+            assert scalar.lrcs_per_round == packed.lrcs_per_round
 
     def test_repetition_code_ler_close_across_engines(self):
         scalar = run_memory("scalar", code=RepetitionCode(5), shots=400)
-        batched = run_memory("batched", code=RepetitionCode(5), shots=400)
-        # Loose two-proportion bound, mirroring test_batched_equivalence.
-        pooled = (scalar.logical_errors + batched.logical_errors) / 800
+        packed = run_memory("packed", code=RepetitionCode(5), shots=400)
+        # Loose two-proportion bound, mirroring test_engine_equivalence.
+        pooled = (scalar.logical_errors + packed.logical_errors) / 800
         stderr = max((pooled * (1 - pooled) * 2 / 400) ** 0.5, 1e-6)
-        z = (scalar.logical_errors - batched.logical_errors) / 400 / stderr
+        z = (scalar.logical_errors - packed.logical_errors) / 400 / stderr
         assert abs(z) < 4.5
 
 
@@ -177,13 +178,14 @@ class TestProfilePhysics:
 
     def test_biased_eta_one_keeps_roughly_uniform_mix(self):
         noise = NoiseProfile.biased(1.0).materialize(NoiseParams.standard(0.3), 6)
-        sim = BatchedLeakageFrameSimulator(
+        sim = PackedLeakageFrameSimulator(
             6, noise, LeakageModel.disabled(), shots=2000, rng=5
         )
         sim.run([RoundNoise(np.arange(6))])
-        x_only = int((sim.x & ~sim.z).sum())
-        z_only = int((sim.z & ~sim.x).sum())
-        y_both = int((sim.x & sim.z).sum())
+        x, z = unpack_words(sim.x, sim.shots), unpack_words(sim.z, sim.shots)
+        x_only = int((x & ~z).sum())
+        z_only = int((z & ~x).sum())
+        y_both = int((x & z).sum())
         total = x_only + z_only + y_both
         for count in (x_only, z_only, y_both):
             assert abs(count - total / 3) < 0.15 * total
@@ -192,11 +194,11 @@ class TestProfilePhysics:
         noise = NoiseProfile.hot_spot([1], 25.0).materialize(
             NoiseParams.standard(0.01), 4
         )
-        sim = BatchedLeakageFrameSimulator(
+        sim = PackedLeakageFrameSimulator(
             4, noise, LeakageModel.disabled(), shots=3000, rng=2
         )
         sim.run([RoundNoise(np.arange(4))])
-        counts = (sim.x | sim.z).sum(axis=0)
+        counts = unpack_words(sim.x | sim.z, sim.shots).sum(axis=0)
         cold = np.delete(counts, 1).max()
         assert counts[1] > 5 * cold
 
@@ -292,13 +294,13 @@ class TestValidation:
             profile.materialize(NoiseParams.standard(P), 17)
 
     @pytest.mark.parametrize(
-        "simulator", [LeakageFrameSimulator, BatchedLeakageFrameSimulator]
+        "simulator", [LeakageFrameSimulator, PackedLeakageFrameSimulator]
     )
     def test_simulators_reject_mismatched_array_sizes(self, simulator):
         noise = NoiseProfile.heterogeneous(1, 0.5).materialize(
             NoiseParams.standard(P), 9
         )
-        kwargs = {"shots": 4} if simulator is BatchedLeakageFrameSimulator else {}
+        kwargs = {"shots": 4} if simulator is PackedLeakageFrameSimulator else {}
         with pytest.raises(ValueError, match="per-qubit noise covers"):
             simulator(17, noise, LeakageModel.standard(P), rng=1, **kwargs)
 
@@ -358,7 +360,7 @@ class TestRepetitionCodeStructure:
         with pytest.raises(ValueError):
             RepetitionCode(2)
 
-    @pytest.mark.parametrize("engine", ["scalar", "batched", "packed"])
+    @pytest.mark.parametrize("engine", ["scalar", "packed"])
     def test_noiseless_experiment_is_error_free(self, engine):
         result = MemoryExperiment(
             code=RepetitionCode(5),
@@ -374,7 +376,7 @@ class TestRepetitionCodeStructure:
 
     def test_metadata_records_family_and_profile(self):
         result = run_memory(
-            "batched",
+            "packed",
             code=RepetitionCode(3),
             profile=NoiseProfile.biased(4.0),
             shots=4,

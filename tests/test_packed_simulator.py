@@ -1,8 +1,8 @@
 """Unit tests for the packed (bit-parallel) frame simulator.
 
 Deterministic kernel behaviour, masked-instance correctness, and the
-tail-bit invariant.  Statistical equivalence with the other engines is
-enforced separately by ``tests/test_batched_equivalence.py``.
+tail-bit invariant.  Statistical equivalence with the scalar engine is
+enforced separately by ``tests/test_engine_equivalence.py``.
 """
 
 import numpy as np
@@ -52,11 +52,6 @@ class TestConstruction:
         sim = make_sim()
         assert not sim.x.any() and not sim.z.any() and not sim.leaked.any()
         assert sim.words == 2
-
-    def test_shot_selection_unsupported(self):
-        sim = make_sim()
-        with pytest.raises(NotImplementedError):
-            sim.run([Hadamard([0])], shots_sel=np.array([0, 1]))
 
 
 class TestDeterministicKernels:

@@ -17,9 +17,10 @@ from repro.experiments.metrics import SpeculationCounts, binomial_stderr, wilson
 from repro.noise.leakage import LeakageModel
 from repro.noise.model import NoiseParams
 from repro.noise.profiles import NoiseProfile, QubitNoise
-from repro.sim.batched_frame_simulator import BatchedLeakageFrameSimulator
 from repro.sim.circuit import Cnot, Hadamard, Measure, MeasureReset, RoundNoise
 from repro.sim.frame_simulator import LeakageFrameSimulator
+from repro.sim.packed_bits import unpack_words
+from repro.sim.packed_frame_simulator import PackedLeakageFrameSimulator
 
 # Small codes are shared across examples to keep the suite fast.
 _CODE3 = RotatedSurfaceCode(3)
@@ -257,15 +258,15 @@ class TestSimulatorProperties:
         assert sim.x.shape == (6,)
 
 
-class TestBatchedSimulatorProperties:
+class TestPackedSimulatorProperties:
     @given(
         seed=st.integers(min_value=0, max_value=2**31 - 1),
-        shots=st.integers(min_value=1, max_value=24),
+        shots=st.integers(min_value=1, max_value=150),
         p=st.floats(min_value=0.0, max_value=0.2),
     )
     @settings(max_examples=25, deadline=None)
     def test_measured_then_reset_qubit_is_unleaked_in_all_shots(self, seed, shots, p):
-        sim = BatchedLeakageFrameSimulator(
+        sim = PackedLeakageFrameSimulator(
             6,
             NoiseParams.standard(p),
             LeakageModel(p_leak_round=0.3, p_leak_gate=0.1, p_transport=0.1, p_seepage=0.0),
@@ -274,16 +275,16 @@ class TestBatchedSimulatorProperties:
         )
         sim.run([RoundNoise([0, 1, 2, 3, 4, 5]), Cnot([0, 2], [1, 3])])
         sim.run([MeasureReset([1, 3], key="m")])
-        assert not sim.leaked[:, [1, 3]].any()
+        assert not sim.leaked_at([1, 3]).any()
 
     @given(
         seed=st.integers(min_value=0, max_value=2**31 - 1),
-        shots=st.integers(min_value=1, max_value=24),
+        shots=st.integers(min_value=1, max_value=150),
         rounds=st.integers(min_value=1, max_value=4),
     )
     @settings(max_examples=25, deadline=None)
     def test_leaked_fraction_is_a_probability_per_shot(self, seed, shots, rounds):
-        sim = BatchedLeakageFrameSimulator(
+        sim = PackedLeakageFrameSimulator(
             6,
             NoiseParams.standard(0.05),
             LeakageModel(p_leak_round=0.4, p_leak_gate=0.2, p_transport=0.5, p_seepage=0.1),
@@ -309,33 +310,38 @@ class TestBatchedSimulatorProperties:
         scalar = LeakageFrameSimulator(
             4, NoiseParams.standard(0.05), LeakageModel.standard(0.05), rng=seed
         )
-        batched = BatchedLeakageFrameSimulator(
+        packed = PackedLeakageFrameSimulator(
             4, NoiseParams.standard(0.05), LeakageModel.standard(0.05), shots=1, rng=seed
         )
         scalar_record = scalar.run(ops)["m"]
-        batched_record = batched.run(ops)["m"]
-        assert batched_record.bits.shape == (1,) + scalar_record.bits.shape
-        assert batched_record.labels.shape == (1,) + scalar_record.labels.shape
-        assert batched_record.true_leaked.shape == (1,) + scalar_record.true_leaked.shape
-        assert batched_record.bits.dtype == scalar_record.bits.dtype
-        assert batched_record.labels.dtype == scalar_record.labels.dtype
-        assert batched_record.meta == scalar_record.meta
-        np.testing.assert_array_equal(batched_record.qubits, scalar_record.qubits)
-        assert batched.x.shape == (1, 4)
+        packed_record = packed.run(ops)["m"]
+        assert packed_record.bits.shape == (1,) + scalar_record.bits.shape
+        assert packed_record.labels.shape == (1,) + scalar_record.labels.shape
+        assert packed_record.true_leaked.shape == (1,) + scalar_record.true_leaked.shape
+        assert packed_record.bits.dtype == scalar_record.bits.dtype
+        assert packed_record.labels.dtype == scalar_record.labels.dtype
+        assert packed_record.meta == scalar_record.meta
+        np.testing.assert_array_equal(packed_record.qubits, scalar_record.qubits)
+        assert packed.x.shape == (1, 4)
 
     @given(
         seed=st.integers(min_value=0, max_value=2**31 - 1),
-        shots=st.integers(min_value=1, max_value=16),
+        shots=st.integers(min_value=1, max_value=150),
     )
     @settings(max_examples=20, deadline=None)
-    def test_batched_frames_remain_boolean(self, seed, shots):
-        sim = BatchedLeakageFrameSimulator(
+    def test_packed_planes_remain_uint64_words(self, seed, shots):
+        sim = PackedLeakageFrameSimulator(
             6, NoiseParams.standard(0.1), LeakageModel.standard(0.1), shots=shots, rng=seed
         )
         for _ in range(3):
             sim.run([Cnot([0, 2, 4], [1, 3, 5]), Measure([1, 3, 5], key="m")])
-        assert sim.x.dtype == bool and sim.z.dtype == bool and sim.leaked.dtype == bool
-        assert sim.x.shape == (shots, 6)
+        words = -(-shots // 64)
+        for plane in (sim.x, sim.z, sim.leaked):
+            assert plane.dtype == np.uint64
+            assert plane.shape == (words, 6)
+        # Bits past the last shot stay clear (the packed tail invariant).
+        unpacked = unpack_words(sim.x | sim.z | sim.leaked, words * 64)
+        assert not unpacked[shots:].any()
 
 
 class TestDecoderProperties:

@@ -367,6 +367,47 @@ class TestAdmissionControl:
 
         asyncio.run(body())
 
+    def test_unknown_engine_is_400_and_never_journaled(self, tmp_path):
+        """A plan naming a retired engine is rejected at admission.
+
+        Without the check in ``SweepJob`` the submission would be accepted
+        and journaled, then fail the whole sweep inside a worker.
+        """
+
+        async def body():
+            scheduler = make_scheduler(tmp_path)
+            await scheduler.start()
+            service = SweepService(scheduler)
+            await service.start()
+            try:
+                wire = make_plan(shots=40).to_wire()
+                wire["jobs"][0]["engine"] = "batched"
+
+                def probe():
+                    request = urllib.request.Request(
+                        service.url + "/submit",
+                        data=json.dumps({"plan": wire}).encode("utf-8"),
+                        method="POST",
+                    )
+                    try:
+                        urllib.request.urlopen(request, timeout=10)
+                    except urllib.error.HTTPError as error:
+                        return error.code, json.loads(error.read())
+                    return None, None
+
+                code, payload = await asyncio.to_thread(probe)
+                assert code == 400
+                assert "unknown engine 'batched'" in payload["error"]
+                records, dropped = scheduler.journal.records()
+                assert records == [] and dropped == 0
+                counters = scheduler.metrics.snapshot()["counters"]
+                assert counters.get("jobs_submitted", 0) == 0
+            finally:
+                await service.stop()
+                await scheduler.stop(drain=False)
+
+        asyncio.run(body())
+
     def test_healthz_walks_ok_degraded_draining(self, tmp_path):
         async def body():
             scheduler = make_scheduler(tmp_path, retry_after=0.25)

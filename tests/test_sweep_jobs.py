@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.experiments import jobs as jobs_module
+from repro.experiments.executor import PlanExecution, SweepExecutor
 from repro.experiments.jobs import (
     DEFAULT_CHUNK_SHOTS,
     SweepJob,
@@ -278,3 +280,72 @@ class TestScenarioIdentity:
         result = job.run()
         assert result.metadata["code_family"] == "repetition"
         assert result.metadata["noise_profile"] == {"kind": "biased", "eta": 4.0}
+
+
+class TestResultSemanticsIdentity:
+    """``RESULT_SEMANTICS_VERSION`` salts every cache address derived from a job."""
+
+    def test_version_is_part_of_the_identity(self):
+        config = make_job().config_dict()
+        assert config["semantics"] == jobs_module.RESULT_SEMANTICS_VERSION
+
+    def test_bumping_the_version_moves_job_and_chunk_keys(self, monkeypatch):
+        job = make_job()
+        execution = PlanExecution(SweepPlan([job]))
+        job_key, chunk_key = job.cache_key(), execution._chunk_key(0, 1)
+        prefix_key = make_job(shots=job.chunk_shots).cache_key()
+
+        monkeypatch.setattr(
+            jobs_module, "RESULT_SEMANTICS_VERSION",
+            jobs_module.RESULT_SEMANTICS_VERSION + 1,
+        )
+        assert job.cache_key() != job_key
+        assert execution._chunk_key(0, 1) != chunk_key
+        assert make_job(shots=job.chunk_shots).cache_key() != prefix_key
+
+    def test_entries_of_an_older_version_are_misses(self, tmp_path, monkeypatch):
+        plan = SweepPlan([make_job()])
+        monkeypatch.setattr(
+            jobs_module, "RESULT_SEMANTICS_VERSION",
+            jobs_module.RESULT_SEMANTICS_VERSION - 1,
+        )
+        SweepExecutor(jobs=1, cache_dir=tmp_path).run(plan)
+        monkeypatch.undo()
+
+        executor = SweepExecutor(jobs=1, cache_dir=tmp_path)
+        executor.run(plan)
+        assert executor.last_stats.cache_hits == 0
+        assert executor.last_stats.jobs_run == 1
+
+    def test_warm_rerun_is_all_cache_hits(self, tmp_path):
+        plan = SweepPlan.build(
+            [dict(distance=3, policy=policy, shots=12, rounds=3)
+             for policy in ("eraser", "always-lrc")],
+            seed=11,
+            chunk_shots=4,
+        )
+        cold = SweepExecutor(jobs=1, cache_dir=tmp_path)
+        first = cold.run(plan)
+        assert cold.last_stats.chunks_run == 6
+
+        warm = SweepExecutor(jobs=1, cache_dir=tmp_path)
+        second = warm.run(plan)
+        assert warm.last_stats.cache_hits == 2
+        assert warm.last_stats.jobs_run == 0
+        assert warm.last_stats.chunks_run == 0
+        for a, b in zip(first, second):
+            assert a.statistically_equal(b)
+            assert a.metadata["engine"] == "packed"
+
+
+class TestEngineValidation:
+    @pytest.mark.parametrize("engine", ["batched", "nope"])
+    def test_unknown_engine_rejected_at_construction(self, engine):
+        with pytest.raises(ValueError, match="unknown engine"):
+            make_job(engine=engine)
+
+    def test_wire_plan_with_unknown_engine_rejected(self):
+        wire = SweepPlan([make_job()]).to_wire()
+        wire["jobs"][0]["engine"] = "batched"
+        with pytest.raises(ValueError, match="unknown engine 'batched'"):
+            SweepPlan.from_wire(wire)
