@@ -3,7 +3,7 @@
 Times the full syndrome->correction pipeline on fig14-style workloads
 (ERASER policy, p=1e-3, ``cycles * distance`` rounds) at d=3/5/7 and
 compares the layered fast path (space-time table, syndrome dedup + LRU,
-bitmask DP, native blossom port — see ``docs/ARCHITECTURE.md``) against the
+native blossom port — see ``docs/ARCHITECTURE.md``) against the
 seed implementation preserved in :mod:`repro.decoder.reference`.  Reported
 per distance:
 
@@ -11,7 +11,7 @@ per distance:
 * per-stage timings: detector construction, space-time table build
   (one-off per graph), and the matching tail,
 * fast-path dispatch counters: dedup/LRU hit rates and how many syndromes
-  each matching engine (bitmask DP / blossom / greedy) served.
+  each matching engine (blossom / greedy) served.
 
 The numbers are written to ``BENCH_decoder.json`` at the repository root —
 the perf trajectory future decoder PRs regress against.  Corrections from
@@ -35,7 +35,7 @@ from conftest import emit
 
 from repro.core.policies import make_policy
 from repro.decoder.decoder import DecoderStats
-from repro.decoder.matching import _all_pairs, build_matcher
+from repro.decoder.matching import _all_pairs
 from repro.decoder.reference import build_reference_matcher, reference_decode_batch
 from repro.experiments.memory import MemoryExperiment
 
@@ -129,18 +129,8 @@ def test_decoder_fastpath(shots, seed, max_distance):
             lambda: reference_decode_batch(reference, graph, detectors, observed)
         )
 
-        # Stage: the matching tail alone, with the exact bitmask DP forced
-        # on for syndromes up to 12 detectors (the default only enables it
-        # for graphs whose weights are not all integral — see
-        # ``repro.decoder.matching._default_dp_threshold``).
-        dp_matcher = build_matcher(graph, "auto", dp_threshold=12)
-        t_dp_tail, dp_errors = _best_of(
-            lambda: reference_decode_batch(dp_matcher, graph, detectors, observed)
-        )
-        np.testing.assert_array_equal(np.asarray(seed_errors), np.asarray(dp_errors))
-
         # Fast path: the production decode_batch (detector construction,
-        # dedup, LRU, DP, native blossom).  Cold LRU on every repeat so the
+        # dedup, LRU, native blossom).  Cold LRU on every repeat so the
         # measurement does not flatter the cache.
         def fast_run():
             decoder._correction_cache.clear()
@@ -179,8 +169,6 @@ def test_decoder_fastpath(shots, seed, max_distance):
             "frame_table_build_ms": t_frame_table * 1e3,
             "seed_matching_ms": t_seed_tail * 1e3,
             "fast_matching_ms": t_fast * 1e3 - t_detectors * 1e3,
-            "dp_forced_matching_ms": t_dp_tail * 1e3,
-            "dp_forced_matcher_stats": dict(dp_matcher.stats),
             "seed_decode_ms": t_seed * 1e3,
             "fast_decode_ms": t_fast * 1e3,
             "warm_decode_ms": t_warm * 1e3,

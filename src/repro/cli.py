@@ -111,14 +111,6 @@ def _add_common_sweep_args(parser: argparse.ArgumentParser) -> None:
         "(default 16384; ignored by the scalar engine).",
     )
     parser.add_argument(
-        "--decoder-dp-threshold",
-        type=int,
-        default=None,
-        help="Largest syndrome the decoder's exact bitmask DP handles before "
-        "the blossom engine takes over (0 = always blossom).  Tuning knob "
-        "only: corrections are bit-identical for any value.",
-    )
-    parser.add_argument(
         "--decoder-cache-size",
         type=int,
         default=None,
@@ -243,7 +235,6 @@ def _cmd_ler(args: argparse.Namespace) -> int:
         seed=args.seed,
         engine=args.engine,
         batch_size=args.batch_size,
-        decoder_dp_threshold=args.decoder_dp_threshold,
         decoder_cache_size=args.decoder_cache_size,
         **_scenario_options(args),
         **_sweep_options(args),
@@ -556,7 +547,6 @@ def _cmd_dqlr(args: argparse.Namespace) -> int:
         seed=args.seed,
         engine=args.engine,
         batch_size=args.batch_size,
-        decoder_dp_threshold=args.decoder_dp_threshold,
         decoder_cache_size=args.decoder_cache_size,
         **_scenario_options(args),
         **_sweep_options(args),

@@ -3,11 +3,12 @@
 The paper decodes memory experiments with MWPM (Section 5.3).  This package
 provides a from-scratch implementation: a space-time decoding graph built from
 the code structure, exact shortest paths and frame parities from one cached
-scipy Dijkstra row per layer-0 check (the space-time table), and a layered matching fast path — syndrome dedup + LRU,
-an exact bitmask DP for small syndromes, a native array-indexed blossom port
-(bit-identical to networkx), a vectorised greedy matcher, and a Union-Find
-decoder.  The seed implementation is preserved in
-:mod:`repro.decoder.reference` for equivalence testing and benchmarking.
+scipy Dijkstra row per layer-0 check (the space-time table), syndrome dedup
+and an LRU ahead of the matcher, and three matching engines: exact MWPM by a
+native array-indexed blossom port (bit-identical to networkx), a vectorised
+greedy matcher, and a Union-Find decoder.  The seed implementation is
+preserved in :mod:`repro.decoder.reference` for equivalence testing and
+benchmarking.
 """
 
 from repro.decoder.graph import (

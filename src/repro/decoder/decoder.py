@@ -14,7 +14,7 @@ Decoding is batch-aware and layered (fastest layer first):
    repeated syndromes across batches (and across `decode_shot` calls), so
    duplicates within a sweep job are free;
 4. *matching engine* — only distinct, uncached syndromes reach the engine
-   (bitmask DP / native blossom / greedy / union-find; see
+   (native blossom / greedy / union-find; see
    :mod:`repro.decoder.matching`).
 
 Every layer is exact: corrections are bit-identical to matching each shot
@@ -34,7 +34,7 @@ import numpy as np
 from repro.codes.layout import StabilizerType
 from repro.codes.base import StabilizerCode
 from repro.decoder.graph import DecodingGraph, shared_decoding_graph
-from repro.decoder.matching import build_matcher
+from repro.decoder.matching import build_matcher, canonical_method
 
 #: Default bound on the per-decoder syndrome->correction LRU cache.  Keys are
 #: packed detector bitmaps (~num_nodes/8 bytes each: 77 bytes at d=5, 50
@@ -102,10 +102,6 @@ class SurfaceCodeDecoder:
             weights (see :class:`~repro.decoder.graph.DecodingGraph`).
         exact_threshold: Syndrome size above which ``"auto"`` switches from
             exact matching to greedy.
-        dp_threshold: Largest syndrome handled by the exact bitmask DP
-            before the blossom algorithm takes over (``None`` = library
-            default, ``0`` = always blossom).  Performance-only: corrections
-            are identical either way.
         cache_size: Bound on the syndrome->correction LRU (``0`` disables
             caching).  Performance-only.
         artifact_store: Optional
@@ -127,7 +123,6 @@ class SurfaceCodeDecoder:
     time_weight: float = 1.0
     diagonal_weight: Optional[float] = None
     exact_threshold: int = 40
-    dp_threshold: Optional[int] = None
     cache_size: int = DEFAULT_CACHE_SIZE
     artifact_store: Optional[object] = None
     stats: DecoderStats = field(default_factory=DecoderStats, init=False, repr=False)
@@ -146,7 +141,6 @@ class SurfaceCodeDecoder:
             self.graph,
             method=self.method,
             exact_threshold=self.exact_threshold,
-            dp_threshold=self.dp_threshold,
         )
         self._correction_cache: "OrderedDict[bytes, int]" = OrderedDict()
         if self.artifact_store is not None and self.cache_size > 0:
@@ -255,16 +249,13 @@ class SurfaceCodeDecoder:
 
         Corrections differ between matching engines (greedy is approximate,
         mwpm exact, union-find its own algorithm) and — for ``auto`` — on
-        the exact/greedy switchover size, so those join the identity.
-        ``dp_threshold``, ``cache_size`` and the blossom implementation do
-        *not*: corrections are bit-identical for any value, so differently
-        tuned decoders share one persisted cache.
+        the exact/greedy switchover size, so those join the identity (the
+        method by its canonical name from
+        :data:`~repro.decoder.matching.MATCHER_ALIASES`).  ``cache_size``
+        does *not*: corrections are bit-identical for any bound, so
+        differently sized decoders share one persisted cache.
         """
-        method = self.method.strip().lower()
-        if method in ("mwpm", "exact", "blossom"):
-            method = "mwpm"
-        elif method in ("union-find", "unionfind", "uf"):
-            method = "union-find"
+        method = canonical_method(self.method)
         return {
             "method": method,
             "exact_threshold": self.exact_threshold if method == "auto" else None,

@@ -3,11 +3,11 @@
 Three matchers are provided:
 
 * :class:`MwpmMatcher` — exact minimum-weight perfect matching, the gold
-  standard used in the paper.  Small syndromes are solved by an
-  O(k * 2^k) bitmask dynamic program that never touches networkx; larger
-  ones (and the rare provably-ambiguous small ones) fall back to the
-  blossom algorithm so corrections stay bit-identical to the seed
-  implementation (:mod:`repro.decoder.reference`).
+  standard used in the paper.  Every syndrome takes one path: its
+  distances and frames come from the space-time table below, and the
+  native blossom port (:mod:`repro.decoder.blossom`) pairs the detectors,
+  so corrections stay bit-identical to the seed implementation
+  (:mod:`repro.decoder.reference`).
 * :class:`GreedyMatcher` — a fast approximate matcher that repeatedly pairs
   the closest remaining detectors (or sends a detector to the boundary),
   with option generation and sorting fully vectorised in numpy.
@@ -51,7 +51,6 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order, dijkstra
@@ -61,36 +60,6 @@ from repro.decoder.blossom import (
     min_weight_matching_edges,
 )
 from repro.decoder.graph import DecodingGraph
-
-#: Largest syndrome (detector count) routed to the bitmask DP when it is
-#: enabled.  Beyond ~12 detectors the 2^k subset tables stop paying for
-#: themselves against the native blossom port (measured on the d=5,
-#: 50-round workload of ``benchmarks/bench_decoder_fastpath.py``).
-DEFAULT_DP_THRESHOLD = 12
-
-
-def _default_dp_threshold(graph: DecodingGraph) -> int:
-    """The DP size limit used when the caller does not pin one.
-
-    The DP only answers when the two correction-parity classes do *not* tie
-    at minimum weight (ties defer to blossom so its tie-break survives
-    bit-for-bit).  With all-integral edge weights — the decoding graph's
-    default unit weights — equal-weight matchings of both parities are so
-    common (~2/3 of realistic syndromes at d=5, p=1e-3) that the DP mostly
-    runs as wasted work ahead of blossom, so it defaults off.  Any
-    non-integral weight breaks the degeneracy and the DP then resolves
-    almost every small syndrome outright, several times faster than
-    blossom.  Callers can always pin ``dp_threshold`` explicitly.
-    """
-    weights = graph.edge_weights
-    integral = bool(weights.size == 0 or np.equal(np.round(weights), weights).all())
-    return 0 if integral else DEFAULT_DP_THRESHOLD
-
-#: Relative tolerance deciding when the two parity classes of the DP tie.
-#: Ties are delegated to blossom so its tie-breaking (and therefore the
-#: emitted correction) is preserved bit for bit.
-_DP_PARITY_RTOL = 1e-9
-
 
 #: Relative slack (of a row's largest finite distance) under which an arc
 #: still counts as *tight* when the ambiguity mask is propagated.  Float
@@ -312,13 +281,6 @@ class _ShortestPaths:
             self._ambiguous = table.ambiguous[rows, cols]
         self.pair_dist = self.dist[:, :k]
         self.boundary_dist = self.dist[:, k]
-        #: The ``(k, k + 1)`` frame block when no entry is route-dependent
-        #: (the bitmask DP's precondition), else ``None``.
-        self.exact_frames = (
-            None
-            if self._ambiguous is None or self._ambiguous.any()
-            else self._frames
-        )
 
     def frame(self, i: int, j: int) -> bool:
         """XOR of edge frames along the shortest path from detector ``i``
@@ -349,230 +311,6 @@ class _ShortestPaths:
         return frame
 
 
-# ----------------------------------------------------------------------
-# Small-syndrome exact matching: bitmask dynamic program
-# ----------------------------------------------------------------------
-#: Hard cap on the DP's syndrome size: the 2^k subset tables above k=16
-#: cost more memory and time than blossom ever would.
-_DP_HARD_CAP = 16
-
-#: Below this size the scalar DP beats the vectorised one (numpy call
-#: overhead exceeds the subset arithmetic).
-_DP_VEC_MIN = 6
-
-#: Per-k transition tables for the vectorised DP: for every even-popcount
-#: subset level, (subset ids, per-subset segment starts, predecessor subset
-#: ids, flattened (i, j) weight-gather indices).  ~10k int64 entries at
-#: k=12; rebuilt lazily per process.
-_DP_TABLE_CACHE: Dict[int, List[Tuple[np.ndarray, ...]]] = {}
-
-
-def _dp_level_tables(k: int) -> List[Tuple[np.ndarray, ...]]:
-    cached = _DP_TABLE_CACHE.get(k)
-    if cached is None:
-        by_level: Dict[int, List[int]] = {}
-        for subset in range(3, 1 << k):
-            bits = subset.bit_count()
-            if bits % 2 == 0:
-                by_level.setdefault(bits, []).append(subset)
-        cached = []
-        for bits in sorted(by_level):
-            subs = by_level[bits]
-            seg_starts: List[int] = []
-            prevs: List[int] = []
-            gather: List[int] = []
-            for subset in subs:
-                i = (subset & -subset).bit_length() - 1
-                rest = subset ^ (1 << i)
-                seg_starts.append(len(prevs))
-                remaining = rest
-                while remaining:
-                    j_bit = remaining & -remaining
-                    remaining ^= j_bit
-                    prevs.append(rest ^ j_bit)
-                    gather.append(i * k + j_bit.bit_length() - 1)
-            cached.append(
-                (
-                    np.asarray(subs, dtype=np.int64),
-                    np.asarray(seg_starts, dtype=np.int64),
-                    np.asarray(prevs, dtype=np.int64),
-                    np.asarray(gather, dtype=np.int64),
-                )
-            )
-        _DP_TABLE_CACHE[k] = cached
-    return cached
-
-
-def _dp_parity_costs_vec(
-    pair_w: np.ndarray,
-    pair_f: np.ndarray,
-    bw: np.ndarray,
-    bf: np.ndarray,
-) -> Tuple[float, float]:
-    """Vectorised twin of :func:`_dp_parity_costs` (bit-identical results).
-
-    Subsets are processed level by level (popcount 2, 4, ...); within a
-    level every transition is evaluated in one numpy expression and the
-    per-subset minima collapse through ``np.minimum.reduceat`` over the
-    precomputed segment starts.  The float operations per candidate are the
-    same additions the scalar loop performs, and taking a minimum is exact,
-    so both implementations return identical doubles.
-    """
-    k = int(bw.shape[0])
-    size = 1 << k
-    inf = float("inf")
-    dp0 = np.full(size, inf)
-    dp1 = np.full(size, inf)
-    dp0[0] = 0.0
-    w_flat = np.ascontiguousarray(pair_w, dtype=np.float64).ravel()
-    f_flat = np.ascontiguousarray(pair_f, dtype=bool).ravel()
-    for subs, seg_starts, prevs, gather in _dp_level_tables(k):
-        cost = w_flat[gather]
-        frame = f_flat[gather]
-        prev0 = dp0[prevs]
-        prev1 = dp1[prevs]
-        cand0 = np.where(frame, prev1, prev0) + cost
-        cand1 = np.where(frame, prev0, prev1) + cost
-        dp0[subs] = np.minimum.reduceat(cand0, seg_starts)
-        dp1[subs] = np.minimum.reduceat(cand1, seg_starts)
-    full = size - 1
-    if k % 2 == 0:
-        return float(dp0[full]), float(dp1[full])
-    cost0 = inf
-    cost1 = inf
-    bw_list = bw.tolist()
-    bf_list = bf.tolist()
-    for b in range(k):
-        prev = full ^ (1 << b)
-        cost = bw_list[b]
-        if cost == inf:
-            continue
-        if bf_list[b]:
-            cand0 = float(dp1[prev]) + cost
-            cand1 = float(dp0[prev]) + cost
-        else:
-            cand0 = float(dp0[prev]) + cost
-            cand1 = float(dp1[prev]) + cost
-        if cand0 < cost0:
-            cost0 = cand0
-        if cand1 < cost1:
-            cost1 = cand1
-    return cost0, cost1
-
-
-def _dp_parity_costs(
-    w: List[List[float]],
-    f: List[List[bool]],
-    bw: List[float],
-    bf: List[bool],
-) -> Tuple[float, float]:
-    """Minimum matching weight per correction-parity class.
-
-    Mirrors :class:`MwpmMatcher`'s weight model exactly: every detector is
-    paired with another detector at the tabulated pair distance, plus — only
-    when ``k`` is odd — exactly one detector terminates at the boundary.
-    Subsets are processed lowest-set-bit first, so the DP is O(k * 2^k).
-
-    Returns ``(cost of the best parity-0 matching, cost of the best
-    parity-1 matching)``; either may be ``inf`` when unreachable.
-    """
-    k = len(bw)
-    inf = float("inf")
-    size = 1 << k
-    dp0 = [inf] * size
-    dp1 = [inf] * size
-    dp0[0] = 0.0
-    for subset in range(3, size):
-        if subset.bit_count() % 2:
-            continue
-        i = (subset & -subset).bit_length() - 1
-        rest = subset ^ (1 << i)
-        wi = w[i]
-        fi = f[i]
-        best0 = inf
-        best1 = inf
-        remaining = rest
-        while remaining:
-            j_bit = remaining & -remaining
-            remaining ^= j_bit
-            j = j_bit.bit_length() - 1
-            cost = wi[j]
-            if cost == inf:
-                continue
-            prev = rest ^ j_bit
-            if fi[j]:
-                cand0 = dp1[prev] + cost
-                cand1 = dp0[prev] + cost
-            else:
-                cand0 = dp0[prev] + cost
-                cand1 = dp1[prev] + cost
-            if cand0 < best0:
-                best0 = cand0
-            if cand1 < best1:
-                best1 = cand1
-        dp0[subset] = best0
-        dp1[subset] = best1
-    full = size - 1
-    if k % 2 == 0:
-        return dp0[full], dp1[full]
-    cost0 = inf
-    cost1 = inf
-    for b in range(k):
-        prev = full ^ (1 << b)
-        cost = bw[b]
-        if cost == inf:
-            continue
-        if bf[b]:
-            cand0 = dp1[prev] + cost
-            cand1 = dp0[prev] + cost
-        else:
-            cand0 = dp0[prev] + cost
-            cand1 = dp1[prev] + cost
-        if cand0 < cost0:
-            cost0 = cand0
-        if cand1 < cost1:
-            cost1 = cand1
-    return cost0, cost1
-
-
-def _dp_correction(paths: _ShortestPaths) -> Optional[int]:
-    """Exact correction via the bitmask DP, or ``None`` to defer to blossom.
-
-    The DP tracks the minimum matching weight *per correction-parity class*
-    rather than one optimal matching.  When one class is strictly cheaper,
-    **every** minimum-weight matching — including whichever one blossom
-    would return — carries that parity, so answering from the DP is provably
-    bit-identical to the seed decoder.  ``None`` is returned in the cases
-    where that proof does not hold, all of which require degenerate
-    equal-weight shortest-path structure:
-
-    * the two parity classes tie (several minimum-weight matchings exist
-      and they disagree on the observable) — blossom's tie-break decides;
-    * no finite-weight matching exists at all.
-
-    Route-dependent frames (two equal-weight shortest paths between a pair
-    that cross the observable differently) never reach the DP: the caller
-    only runs it when :attr:`_ShortestPaths.exact_frames` is set.
-    """
-    k = int(paths.sources.size)
-    frames = paths.exact_frames
-    pair_w = paths.pair_dist
-    pair_f = frames[:, :k]
-    boundary_w = paths.boundary_dist
-    boundary_f = frames[:, k]
-    if k >= _DP_VEC_MIN:
-        cost0, cost1 = _dp_parity_costs_vec(pair_w, pair_f, boundary_w, boundary_f)
-    else:
-        cost0, cost1 = _dp_parity_costs(
-            pair_w.tolist(), pair_f.tolist(), boundary_w.tolist(), boundary_f.tolist()
-        )
-    if not (np.isfinite(cost0) or np.isfinite(cost1)):
-        return None
-    if abs(cost0 - cost1) <= _DP_PARITY_RTOL * max(1.0, abs(cost0), abs(cost1)):
-        return None
-    return 0 if cost0 < cost1 else 1
-
-
 class _BaseMatcher:
     """Shared decode logic: compute paths, delegate pairing, accumulate frames."""
 
@@ -595,9 +333,6 @@ class _BaseMatcher:
         if nodes.size == 0:
             return 0
         paths = _ShortestPaths(self.graph, nodes)
-        fast = self._fast_correction(paths)
-        if fast is not None:
-            return fast
         pairs, to_boundary = self._match(paths)
         correction = False
         for i, j in pairs:
@@ -608,10 +343,6 @@ class _BaseMatcher:
             # Ambiguous frame queries answered by an exact per-source row.
             self._count("frame_fallbacks", paths.fallbacks)
         return int(correction)
-
-    def _fast_correction(self, paths: _ShortestPaths) -> Optional[int]:
-        """Hook for engines with a pairing-free fast path (default: none)."""
-        return None
 
     def _match(
         self, paths: _ShortestPaths
@@ -633,10 +364,9 @@ class MwpmMatcher(_BaseMatcher):
     every detector with a zero-weight boundary copy, while handing the
     matcher half the nodes and a quarter of the edges.
 
-    Syndromes with at most ``dp_threshold`` detectors are solved by the
-    bitmask DP (:func:`_dp_parity_costs`), which is exact under the same
-    weight model and defers to blossom whenever tie-breaking could influence
-    the emitted bit; larger syndromes run the blossom algorithm directly.
+    Every syndrome runs the native blossom port
+    (:mod:`repro.decoder.blossom`) on the complete detector graph, or on
+    the finite edges only when some pair is disconnected.
     """
 
     #: Virtual node pairing the odd detector with the boundary.  An integer
@@ -644,69 +374,21 @@ class MwpmMatcher(_BaseMatcher):
     #: positions are the non-negative integers).
     _BOUNDARY = -1
 
-    def __init__(
-        self,
-        graph: DecodingGraph,
-        dp_threshold: Optional[int] = None,
-        blossom: str = "native",
-    ):
-        super().__init__(graph)
-        self.dp_threshold = (
-            _default_dp_threshold(graph) if dp_threshold is None else int(dp_threshold)
-        )
-        if blossom not in ("native", "networkx"):
-            raise ValueError(f"unknown blossom implementation {blossom!r}")
-        self.blossom = blossom
-
-    def _fast_correction(self, paths: _ShortestPaths) -> Optional[int]:
-        limit = min(self.dp_threshold, _DP_HARD_CAP)
-        if paths.exact_frames is None or not 0 < paths.sources.size <= limit:
-            self._count("blossom")
-            return None
-        result = _dp_correction(paths)
-        self._count("dp" if result is not None else "dp_fallback")
-        return result
-
-    def _blossom_edges(
+    def _blossom_edges_sparse(
         self, paths: _ShortestPaths, pair_dist: np.ndarray
     ) -> List[Tuple[int, int, float]]:
-        """The matching problem's edge list, in networkx report order.
+        """The finite edges of the matching problem, in networkx report order.
 
-        The native blossom port derives vertex numbering, adjacency order
-        and therefore every tie-break from the edge order, so this must be
-        the order ``networkx.Graph.edges`` iterates for the seed's
-        construction (pair edges added in upper-triangular order, then the
-        boundary edges): per detector ``i`` ascending, its pairs ``(i, j >
-        i)`` followed by its boundary edge ``(i, -1)``.
+        :func:`~repro.decoder.blossom.min_weight_matching_edges` derives
+        vertex numbering and every tie-break from the edge order, so the
+        seed's construction (finite pair edges in upper-triangular order,
+        then the boundary edges) is replayed through networkx's insertion
+        bookkeeping literally: node order is first appearance among the
+        *added* edges.
         """
         k = paths.sources.size
         odd = k % 2 == 1
         boundary_dist = paths.boundary_dist if odd else None
-        if np.isfinite(pair_dist).all():
-            rows = pair_dist.tolist()
-            edges: List[Tuple[int, int, float]] = []
-            if odd:
-                bdist = boundary_dist.tolist()
-                for i in range(k):
-                    row = rows[i]
-                    edges.extend((i, j, row[j]) for j in range(i + 1, k))
-                    edges.append((i, self._BOUNDARY, bdist[i]))
-            else:
-                for i in range(k):
-                    row = rows[i]
-                    edges.extend((i, j, row[j]) for j in range(i + 1, k))
-            return edges
-        return self._blossom_edges_sparse(paths, pair_dist)
-
-    def _blossom_edges_sparse(
-        self, paths: _ShortestPaths, pair_dist: np.ndarray
-    ) -> List[Tuple[int, int, float]]:
-        k = paths.sources.size
-        odd = k % 2 == 1
-        boundary_dist = paths.boundary_dist if odd else None
-        # Rare non-finite pair distances: simulate networkx's insertion
-        # bookkeeping literally (node order = first appearance among the
-        # *added* edges, which no longer follows the dense pattern).
         adjacency: Dict[int, List[Tuple[int, float]]] = {}
 
         def add(u: int, v: int, w: float) -> None:
@@ -734,22 +416,17 @@ class MwpmMatcher(_BaseMatcher):
         return edges
 
     def _match(self, paths: _ShortestPaths) -> Tuple[List[Tuple[int, int]], List[int]]:
-        nodes = paths.sources
+        self._count("blossom")
         pair_dist = paths.pair_dist
-        if self.blossom == "native":
-            if np.isfinite(pair_dist).all():
-                boundary_dist = paths.boundary_dist if nodes.size % 2 == 1 else None
-                matching = min_weight_matching_complete(
-                    pair_dist, boundary_dist, boundary_label=self._BOUNDARY
-                )
-            else:
-                matching = min_weight_matching_edges(
-                    self._blossom_edges_sparse(paths, pair_dist)
-                )
+        if np.isfinite(pair_dist).all():
+            boundary_dist = paths.boundary_dist if paths.sources.size % 2 == 1 else None
+            matching = min_weight_matching_complete(
+                pair_dist, boundary_dist, boundary_label=self._BOUNDARY
+            )
         else:
-            graph = nx.Graph()
-            graph.add_weighted_edges_from(self._blossom_edges(paths, pair_dist))
-            matching = nx.min_weight_matching(graph)
+            matching = min_weight_matching_edges(
+                self._blossom_edges_sparse(paths, pair_dist)
+            )
         pairs: List[Tuple[int, int]] = []
         to_boundary: List[int] = []
         for u, v in matching:
@@ -830,15 +507,10 @@ class GreedyMatcher(_BaseMatcher):
 class AutoMatcher(_BaseMatcher):
     """Exact matching for small syndromes, greedy beyond a size threshold."""
 
-    def __init__(
-        self,
-        graph: DecodingGraph,
-        exact_threshold: int = 40,
-        dp_threshold: Optional[int] = None,
-    ):
+    def __init__(self, graph: DecodingGraph, exact_threshold: int = 40):
         super().__init__(graph)
         self.exact_threshold = exact_threshold
-        self._exact = MwpmMatcher(graph, dp_threshold=dp_threshold)
+        self._exact = MwpmMatcher(graph)
         self._greedy = GreedyMatcher(graph)
         # Sub-matchers increment one shared counter dict.
         self._exact.stats = self.stats
@@ -856,35 +528,45 @@ class AutoMatcher(_BaseMatcher):
         raise NotImplementedError
 
 
-def build_matcher(
-    graph: DecodingGraph,
-    method: str = "auto",
-    exact_threshold: int = 40,
-    dp_threshold: Optional[int] = None,
-):
+#: Every accepted ``method`` spelling, mapped to its canonical engine name.
+MATCHER_ALIASES: Dict[str, str] = {
+    "mwpm": "mwpm",
+    "exact": "mwpm",
+    "blossom": "mwpm",
+    "greedy": "greedy",
+    "auto": "auto",
+    "union-find": "union-find",
+    "unionfind": "union-find",
+    "uf": "union-find",
+}
+
+
+def canonical_method(method: str) -> str:
+    """The canonical engine name of ``method`` (case and padding ignored).
+
+    Raises ``ValueError`` for a name not in :data:`MATCHER_ALIASES`.
+    """
+    key = MATCHER_ALIASES.get(str(method).strip().lower())
+    if key is None:
+        raise ValueError(f"unknown matching method {method!r}")
+    return key
+
+
+def build_matcher(graph: DecodingGraph, method: str = "auto", exact_threshold: int = 40):
     """Construct a decoder engine by name.
 
-    Accepted names: ``mwpm``/``exact``/``blossom`` (exact matching),
-    ``greedy``, ``auto`` (exact below a syndrome-size threshold, greedy
-    above), and ``union-find`` (the Union-Find decoder).  ``dp_threshold``
-    caps the syndrome size handled by the exact bitmask DP; ``None`` picks
-    the adaptive default (:data:`DEFAULT_DP_THRESHOLD` for graphs with any
-    non-integral edge weight, ``0`` — DP off — for all-integral weights,
-    whose frequent parity ties would defer to blossom anyway; see
-    :func:`_default_dp_threshold`), and ``0`` forces every exact decode
-    through blossom, which is useful for benchmarking.
+    Accepted names (:data:`MATCHER_ALIASES`): ``mwpm``/``exact``/``blossom``
+    (exact matching), ``greedy``, ``auto`` (exact up to
+    ``exact_threshold`` detectors, greedy above), and
+    ``union-find``/``unionfind``/``uf`` (the Union-Find decoder).
     """
-    key = method.strip().lower()
-    if key in ("mwpm", "exact", "blossom"):
-        return MwpmMatcher(graph, dp_threshold=dp_threshold)
+    key = canonical_method(method)
+    if key == "mwpm":
+        return MwpmMatcher(graph)
     if key == "greedy":
         return GreedyMatcher(graph)
     if key == "auto":
-        return AutoMatcher(
-            graph, exact_threshold=exact_threshold, dp_threshold=dp_threshold
-        )
-    if key in ("union-find", "unionfind", "uf"):
-        from repro.decoder.union_find import UnionFindMatcher
+        return AutoMatcher(graph, exact_threshold=exact_threshold)
+    from repro.decoder.union_find import UnionFindMatcher
 
-        return UnionFindMatcher(graph)
-    raise ValueError(f"unknown matching method {method!r}")
+    return UnionFindMatcher(graph)

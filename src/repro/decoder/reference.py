@@ -1,6 +1,6 @@
 """Frozen seed implementation of the syndrome->correction pipeline.
 
-The decoder fast path (frame-parity tables, syndrome dedup, bitmask-DP
+The decoder fast path (space-time table, syndrome dedup, native blossom
 matching — see :mod:`repro.decoder.matching` and
 :mod:`repro.decoder.decoder`) is required to produce corrections that are
 bit-identical to the implementation this repository started from.  This

@@ -115,7 +115,6 @@ def dqlr_comparison_plan(
     engine: str = "auto",
     batch_size: int = None,
     chunk_shots: int = None,
-    decoder_dp_threshold: int = None,
     decoder_cache_size: int = None,
     decoder_artifact_dir: str = None,
     code_family: str = None,
@@ -135,7 +134,6 @@ def dqlr_comparison_plan(
             decoder_method=decoder_method,
             engine=engine,
             batch_size=batch_size,
-            decoder_dp_threshold=decoder_dp_threshold,
             decoder_cache_size=decoder_cache_size,
             decoder_artifact_dir=decoder_artifact_dir,
             code_family=code_family,
@@ -163,7 +161,6 @@ def run_dqlr_comparison(
     resume: bool = False,
     chunk_shots: int = None,
     executor: SweepExecutor = None,
-    decoder_dp_threshold: int = None,
     decoder_cache_size: int = None,
     decoder_artifact_dir: str = None,
     code_family: str = None,
@@ -191,7 +188,6 @@ def run_dqlr_comparison(
         engine=engine,
         batch_size=batch_size,
         chunk_shots=chunk_shots,
-        decoder_dp_threshold=decoder_dp_threshold,
         decoder_cache_size=decoder_cache_size,
         decoder_artifact_dir=decoder_artifact_dir,
         code_family=code_family,

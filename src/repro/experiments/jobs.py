@@ -36,6 +36,7 @@ from repro.codes import DEFAULT_CODE_FAMILY, canonical_code_family, make_code
 from repro.core.policies import make_policy
 from repro.core.policies.base import LrcPolicy
 from repro.core.qsg import PROTOCOL_SWAP
+from repro.decoder.matching import canonical_method
 from repro.experiments.memory import ENGINES, MemoryExperiment
 from repro.experiments.results import MemoryExperimentResult
 from repro.experiments.store import config_hash
@@ -56,6 +57,12 @@ DEFAULT_CHUNK_SHOTS = 256
 #: serves a stale answer.  Version 1: ``engine="auto"`` resolves to the
 #: packed engine at every shot count.
 RESULT_SEMANTICS_VERSION = 1
+
+#: Wire keys of removed perf-only fields, ignored by
+#: :meth:`SweepJob.from_wire`.  ``decoder_dp_threshold`` capped the retired
+#: bitmask-DP matcher; it never joined :meth:`SweepJob.config_dict`, so
+#: dropping it leaves every cache key unchanged.
+_RETIRED_WIRE_FIELDS = frozenset({"decoder_dp_threshold"})
 
 
 def resolve_policy(name: str, **kwargs) -> LrcPolicy:
@@ -130,11 +137,10 @@ class SweepJob:
     seed_entropy: int = 0
     spawn_key: Tuple[int, ...] = ()
     chunk_shots: int = DEFAULT_CHUNK_SHOTS
-    #: Decoder fast-path tuning (see ``repro.decoder.decoder``).  These are
-    #: deliberately *not* part of :meth:`config_dict`: corrections — and
-    #: therefore every statistic — are bit-identical for any value, so jobs
-    #: tuned differently still address the same cache entry.
-    decoder_dp_threshold: Optional[int] = None
+    #: Decoder LRU bound (see ``repro.decoder.decoder``).  Deliberately
+    #: *not* part of :meth:`config_dict`: corrections — and therefore every
+    #: statistic — are bit-identical for any value, so jobs tuned
+    #: differently still address the same cache entry.
     decoder_cache_size: Optional[int] = None
     #: Persistent decoder-artifact store directory
     #: (``repro.decoder.artifacts``).  Excluded from :meth:`config_dict` for
@@ -166,13 +172,14 @@ class SweepJob:
             )
         if self.chunk_shots < 1:
             raise ValueError(f"chunk_shots must be >= 1, got {self.chunk_shots}")
-        # Checked here, not only by MemoryExperiment, so a bad engine is
-        # rejected when a plan is built or a submission is decoded instead of
-        # failing the whole sweep later inside a worker.
+        # Checked here, not only by MemoryExperiment, so a bad engine or
+        # decoder is rejected when a plan is built or a submission is decoded
+        # instead of failing the whole sweep later inside a worker.
         if self.engine not in ENGINES:
             raise ValueError(
                 f"unknown engine {self.engine!r}; expected one of {ENGINES}"
             )
+        canonical_method(self.decoder_method)
 
     # ------------------------------------------------------------------
     # Identity
@@ -242,7 +249,6 @@ class SweepJob:
             "seed_entropy": self.seed_entropy,
             "spawn_key": list(self.spawn_key),
             "chunk_shots": self.chunk_shots,
-            "decoder_dp_threshold": self.decoder_dp_threshold,
             "decoder_cache_size": self.decoder_cache_size,
             "decoder_artifact_dir": self.decoder_artifact_dir,
             "target_ci_halfwidth": self.target_ci_halfwidth,
@@ -252,8 +258,15 @@ class SweepJob:
 
     @classmethod
     def from_wire(cls, payload: Dict[str, object]) -> "SweepJob":
-        """Rebuild a job from :meth:`to_wire` (inverse, bit-identical)."""
-        fields = dict(payload)
+        """Rebuild a job from :meth:`to_wire` (inverse, bit-identical).
+
+        Keys in :data:`_RETIRED_WIRE_FIELDS` are dropped whatever their value,
+        so journals and submissions written before a knob was removed still
+        decode; any other unknown key raises ``TypeError``.
+        """
+        fields = {
+            key: value for key, value in payload.items() if key not in _RETIRED_WIRE_FIELDS
+        }
         fields["policy_kwargs"] = tuple(
             (str(key), value) for key, value in fields.get("policy_kwargs", [])
         )
@@ -316,7 +329,6 @@ class SweepJob:
             protocol=self.protocol,
             decode=self.decode,
             decoder_method=self.decoder_method,
-            decoder_dp_threshold=self.decoder_dp_threshold,
             decoder_cache_size=self.decoder_cache_size,
             decoder_artifact_dir=self.decoder_artifact_dir,
             seed=rng,

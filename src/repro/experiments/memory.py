@@ -94,10 +94,6 @@ class MemoryExperiment:
         protocol: ``"swap"`` (main text) or ``"dqlr"`` (Appendix A.2).
         decode: Whether to decode shots (disable for LPR-only studies).
         decoder_method: Matching engine passed to the decoder.
-        decoder_dp_threshold: Largest syndrome the decoder's exact bitmask
-            DP handles before blossom takes over (``None`` = library
-            default).  Performance-only: corrections are bit-identical for
-            any value.
         decoder_cache_size: Bound on the decoder's syndrome->correction LRU
             (``None`` = library default, ``0`` disables).  Performance-only.
         decoder_artifact_dir: Directory of a persistent decoder-artifact
@@ -130,7 +126,6 @@ class MemoryExperiment:
         protocol: str = PROTOCOL_SWAP,
         decode: bool = True,
         decoder_method: str = "auto",
-        decoder_dp_threshold: Optional[int] = None,
         decoder_cache_size: Optional[int] = None,
         decoder_artifact_dir: Optional[str] = None,
         seed: RngLike = None,
@@ -202,7 +197,6 @@ class MemoryExperiment:
                 num_rounds=rounds,
                 stabilizer_type=StabilizerType.Z,
                 method=decoder_method,
-                dp_threshold=decoder_dp_threshold,
                 **decoder_kwargs,
             )
         self.policy.bind(code, rng=self.rng)

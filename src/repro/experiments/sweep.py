@@ -78,7 +78,6 @@ def _config(
     decoder_method: str = "auto",
     engine: str = "auto",
     batch_size: Optional[int] = None,
-    decoder_dp_threshold: Optional[int] = None,
     decoder_cache_size: Optional[int] = None,
     decoder_artifact_dir: Optional[str] = None,
     code_family: Optional[str] = None,
@@ -99,7 +98,6 @@ def _config(
         decoder_method=decoder_method,
         engine=engine,
         batch_size=batch_size,
-        decoder_dp_threshold=decoder_dp_threshold,
         decoder_cache_size=decoder_cache_size,
         decoder_artifact_dir=decoder_artifact_dir,
         code_family=code_family,
@@ -123,7 +121,6 @@ def run_single_plan(
     engine: str = "auto",
     batch_size: Optional[int] = None,
     chunk_shots: Optional[int] = None,
-    decoder_dp_threshold: Optional[int] = None,
     decoder_cache_size: Optional[int] = None,
     decoder_artifact_dir: Optional[str] = None,
     code_family: Optional[str] = None,
@@ -146,7 +143,6 @@ def run_single_plan(
                 decoder_method=decoder_method,
                 engine=engine,
                 batch_size=batch_size,
-                decoder_dp_threshold=decoder_dp_threshold,
                 decoder_cache_size=decoder_cache_size,
                 decoder_artifact_dir=decoder_artifact_dir,
                 code_family=code_family,
@@ -178,7 +174,6 @@ def run_single(
     resume: bool = False,
     chunk_shots: Optional[int] = None,
     executor: Optional[SweepExecutor] = None,
-    decoder_dp_threshold: Optional[int] = None,
     decoder_cache_size: Optional[int] = None,
     decoder_artifact_dir: Optional[str] = None,
     code_family: Optional[str] = None,
@@ -202,7 +197,6 @@ def run_single(
         engine=engine,
         batch_size=batch_size,
         chunk_shots=chunk_shots,
-        decoder_dp_threshold=decoder_dp_threshold,
         decoder_cache_size=decoder_cache_size,
         decoder_artifact_dir=decoder_artifact_dir,
         code_family=code_family,
@@ -228,7 +222,6 @@ def compare_policies_plan(
     engine: str = "auto",
     batch_size: Optional[int] = None,
     chunk_shots: Optional[int] = None,
-    decoder_dp_threshold: Optional[int] = None,
     decoder_cache_size: Optional[int] = None,
     decoder_artifact_dir: Optional[str] = None,
     code_family: Optional[str] = None,
@@ -249,7 +242,6 @@ def compare_policies_plan(
             decoder_method=decoder_method,
             engine=engine,
             batch_size=batch_size,
-            decoder_dp_threshold=decoder_dp_threshold,
             decoder_cache_size=decoder_cache_size,
             decoder_artifact_dir=decoder_artifact_dir,
             code_family=code_family,
@@ -280,7 +272,6 @@ def compare_policies(
     resume: bool = False,
     chunk_shots: Optional[int] = None,
     executor: Optional[SweepExecutor] = None,
-    decoder_dp_threshold: Optional[int] = None,
     decoder_cache_size: Optional[int] = None,
     decoder_artifact_dir: Optional[str] = None,
     code_family: Optional[str] = None,
@@ -309,7 +300,6 @@ def compare_policies(
         engine=engine,
         batch_size=batch_size,
         chunk_shots=chunk_shots,
-        decoder_dp_threshold=decoder_dp_threshold,
         decoder_cache_size=decoder_cache_size,
         decoder_artifact_dir=decoder_artifact_dir,
         code_family=code_family,

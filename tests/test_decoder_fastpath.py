@@ -1,7 +1,7 @@
 """Exact-equivalence property tests for the decoder fast path.
 
-The fast path layers (frame-parity tables, syndrome dedup + LRU, the bitmask
-DP, the native blossom port, the vectorised greedy matcher) must all be
+The fast path layers (the space-time table, syndrome dedup + LRU, the native
+blossom port, the vectorised greedy matcher) must all be
 *performance-only*: for every input, corrections are bit-identical to the
 seed implementation preserved in :mod:`repro.decoder.reference`.  These
 tests enforce that property on randomized detector matrices — including
@@ -27,7 +27,7 @@ from repro.decoder.graph import (
     clear_shared_graphs,
     shared_decoding_graph,
 )
-from repro.decoder.matching import MwpmMatcher, _all_pairs, build_matcher
+from repro.decoder.matching import _all_pairs, build_matcher
 from repro.decoder.reference import (
     build_reference_matcher,
     reference_decode_batch,
@@ -44,14 +44,21 @@ def random_detectors(graph, rng, max_flips):
     return detectors
 
 
-GRAPH_SHAPES = [(3, 3), (3, 6), (5, 4)]
+#: (distance, rounds, space_weight, time_weight).  The non-integral last
+#: entry makes equal-weight matchings rare, unlike the unit-weight graphs.
+GRAPH_SHAPES = [(3, 3, 1.0, 1.0), (3, 6, 1.0, 1.0), (5, 4, 1.0, 1.0), (3, 4, 0.7, 1.3)]
 
 
 @pytest.fixture(scope="module")
 def graphs():
     return {
-        (d, rounds): DecodingGraph(RotatedSurfaceCode(d), num_rounds=rounds)
-        for d, rounds in GRAPH_SHAPES
+        (d, rounds, space, time): DecodingGraph(
+            RotatedSurfaceCode(d),
+            num_rounds=rounds,
+            space_weight=space,
+            time_weight=time,
+        )
+        for d, rounds, space, time in GRAPH_SHAPES
     }
 
 
@@ -69,39 +76,6 @@ class TestMatcherEquivalence:
         for _ in range(150):
             detectors = random_detectors(graph, rng, max_flips=20)
             assert fast.decode(detectors) == ref.decode(detectors)
-
-    @pytest.mark.parametrize("shape", GRAPH_SHAPES)
-    def test_networkx_engine_matches_reference(self, graphs, shape):
-        """The blossom="networkx" path must also reproduce the seed exactly
-        (validates the edge-order reconstruction both engines share)."""
-        graph = graphs[shape]
-        fast = MwpmMatcher(graph, blossom="networkx")
-        ref = build_reference_matcher(graph, "mwpm")
-        rng = np.random.default_rng(5)
-        for _ in range(60):
-            detectors = random_detectors(graph, rng, max_flips=14)
-            assert fast.decode(detectors) == ref.decode(detectors)
-
-    def test_dp_only_region_matches_reference(self, graphs):
-        """Force every exact decode through the DP's size range."""
-        graph = graphs[(3, 3)]
-        fast = MwpmMatcher(graph, dp_threshold=12)
-        ref = build_reference_matcher(graph, "mwpm")
-        rng = np.random.default_rng(6)
-        for _ in range(200):
-            detectors = random_detectors(graph, rng, max_flips=10)
-            assert fast.decode(detectors) == ref.decode(detectors)
-        assert fast.stats.get("dp", 0) > 0  # the DP actually decided shots
-
-    def test_blossom_disabled_dp_matches_reference(self, graphs):
-        graph = graphs[(3, 3)]
-        fast = MwpmMatcher(graph, dp_threshold=0)
-        ref = build_reference_matcher(graph, "mwpm")
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            detectors = random_detectors(graph, rng, max_flips=16)
-            assert fast.decode(detectors) == ref.decode(detectors)
-        assert "dp" not in fast.stats and "dp_fallback" not in fast.stats
 
 
 class TestBlossomPort:
@@ -284,19 +258,14 @@ class TestDecoderFastPath:
             decoder.decode_batch(histories, finals)
         assert len(decoder._correction_cache) <= 8
 
-    def test_dp_threshold_and_cache_size_do_not_change_results(self, code):
+    def test_cache_size_does_not_change_results(self, code):
         rng = np.random.default_rng(16)
         histories, finals = self._random_shots(code, rng, 24, 3)
         baseline = SurfaceCodeDecoder(code, num_rounds=3).decode_batch(
             histories, finals
         )
-        for kwargs in (
-            dict(dp_threshold=0),
-            dict(dp_threshold=12),
-            dict(cache_size=0),
-            dict(cache_size=2),
-        ):
-            variant = SurfaceCodeDecoder(code, num_rounds=3, **kwargs)
+        for cache_size in (0, 2):
+            variant = SurfaceCodeDecoder(code, num_rounds=3, cache_size=cache_size)
             np.testing.assert_array_equal(
                 variant.decode_batch(histories, finals), baseline
             )

@@ -73,6 +73,45 @@ async def wait_for(predicate, timeout=60.0, interval=0.02):
     raise TimeoutError("condition not reached in time")
 
 
+def assert_rejected_and_never_journaled(tmp_path, field, value, message):
+    """POST a plan whose first job sets ``field`` to ``value``: expect a 400
+    carrying ``message``, no journal record and no admitted job."""
+
+    async def body():
+        scheduler = make_scheduler(tmp_path)
+        await scheduler.start()
+        service = SweepService(scheduler)
+        await service.start()
+        try:
+            wire = make_plan(shots=40).to_wire()
+            wire["jobs"][0][field] = value
+
+            def probe():
+                request = urllib.request.Request(
+                    service.url + "/submit",
+                    data=json.dumps({"plan": wire}).encode("utf-8"),
+                    method="POST",
+                )
+                try:
+                    urllib.request.urlopen(request, timeout=10)
+                except urllib.error.HTTPError as error:
+                    return error.code, json.loads(error.read())
+                return None, None
+
+            code, payload = await asyncio.to_thread(probe)
+            assert code == 400
+            assert message in payload["error"]
+            records, dropped = scheduler.journal.records()
+            assert records == [] and dropped == 0
+            counters = scheduler.metrics.snapshot()["counters"]
+            assert counters.get("jobs_submitted", 0) == 0
+        finally:
+            await service.stop()
+            await scheduler.stop(drain=False)
+
+    asyncio.run(body())
+
+
 class TestCrashRecovery:
     def test_sigkilled_scheduler_resumes_with_zero_reexecuted_chunks(self, tmp_path):
         plan = make_plan()
@@ -152,6 +191,44 @@ class TestCrashRecovery:
                 assert counters["journal_replays"] == 1
                 assert counters.get("submissions_recovered", 0) == 0
                 assert scheduler.list_submissions() == []
+            finally:
+                await scheduler.stop(drain=False)
+
+        asyncio.run(body())
+
+    def test_journal_with_retired_dp_knob_recovers(self, tmp_path):
+        """An acceptance journaled while jobs still carried the retired
+        ``decoder_dp_threshold`` wire key recovers under its original id."""
+        plan = make_plan(shots=200)
+        reference = SweepExecutor().run(make_plan(shots=200))
+        wire = plan.to_wire()
+        for job in wire["jobs"]:
+            job["decoder_dp_threshold"] = 12
+        with SubmissionJournal(tmp_path / "journal") as journal:
+            journal.append(
+                {
+                    "event": "accepted",
+                    "id": "sweep-000007",
+                    "key": None,
+                    "ts": time.time(),
+                    "plan": wire,
+                }
+            )
+
+        async def body():
+            scheduler = make_scheduler(tmp_path)
+            await scheduler.start()
+            try:
+                counters = scheduler.metrics.snapshot()["counters"]
+                assert counters["submissions_recovered"] == 1
+                recovered = scheduler.get("sweep-000007")
+                assert [job.cache_key() for job in recovered.plan.jobs] == [
+                    job.cache_key() for job in plan.jobs
+                ]
+                await scheduler.wait("sweep-000007", 120)
+                assert scheduler.status("sweep-000007")["state"] == "done"
+                for ours, theirs in zip(scheduler.results("sweep-000007"), reference):
+                    assert ours.statistically_equal(theirs)
             finally:
                 await scheduler.stop(drain=False)
 
@@ -373,40 +450,14 @@ class TestAdmissionControl:
         Without the check in ``SweepJob`` the submission would be accepted
         and journaled, then fail the whole sweep inside a worker.
         """
+        assert_rejected_and_never_journaled(
+            tmp_path, "engine", "batched", "unknown engine 'batched'"
+        )
 
-        async def body():
-            scheduler = make_scheduler(tmp_path)
-            await scheduler.start()
-            service = SweepService(scheduler)
-            await service.start()
-            try:
-                wire = make_plan(shots=40).to_wire()
-                wire["jobs"][0]["engine"] = "batched"
-
-                def probe():
-                    request = urllib.request.Request(
-                        service.url + "/submit",
-                        data=json.dumps({"plan": wire}).encode("utf-8"),
-                        method="POST",
-                    )
-                    try:
-                        urllib.request.urlopen(request, timeout=10)
-                    except urllib.error.HTTPError as error:
-                        return error.code, json.loads(error.read())
-                    return None, None
-
-                code, payload = await asyncio.to_thread(probe)
-                assert code == 400
-                assert "unknown engine 'batched'" in payload["error"]
-                records, dropped = scheduler.journal.records()
-                assert records == [] and dropped == 0
-                counters = scheduler.metrics.snapshot()["counters"]
-                assert counters.get("jobs_submitted", 0) == 0
-            finally:
-                await service.stop()
-                await scheduler.stop(drain=False)
-
-        asyncio.run(body())
+    def test_unknown_decoder_method_is_400_and_never_journaled(self, tmp_path):
+        assert_rejected_and_never_journaled(
+            tmp_path, "decoder_method", "nope", "unknown matching method 'nope'"
+        )
 
     def test_healthz_walks_ok_degraded_draining(self, tmp_path):
         async def body():

@@ -349,3 +349,47 @@ class TestEngineValidation:
         wire["jobs"][0]["engine"] = "batched"
         with pytest.raises(ValueError, match="unknown engine 'batched'"):
             SweepPlan.from_wire(wire)
+
+
+class TestDecoderMethodValidation:
+    @pytest.mark.parametrize("method", ["nope", "networkx", ""])
+    def test_unknown_decoder_method_rejected_at_construction(self, method):
+        with pytest.raises(ValueError, match="unknown matching method"):
+            make_job(decoder_method=method)
+
+    @pytest.mark.parametrize(
+        "method", ["auto", "mwpm", "exact", "blossom", "greedy", "UF", " union-find "]
+    )
+    def test_every_alias_accepted(self, method):
+        assert make_job(decoder_method=method).decoder_method == method
+
+    def test_wire_plan_with_unknown_decoder_method_rejected(self):
+        wire = SweepPlan([make_job()]).to_wire()
+        wire["jobs"][0]["decoder_method"] = "nope"
+        with pytest.raises(ValueError, match="unknown matching method 'nope'"):
+            SweepPlan.from_wire(wire)
+
+
+class TestWireCompatibility:
+    #: Wire key of the retired bitmask-DP size limit, still present in
+    #: journals and submissions written before its removal.
+    RETIRED_KEY = "decoder_dp_threshold"
+
+    def test_default_cache_key_is_pinned(self):
+        # The key the job had while the DP knob still existed.
+        assert make_job().cache_key() == (
+            "0b1ded2b48fe92d5c8cc55e2cb116de3e2ab4fd84df2a0e0429e7986725e19a3"
+        )
+
+    @pytest.mark.parametrize("value", [None, 0, 12])
+    def test_retired_key_is_dropped_with_any_value(self, value):
+        job = make_job()
+        payload = dict(job.to_wire(), **{self.RETIRED_KEY: value})
+        restored = SweepJob.from_wire(payload)
+        assert restored == job
+        assert restored.cache_key() == job.cache_key()
+
+    def test_other_unknown_keys_still_raise(self):
+        payload = dict(make_job().to_wire(), decoder_dp_limit=12)
+        with pytest.raises(TypeError):
+            SweepJob.from_wire(payload)
