@@ -788,8 +788,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-inflight-chunks",
         type=int,
         default=None,
-        help="Admission control: reject new submissions while the chunk queue "
-        "is at least this deep.",
+        help="Admission control: reject new submissions while the active "
+        "submissions' unfinished chunks number at least this many.",
     )
     serve.add_argument(
         "--retry-after",

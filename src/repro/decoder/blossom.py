@@ -19,16 +19,17 @@ specialised for the decoder's dense detector graphs:
 The port preserves the original's *choices* exactly — vertex iteration
 order, per-vertex neighbor order, LIFO scan queue, dict insertion orders,
 first-wins tie-breaking on equal slack, and the returned edge orientations —
-so for any edge list it returns the **same set of matched pairs** that
-``networkx.min_weight_matching`` returns, only faster.  That bit-identical
+so on the decoder's detector graphs it returns the **same set of matched
+pairs** that ``networkx.min_weight_matching`` returns, only faster.  That bit-identical
 contract is what lets :class:`repro.decoder.matching.MwpmMatcher` swap it in
 without perturbing a single seeded statistic, and it is enforced against
 networkx directly by ``tests/test_decoder_fastpath.py``.
 
-The entry point is :func:`min_weight_matching_edges`, which mirrors
+The entry point is :func:`min_weight_matching_complete`, which mirrors
 ``networkx.min_weight_matching``'s weight transformation (``w' = max_w + 1 -
-w`` then maximum-cardinality max-weight matching).  Edge weights are treated
-as floats throughout, matching how the decoder fed networkx.
+w`` then maximum-cardinality max-weight matching) on the decoder's complete
+detector graph.  Edge weights are treated as floats throughout, matching
+how the decoder fed networkx.
 """
 
 from __future__ import annotations
@@ -550,55 +551,6 @@ def max_weight_matching_dense(
     return mate
 
 
-def min_weight_matching_edges(
-    edges: Sequence[Tuple[int, int, float]]
-) -> Set[Tuple[int, int]]:
-    """Minimum-weight maximum-cardinality matching of a weighted edge list.
-
-    ``edges`` must be listed in the order ``networkx.Graph.edges`` would
-    report them for the graph the caller had in mind (for the decoder's
-    construction: per detector ``i`` ascending, its pairs ``(i, j > i)``
-    followed by its boundary edge), because vertex numbering, adjacency
-    order and therefore tie-breaking all derive from it.  Node labels may be
-    any hashable ints (the decoder uses ``-1`` for the virtual boundary);
-    they are compacted to ``0..n-1`` internally and restored in the result.
-
-    Returns the same ``set`` of ``(u, v)`` tuples — orientations included —
-    that ``networkx.min_weight_matching`` returns on the equivalent graph.
-    """
-    if not edges:
-        return set()
-    max_weight = 1 + max(w for _, _, w in edges)
-
-    # Compact node labels in first-appearance order (networkx's node order).
-    index: Dict[int, int] = {}
-    for u, v, _ in edges:
-        if u not in index:
-            index[u] = len(index)
-        if v not in index:
-            index[v] = len(index)
-    n = len(index)
-    labels = list(index)
-
-    neighbors: List[List[int]] = [[] for _ in range(n)]
-    weight2: List[List[float]] = [[0.0] * n for _ in range(n)]
-    maxweight = 0
-    for u, v, w in edges:
-        iu = index[u]
-        iv = index[v]
-        iw = max_weight - w
-        if iw > maxweight:
-            maxweight = iw
-        neighbors[iu].append(iv)
-        neighbors[iv].append(iu)
-        doubled = 2 * iw
-        weight2[iu][iv] = doubled
-        weight2[iv][iu] = doubled
-
-    mate = max_weight_matching_dense(n, maxweight, neighbors, weight2)
-    return _mate_to_matching(mate, labels)
-
-
 def _mate_to_matching(mate: Dict[int, int], labels: List[int]) -> Set[Tuple[int, int]]:
     """networkx's ``matching_dict_to_set``: first orientation encountered wins."""
     matching: Set[Tuple[int, int]] = set()
@@ -638,16 +590,18 @@ def min_weight_matching_complete(
     boundary_dist=None,
     boundary_label: int = -1,
 ) -> Set[Tuple[int, int]]:
-    """:func:`min_weight_matching_edges` specialised for the decoder's case.
+    """Minimum-weight perfect matching of the decoder's complete detector graph.
 
     ``pair_dist`` is the dense ``(k, k)`` matrix of finite pair distances
     (only the upper triangle is meaningful; the diagonal is ignored) and
     ``boundary_dist`` the length-``k`` boundary distances, or ``None`` when
-    ``k`` is even and the matching runs on the detectors alone.  Equivalent
-    to building the edge list in networkx report order and calling
-    :func:`min_weight_matching_edges`, but skips the per-edge Python loop:
-    the doubled-weight matrix comes from one vectorised numpy expression and
-    the neighbor lists are cached per (k, parity).
+    ``k`` is even and the matching runs on the detectors alone; the boundary
+    vertex is labelled ``boundary_label`` in the result.  Returns the same
+    ``set`` of ``(u, v)`` tuples — orientations included — that
+    ``networkx.min_weight_matching`` returns on the graph whose edges are
+    listed per detector ``i`` ascending, its pairs ``(i, j > i)`` followed by
+    its boundary edge.  The doubled-weight matrix comes from one vectorised
+    numpy expression and the neighbor lists are cached per (k, parity).
     """
     k = int(pair_dist.shape[0])
     if k == 0:

@@ -55,10 +55,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
-from repro.decoder.blossom import (
-    min_weight_matching_complete,
-    min_weight_matching_edges,
-)
+from repro.decoder.blossom import min_weight_matching_complete
 from repro.decoder.graph import DecodingGraph
 
 #: Relative slack (of a row's largest finite distance) under which an arc
@@ -365,8 +362,10 @@ class MwpmMatcher(_BaseMatcher):
     matcher half the nodes and a quarter of the edges.
 
     Every syndrome runs the native blossom port
-    (:mod:`repro.decoder.blossom`) on the complete detector graph, or on
-    the finite edges only when some pair is disconnected.
+    (:mod:`repro.decoder.blossom`) on the complete detector graph.  A
+    syndrome with a detector pair (or, for odd ``k``, a detector and the
+    boundary) that the decoding graph does not connect raises
+    ``ValueError`` naming the disconnected nodes.
     """
 
     #: Virtual node pairing the odd detector with the boundary.  An integer
@@ -374,59 +373,21 @@ class MwpmMatcher(_BaseMatcher):
     #: positions are the non-negative integers).
     _BOUNDARY = -1
 
-    def _blossom_edges_sparse(
-        self, paths: _ShortestPaths, pair_dist: np.ndarray
-    ) -> List[Tuple[int, int, float]]:
-        """The finite edges of the matching problem, in networkx report order.
-
-        :func:`~repro.decoder.blossom.min_weight_matching_edges` derives
-        vertex numbering and every tie-break from the edge order, so the
-        seed's construction (finite pair edges in upper-triangular order,
-        then the boundary edges) is replayed through networkx's insertion
-        bookkeeping literally: node order is first appearance among the
-        *added* edges.
-        """
-        k = paths.sources.size
-        odd = k % 2 == 1
-        boundary_dist = paths.boundary_dist if odd else None
-        adjacency: Dict[int, List[Tuple[int, float]]] = {}
-
-        def add(u: int, v: int, w: float) -> None:
-            adjacency.setdefault(u, []).append((v, w))
-            adjacency.setdefault(v, []).append((u, w))
-
-        i_idx, j_idx = np.triu_indices(k, 1)
-        weights = pair_dist[i_idx, j_idx]
-        finite = np.isfinite(weights)
-        for i, j, w in zip(
-            i_idx[finite].tolist(), j_idx[finite].tolist(), weights[finite].tolist()
-        ):
-            add(i, j, w)
-        if odd:
-            for i in range(k):
-                add(self._BOUNDARY, i, float(boundary_dist[i]))
-        edges = []
-        seen = set()
-        for u in adjacency:
-            for v, w in adjacency[u]:
-                if (v, u) in seen or (u, v) in seen:
-                    continue
-                seen.add((u, v))
-                edges.append((u, v, w))
-        return edges
-
     def _match(self, paths: _ShortestPaths) -> Tuple[List[Tuple[int, int]], List[int]]:
         self._count("blossom")
-        pair_dist = paths.pair_dist
-        if np.isfinite(pair_dist).all():
-            boundary_dist = paths.boundary_dist if paths.sources.size % 2 == 1 else None
-            matching = min_weight_matching_complete(
-                pair_dist, boundary_dist, boundary_label=self._BOUNDARY
+        k = paths.sources.size
+        odd = k % 2 == 1
+        finite = np.isfinite(paths.dist[:, : k + odd])
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0]
+            target = "the boundary" if j == k else f"detector node {paths.sources[j]}"
+            raise ValueError(
+                f"disconnected detectors: no path from detector node "
+                f"{paths.sources[i]} to {target} in the decoding graph"
             )
-        else:
-            matching = min_weight_matching_edges(
-                self._blossom_edges_sparse(paths, pair_dist)
-            )
+        matching = min_weight_matching_complete(
+            paths.pair_dist, paths.boundary_dist if odd else None, boundary_label=self._BOUNDARY
+        )
         pairs: List[Tuple[int, int]] = []
         to_boundary: List[int] = []
         for u, v in matching:

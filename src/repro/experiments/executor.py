@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, as_completed, wait
+from concurrent.futures import FIRST_COMPLETED, Executor, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -35,6 +35,18 @@ from repro.experiments.store import ResultStore, default_cache_dir
 def _execute_chunk(job: SweepJob, index: int) -> MemoryExperimentResult:
     """Worker entry point (module-level so it pickles under every backend)."""
     return job.run_chunk(index)
+
+
+class _InlineExecutor(Executor):
+    """The serial backend: runs each submitted call at once, in this process."""
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as error:
+            future.set_exception(error)
+        return future
 
 
 def execute_chunk_with_stats(
@@ -185,13 +197,13 @@ class PlanExecution:
     """Chunk-granular bookkeeping for one plan — the shared execution core.
 
     Both sweep backends drive this object: the in-process
-    :class:`SweepExecutor` feeds it chunk results from a loop or a
-    ``ProcessPoolExecutor``, and the service scheduler
+    :class:`SweepExecutor` feeds it chunk results from the calling process
+    or a ``ProcessPoolExecutor``, and the service scheduler
     (:mod:`repro.service.scheduler`) feeds it from its supervised worker
     pool.  Construction performs the cache lookup (cached jobs never produce
-    tasks); :meth:`record_chunk` merges and persists each job the moment its
-    last chunk lands, which is what makes interrupted sweeps resumable at
-    job granularity.  Because chunk random streams are position-keyed
+    claimable chunks); :meth:`record_chunk` merges and persists each job the
+    moment its last chunk lands, which is what makes interrupted sweeps
+    resumable at job granularity.  Because chunk random streams are position-keyed
     (Section 6 seed discipline, see :mod:`repro.experiments.jobs`), the
     merged statistics are bit-identical no matter which backend, worker
     interleaving, or crash/retry history produced the chunks.
@@ -212,22 +224,27 @@ class PlanExecution:
     statistics are bit-identical to an uninterrupted run.  Spilled entries
     are deleted the moment their job's merged result persists.
 
-    **Adaptive mode.**  Jobs carrying a Wilson-interval target
-    (:func:`~repro.experiments.adaptive.job_adaptive_config`) switch the
-    execution to a sequential stopping rule: backends must then dispatch
-    work through :meth:`claim_tasks` (a chunk-index frontier) instead of
-    the eager :attr:`tasks` list, and after every recorded chunk the rule
-    looks for the smallest prefix length ``L >= min_chunks`` whose
-    cumulative Wilson half-width meets the job's target.  When one exists
-    the job finalises early: chunks ``0..L-1`` merge in a single
-    :func:`merge_chunk_results` call (bit-identical to a fixed run of
-    ``L * chunk_shots`` shots, by the position-keyed seed discipline) and
-    the result persists under the *prefix job's* cache key
-    (``replace(job, shots=L * chunk_shots)``), so a later fixed run of that
-    prefix — or a warm adaptive rerun, which probes prefix keys during
-    construction — is a pure cache hit.  The stop point depends only on
-    the chunk statistics, never on arrival order or worker count;
-    straggler chunks past the stop point are discarded on arrival.
+    **The chunk frontier.**  Work leaves this object only through
+    :meth:`claim_tasks`, and every backend runs the same loop: claim up to
+    its width, execute, :meth:`record_chunk` each result as it lands,
+    refill.  The claim order is derived from the plan: job-major while no
+    unfinished job carries a stopping target (so each job completes, and
+    persists, before the next starts), round-robin across unfinished jobs
+    otherwise.
+
+    **Stopping rule.**  Jobs carrying a Wilson-interval target
+    (:func:`~repro.experiments.adaptive.job_adaptive_config`) stop
+    sequentially: after every recorded chunk the rule looks for the
+    smallest prefix length ``L >= min_chunks`` whose cumulative Wilson
+    half-width meets the job's target.  When one exists the job finalises
+    early: chunks ``0..L-1`` merge in a single :func:`merge_chunk_results`
+    call (bit-identical to a fixed run of ``L * chunk_shots`` shots, by the
+    position-keyed seed discipline) and the result persists under the
+    *prefix job's* cache key (``replace(job, shots=L * chunk_shots)``), so a
+    later fixed run of that prefix — or a warm adaptive rerun, which probes
+    prefix keys during construction — is a pure cache hit.  The stop point
+    depends only on the chunk statistics, never on arrival order or worker
+    count; straggler chunks past the stop point are discarded on arrival.
     """
 
     def __init__(
@@ -308,15 +325,6 @@ class PlanExecution:
         if chunk_store is not None:
             self._recover_spilled_chunks()
 
-    @property
-    def adaptive_mode(self) -> bool:
-        """True when any job carries a stopping-rule target.
-
-        Backends must then dispatch via :meth:`claim_tasks` so that chunks
-        past a job's (unknown-in-advance) stop point are never simulated.
-        """
-        return bool(self._adaptive)
-
     def _probe_adaptive_prefix(
         self, job: SweepJob
     ) -> Tuple[Optional[MemoryExperimentResult], int]:
@@ -359,22 +367,13 @@ class PlanExecution:
                 if spilled is not None:
                     self.record_chunk(job_index, chunk, spilled, recovered=True)
 
-    @property
-    def tasks(self) -> List[Tuple[int, int]]:
-        """Every (job index, chunk index) pair that still needs simulation."""
-        return [
-            (job_index, chunk)
-            for job_index in self.pending
-            if self.results[job_index] is None
-            for chunk in range(self.plan.jobs[job_index].num_chunks)
-            if (job_index, chunk) not in self._chunk_results
-        ]
-
     def claim_tasks(self, limit: int = 1) -> List[Tuple[int, int]]:
-        """Claim up to ``limit`` frontier chunks for execution (adaptive mode).
+        """Claim up to ``limit`` chunks for execution.
 
-        Unlike :attr:`tasks` (which eagerly lists every chunk of every
-        pending job), this hands out chunk indices incrementally,
+        Chunk indices are handed out incrementally.  While no unfinished job
+        has a stopping target the order is job-major: each job's chunks go
+        out before the next job's, so a serial sweep persists job by job and
+        an interrupted one resumes per job.  Otherwise the order is
         round-robin across unfinished jobs, so the shot budget flows to the
         jobs whose confidence intervals are still loose: a job that
         finalises early simply stops being claimable and the worker slots
@@ -382,33 +381,38 @@ class PlanExecution:
         recorded (recovered spills, duplicate retries) are skipped.
         """
         claimed: List[Tuple[int, int]] = []
-        if limit <= 0:
-            return claimed
         active = [index for index in self.pending if self.results[index] is None]
-        if not active:
+        if limit <= 0 or not active:
             return claimed
-        start = self._rr_cursor % len(active)
-        order = active[start:] + active[:start]
+        round_robin = any(index in self._adaptive for index in active)
+        if round_robin:
+            start = self._rr_cursor % len(active)
+            active = active[start:] + active[:start]
+        per_job = 1 if round_robin else limit
         progressed = True
         while len(claimed) < limit and progressed:
             progressed = False
-            for job_index in order:
-                if len(claimed) >= limit:
-                    break
-                if self.results[job_index] is not None:
-                    continue
-                job = self.plan.jobs[job_index]
-                chunk = self._next_chunk.get(job_index, 0)
-                while chunk < job.num_chunks and (job_index, chunk) in self._chunk_results:
-                    chunk += 1
-                if chunk >= job.num_chunks:
-                    self._next_chunk[job_index] = chunk
-                    continue
-                self._next_chunk[job_index] = chunk + 1
-                claimed.append((job_index, chunk))
-                self._rr_cursor += 1
-                progressed = True
+            for job_index in active:
+                for _ in range(min(per_job, limit - len(claimed))):
+                    chunk = self._next_unclaimed(job_index)
+                    if chunk is None:
+                        break
+                    claimed.append((job_index, chunk))
+                    progressed = True
+        self._rr_cursor += len(claimed)
         return claimed
+
+    def _next_unclaimed(self, job_index: int) -> Optional[int]:
+        """Advance ``job_index``'s claim cursor; ``None`` once it is exhausted."""
+        num_chunks = self.plan.jobs[job_index].num_chunks
+        chunk = self._next_chunk.get(job_index, 0)
+        while chunk < num_chunks and (job_index, chunk) in self._chunk_results:
+            chunk += 1
+        if chunk >= num_chunks:
+            self._next_chunk[job_index] = chunk
+            return None
+        self._next_chunk[job_index] = chunk + 1
+        return chunk
 
     @property
     def is_complete(self) -> bool:
@@ -431,6 +435,11 @@ class PlanExecution:
             + self._recovered_chunks
             + self._skipped_chunks
         )
+
+    @property
+    def chunks_left(self) -> int:
+        """Planned chunks not yet accounted for: the plan's unfinished backlog."""
+        return self.plan.total_chunks - self.chunks_done
 
     def prebuild_artifacts(self) -> None:
         """Build each pending decode job's decoder artifacts once, up-front."""
@@ -509,32 +518,61 @@ class PlanExecution:
             ):
                 self.chunk_store.save(self._chunk_key(job_index, chunk), result)
         self._remaining[job_index] -= 1
-        if self._remaining[job_index] > 0:
-            if job_index in self._adaptive:
-                return self._maybe_finalize_early(job_index)
-            return False
         if job_index in self._adaptive and self._maybe_finalize_early(job_index):
             return True
-        del self._remaining[job_index]
+        if self._remaining[job_index] > 0:
+            return False
+        self._finalize(job_index, self.plan.jobs[job_index].num_chunks)
+        return True
+
+    def _finalize(self, job_index: int, length: int) -> None:
+        """Merge a job's first ``length`` chunks, persist it and mark it done.
+
+        The parts (the cached merge base, if any, then the recorded chunks)
+        merge in chunk order in one :func:`merge_chunk_results` call.  A full
+        job saves under its own cache key.  A job the stopping rule ended
+        early (``length < num_chunks``) saves under the key of the equivalent
+        *fixed* job, ``replace(job, shots=length * chunk_shots)``: by the
+        position-keyed seed discipline that job runs exactly these chunks,
+        so the truncated result is bit-identical to it and either run's
+        cache entry serves the other.
+        """
         job = self.plan.jobs[job_index]
-        base_chunks = self._base_chunks.pop(job_index, 0)
-        parts: List[MemoryExperimentResult] = []
-        if job_index in self._merge_base:
-            parts.append(self._merge_base.pop(job_index))
+        parts = [self._merge_base.pop(job_index)] if job_index in self._merge_base else []
         parts.extend(
-            self._chunk_results.pop((job_index, c))
-            for c in range(base_chunks, job.num_chunks)
+            self._chunk_results.pop((job_index, chunk))
+            for chunk in range(self._base_chunks.pop(job_index, 0), length)
         )
         merged = merge_chunk_results(parts)
+        early = length < job.num_chunks
+        saved = replace(job, shots=length * job.chunk_shots) if early else job
         if self.store is not None:
-            self.store.save(job.cache_key(), merged, config=job.config_dict())
+            self.store.save(saved.cache_key(), merged, config=saved.config_dict())
         self.results[job_index] = merged
+        del self._remaining[job_index]
         if self.metrics is not None:
             self.metrics.counter("sweep_jobs_completed").inc()
+        if early:
+            # Chunks past the stop point count as skipped, except stragglers
+            # already executed out of order, whose slots are in the executed
+            # column; their results are dropped here.
+            skipped = sum(
+                self._chunk_results.pop((job_index, chunk), None) is None
+                for chunk in range(length, job.num_chunks)
+            )
+            self._skipped_chunks += skipped
+            self.stats.shots_saved += job.shots - saved.shots
+            self.stats.jobs_stopped_early += 1
+            if self.metrics is not None:
+                self.metrics.counter("jobs_stopped_early").inc()
+                self.metrics.counter("shots_saved").inc(job.shots - saved.shots)
+                self.metrics.counter("chunks_skipped").inc(skipped)
+                self.metrics.gauge(f"ler_ci_halfwidth_job{job_index}").set(
+                    self._adaptive[job_index].halfwidth(merged.logical_errors, merged.shots)
+                )
         if self.chunk_store is not None:
             for spilled_chunk in range(job.num_chunks):
                 self.chunk_store.remove(self._chunk_key(job_index, spilled_chunk))
-        return True
 
     # -- adaptive stopping rule ----------------------------------------
     def _maybe_finalize_early(self, job_index: int) -> bool:
@@ -549,14 +587,11 @@ class PlanExecution:
         Returns True when the job finalised.
         """
         config = self._adaptive[job_index]
-        if self.results[job_index] is not None:
-            return False
         job = self.plan.jobs[job_index]
         base = self._merge_base.get(job_index)
-        base_chunks = self._base_chunks.get(job_index, 0)
         cum_errors = max(base.logical_errors, 0) if base is not None else 0
         cum_shots = base.shots if base is not None else 0
-        length = base_chunks
+        length = self._base_chunks.get(job_index, 0)
         while (job_index, length) in self._chunk_results:
             part = self._chunk_results[(job_index, length)]
             cum_errors += max(part.logical_errors, 0)
@@ -564,69 +599,14 @@ class PlanExecution:
             length += 1
             if length >= job.num_chunks:
                 break  # full job: the normal completion merge handles it
-            if length < config.min_chunks:
-                continue
-            if config.satisfied(cum_errors, cum_shots):
-                self._finalize_early(job_index, length, cum_errors, cum_shots)
+            if length >= config.min_chunks and config.satisfied(cum_errors, cum_shots):
+                self._finalize(job_index, length)
                 return True
         if self.metrics is not None and cum_shots > 0:
             self.metrics.gauge(f"ler_ci_halfwidth_job{job_index}").set(
                 config.halfwidth(cum_errors, cum_shots)
             )
         return False
-
-    def _finalize_early(
-        self, job_index: int, length: int, errors: int, shots: int
-    ) -> None:
-        """Finalise an adaptive job at ``length`` chunks (< num_chunks).
-
-        The prefix merges in one :func:`merge_chunk_results` call and is
-        saved under the cache key of the equivalent *fixed* job
-        (``replace(job, shots=length * chunk_shots)``): by the
-        position-keyed seed discipline that fixed job would run exactly
-        these chunks, so the truncated result is bit-identical to it and
-        either run's cache entry serves the other.
-        """
-        job = self.plan.jobs[job_index]
-        config = self._adaptive[job_index]
-        base_chunks = self._base_chunks.pop(job_index, 0)
-        parts: List[MemoryExperimentResult] = []
-        if job_index in self._merge_base:
-            parts.append(self._merge_base.pop(job_index))
-        parts.extend(
-            self._chunk_results.pop((job_index, c)) for c in range(base_chunks, length)
-        )
-        merged = merge_chunk_results(parts)
-        prefix_shots = length * job.chunk_shots
-        if self.store is not None:
-            prefix_job = replace(job, shots=prefix_shots)
-            self.store.save(
-                prefix_job.cache_key(), merged, config=prefix_job.config_dict()
-            )
-        self.results[job_index] = merged
-        del self._remaining[job_index]
-        # Chunks past the stop point count as skipped — minus any that were
-        # already executed out of order (pool stragglers), whose slots are
-        # already in the executed column.
-        skipped = job.num_chunks - length - sum(
-            1
-            for c in range(length, job.num_chunks)
-            if (job_index, c) in self._chunk_results
-        )
-        self._skipped_chunks += skipped
-        self.stats.shots_saved += job.shots - prefix_shots
-        self.stats.jobs_stopped_early += 1
-        if self.metrics is not None:
-            self.metrics.counter("jobs_stopped_early").inc()
-            self.metrics.counter("shots_saved").inc(job.shots - prefix_shots)
-            self.metrics.counter("chunks_skipped").inc(skipped)
-            self.metrics.counter("sweep_jobs_completed").inc()
-            self.metrics.gauge(f"ler_ci_halfwidth_job{job_index}").set(
-                config.halfwidth(errors, shots)
-            )
-        if self.chunk_store is not None:
-            for spilled_chunk in range(job.num_chunks):
-                self.chunk_store.remove(self._chunk_key(job_index, spilled_chunk))
 
     def finish(self, elapsed_seconds: float) -> SweepStats:
         """Stamp the elapsed time and return the final statistics."""
@@ -639,8 +619,10 @@ class SweepExecutor:
 
     Args:
         jobs: Worker processes.  ``1`` (default) runs in-process; ``N > 1``
-            fans chunks out over a :class:`~concurrent.futures.ProcessPoolExecutor`.
-            Both backends yield identical statistics for the same plan.
+            fans chunks out over a :class:`~concurrent.futures.ProcessPoolExecutor`
+            of at most ``N`` workers, never more than there are pending
+            chunks.  Both backends yield identical statistics for the same
+            plan.
         cache_dir: Directory for the content-addressed result store.  When
             set, completed jobs are saved there and future runs reuse them.
         resume: Reuse (and keep extending) the default cache directory when
@@ -708,65 +690,24 @@ class SweepExecutor:
         # shared memory maps instead of recomputing per process.
         execution.prebuild_artifacts()
 
-        if execution.adaptive_mode:
-            self._run_adaptive(plan, execution)
-        else:
-            tasks = execution.tasks
-            if self.jobs > 1 and len(tasks) > 1:
-                workers = min(self.jobs, len(tasks))
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    futures = {
-                        pool.submit(_execute_chunk, plan.jobs[job_index], chunk): (job_index, chunk)
-                        for job_index, chunk in tasks
-                    }
-                    for future in as_completed(futures):
-                        job_index, chunk = futures[future]
-                        execution.record_chunk(job_index, chunk, future.result())
-            else:
-                # tasks are job-major, so each job completes (and is saved)
-                # before the next one starts.
-                for job_index, chunk in tasks:
-                    execution.record_chunk(
-                        job_index, chunk, _execute_chunk(plan.jobs[job_index], chunk)
-                    )
+        # The one dispatch loop: keep ``width`` chunks in flight, record each
+        # result as it lands, refill from the frontier.  Serial is width 1
+        # on an in-process executor.  In a pool, up to ``width - 1``
+        # straggler chunks past a stop point may execute and be discarded;
+        # the recorded statistics do not depend on arrival order.
+        width = min(self.jobs, execution.chunks_left)
+        backend = ProcessPoolExecutor(max_workers=width) if width > 1 else _InlineExecutor()
+        with backend:
+            in_flight: Dict[Future, Tuple[int, int]] = {}
+            while True:
+                for job_index, chunk in execution.claim_tasks(width - len(in_flight)):
+                    future = backend.submit(_execute_chunk, plan.jobs[job_index], chunk)
+                    in_flight[future] = (job_index, chunk)
+                if not in_flight:
+                    break
+                done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+                for future in done:
+                    execution.record_chunk(*in_flight.pop(future), future.result())
 
         self.last_stats = execution.finish(time.perf_counter() - started)
         return execution.results  # type: ignore[return-value]
-
-    def _run_adaptive(self, plan: SweepPlan, execution: PlanExecution) -> None:
-        """Drive an adaptive execution through its chunk frontier.
-
-        Serial mode claims one chunk at a time, so a job executes exactly up
-        to its stop point.  Pool mode keeps ``jobs`` chunks in flight and
-        refills after every completion; up to ``jobs - 1`` straggler chunks
-        past a stop point may execute and be discarded — the *recorded*
-        statistics are unaffected (the stop point is arrival-order
-        independent), only a bounded amount of surplus work is done.
-        """
-        if self.jobs > 1:
-            with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-                futures: Dict[object, Tuple[int, int]] = {}
-
-                def refill() -> None:
-                    for job_index, chunk in execution.claim_tasks(
-                        self.jobs - len(futures)
-                    ):
-                        future = pool.submit(_execute_chunk, plan.jobs[job_index], chunk)
-                        futures[future] = (job_index, chunk)
-
-                refill()
-                while futures:
-                    done, _ = wait(futures, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        job_index, chunk = futures.pop(future)
-                        execution.record_chunk(job_index, chunk, future.result())
-                    refill()
-        else:
-            while True:
-                claimed = execution.claim_tasks(1)
-                if not claimed:
-                    break
-                job_index, chunk = claimed[0]
-                execution.record_chunk(
-                    job_index, chunk, _execute_chunk(plan.jobs[job_index], chunk)
-                )

@@ -2,11 +2,15 @@
 
 The resident core of the sweep service (ROADMAP "heavy traffic" unlock for
 the Section 6 Monte-Carlo evaluation).  A :class:`SweepScheduler` accepts
-:class:`~repro.experiments.jobs.SweepPlan` submissions, decomposes them into
-chunk-granular tasks through the shared
-:class:`~repro.experiments.executor.PlanExecution` core (the same code the
-in-process executor runs, so statistics are bit-identical between backends),
-and dispatches chunks to a supervised ``ProcessPoolExecutor`` worker pool.
+:class:`~repro.experiments.jobs.SweepPlan` submissions and dispatches their
+chunks to a supervised ``ProcessPoolExecutor`` worker pool through the shared
+:class:`~repro.experiments.executor.PlanExecution` core, speaking the same
+``claim_tasks``/``record_chunk`` protocol as the in-process executor (so
+statistics are bit-identical between backends).  Admission claims
+``workers`` chunks of a plan; every recorded chunk refills one claim, so
+each live submission keeps up to ``workers`` chunks queued or running and
+concurrent submissions interleave at chunk granularity rather than running
+FIFO by whole plan.
 
 Supervision and fault tolerance:
 
@@ -32,7 +36,7 @@ Supervision and fault tolerance:
   its live submissions (persisted jobs and spilled chunks re-execute zero
   times) with the same ids and idempotency keys.
 * **Admission control** — optional watermarks on active submissions and
-  chunk-queue depth; a saturated scheduler raises
+  the unfinished-chunk backlog; a saturated scheduler raises
   :class:`SchedulerSaturated` (the HTTP layer's 429 + ``Retry-After``),
   and :meth:`SweepScheduler.health` reports ok/degraded/draining.
 
@@ -222,8 +226,10 @@ class SweepScheduler:
             zero already-completed chunks.
         max_pending_submissions: Admission-control watermark on concurrently
             active (non-terminal) submissions; ``None`` disables the limit.
-        max_inflight_chunks: Admission-control watermark on the chunk queue
-            depth; ``None`` disables the limit.
+        max_inflight_chunks: Admission-control watermark on the
+            unfinished-chunk backlog: the sum over active submissions of
+            ``chunks_total - chunks_done`` (also ``/healthz``'s
+            ``queue_depth``).  ``None`` disables the limit.
         retry_after: The ``Retry-After`` hint (seconds) attached to
             saturation/draining rejections.
     """
@@ -305,11 +311,7 @@ class SweepScheduler:
     async def drain(self) -> None:
         """Stop accepting submissions and wait for accepted ones to finish."""
         self._draining = True
-        pending = [
-            submission
-            for submission in self._submissions.values()
-            if submission.state not in TERMINAL_STATES
-        ]
+        pending = self._live_submissions()
         if pending:
             await asyncio.gather(*(s.done_event.wait() for s in pending))
 
@@ -345,7 +347,8 @@ class SweepScheduler:
 
         Cached jobs are resolved synchronously (a fully-cached plan is done
         before this returns — the warm-resubmit path executes zero chunks);
-        everything else becomes queued chunk tasks.
+        the rest is claimed from the plan's chunk frontier as workers free
+        up.
 
         ``submission_key`` is an idempotency token: a retried submit with a
         key the scheduler has already seen returns the existing submission's
@@ -405,17 +408,10 @@ class SweepScheduler:
             submission.started = time.time()
             self._journal_event("started", submission)
             await asyncio.to_thread(execution.prebuild_artifacts)
-            if execution.adaptive_mode:
-                # Sequential stopping rule: dispatch an initial frontier of
-                # chunks (enough to saturate the pool) instead of every
-                # chunk eagerly; _run_chunk refills one task per recorded
-                # chunk, so jobs that stop early simply stop being claimed
-                # and the budget drains to still-loose jobs.
-                for job_index, chunk in execution.claim_tasks(self.workers):
-                    self._queue.put_nowait((submission, job_index, chunk, 0))
-            else:
-                for job_index, chunk in execution.tasks:
-                    self._queue.put_nowait((submission, job_index, chunk, 0))
+            # Claim enough chunks to saturate the pool; _run_chunk refills
+            # one claim per recorded chunk.
+            for job_index, chunk in execution.claim_tasks(self.workers):
+                self._queue.put_nowait((submission, job_index, chunk, 0))
         self._update_gauges()
         return submission_id
 
@@ -453,9 +449,20 @@ class SweepScheduler:
                 "ts": submission.created,
                 "plan": submission.plan.to_wire(),
             }
+            for submission in self._live_submissions()
+        ]
+
+    def _live_submissions(self) -> List[SweepSubmission]:
+        """Submissions not yet in a terminal state."""
+        return [
+            submission
             for submission in self._submissions.values()
             if submission.state not in TERMINAL_STATES
         ]
+
+    def _backlog(self) -> int:
+        """Unfinished chunks over every live submission (admission depth)."""
+        return sum(s.execution.chunks_left for s in self._live_submissions())
 
     def _journal_event(self, event: str, submission: SweepSubmission) -> None:
         if self.journal is None:
@@ -467,21 +474,17 @@ class SweepScheduler:
     def _saturation_reason(self) -> Optional[str]:
         """Why admission control would reject right now (``None`` = admit)."""
         if self.max_pending_submissions is not None:
-            active = sum(
-                1
-                for submission in self._submissions.values()
-                if submission.state not in TERMINAL_STATES
-            )
+            active = len(self._live_submissions())
             if active >= self.max_pending_submissions:
                 return (
                     f"{active} active submission(s) at the "
                     f"max_pending_submissions={self.max_pending_submissions} limit"
                 )
-        if self.max_inflight_chunks is not None and self._started:
-            depth = self._queue.qsize()
+        if self.max_inflight_chunks is not None:
+            depth = self._backlog()
             if depth >= self.max_inflight_chunks:
                 return (
-                    f"chunk queue depth {depth} at the "
+                    f"{depth} unfinished chunk(s) at the "
                     f"max_inflight_chunks={self.max_inflight_chunks} limit"
                 )
         return None
@@ -494,15 +497,10 @@ class SweepScheduler:
             status = "degraded"
         else:
             status = "ok"
-        active = sum(
-            1
-            for submission in self._submissions.values()
-            if submission.state not in TERMINAL_STATES
-        )
         payload: Dict[str, object] = {
             "status": status,
-            "queue_depth": self._queue.qsize() if self._started else 0,
-            "active_submissions": active,
+            "queue_depth": self._backlog(),
+            "active_submissions": len(self._live_submissions()),
             "workers_alive": int(self.metrics.gauge("workers_alive").value),
         }
         if status != "ok":
@@ -576,8 +574,7 @@ class SweepScheduler:
         states = [s.state for s in self._submissions.values()]
         self.metrics.gauge("jobs_queued").set(states.count(STATE_QUEUED))
         self.metrics.gauge("jobs_running").set(states.count(STATE_RUNNING))
-        if self._started:
-            self.metrics.gauge("queue_depth").set(self._queue.qsize())
+        self.metrics.gauge("queue_depth").set(self._backlog())
 
     async def _pump(self) -> None:
         """One chunk-dispatch loop; ``workers`` of these run concurrently."""
@@ -633,7 +630,7 @@ class SweepScheduler:
             await asyncio.to_thread(
                 submission.execution.record_chunk, job_index, chunk, result
             )
-            if submission.execution.adaptive_mode and submission.state == STATE_RUNNING:
+            if submission.state == STATE_RUNNING:
                 # Refill the frontier: one freshly-claimed chunk per recorded
                 # chunk keeps the in-flight count constant until the stopping
                 # rule (or plain completion) dries the claimable set up.

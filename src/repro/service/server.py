@@ -19,7 +19,8 @@ report builder without importing the scheduler in-process.  Endpoints:
 ``GET /workers``                        worker PIDs + pool generation (lets a
                                         fault harness SIGKILL a real worker)
 ``GET /healthz``                        health probe: ok/degraded/draining +
-                                        queue depth and live-worker count
+                                        unfinished-chunk backlog
+                                        (``queue_depth``) and live workers
 ``POST /shutdown``                      drain and stop the server
 ======================================  =======================================
 

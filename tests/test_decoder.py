@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.codes.repetition import RepetitionCode
 from repro.codes.rotated_surface import RotatedSurfaceCode
 from repro.decoder.decoder import SurfaceCodeDecoder
 from repro.decoder.fault_injection import FaultInjector
@@ -94,6 +95,41 @@ class TestMatching:
         detectors[0, 0] = True
         detectors[1, 1] = True
         assert auto.decode(detectors) in (0, 1)
+
+
+class _SplitGraph(DecodingGraph):
+    """A repetition-code graph with check 1 cut off from check 0 and the
+    boundary: its layers are joined to each other by time edges only."""
+
+    def _neighbors_of_data_qubit(self, data_qubit):
+        neighbors = super()._neighbors_of_data_qubit(data_qubit)
+        return [s for s in neighbors if self.local_index(s) != 1]
+
+
+class TestDisconnectedSyndrome:
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return _SplitGraph(RepetitionCode(3), num_rounds=2)
+
+    def _detectors(self, graph, cells):
+        detectors = np.zeros((graph.num_layers, graph.num_checks), dtype=bool)
+        for cell in cells:
+            detectors[cell] = True
+        return detectors
+
+    def test_connected_pair_still_decodes(self, graph):
+        matcher = MwpmMatcher(graph)
+        assert matcher.decode(self._detectors(graph, [(0, 1), (1, 1)])) == 0
+
+    def test_disconnected_pair_raises_naming_detectors(self, graph):
+        detectors = self._detectors(graph, [(0, 0), (0, 1)])
+        with pytest.raises(ValueError, match="no path from detector node 0 to detector node 1"):
+            MwpmMatcher(graph).decode(detectors)
+
+    def test_detector_cut_off_from_boundary_raises(self, graph):
+        detectors = self._detectors(graph, [(0, 1)])
+        with pytest.raises(ValueError, match="no path from detector node 1 to the boundary"):
+            MwpmMatcher(graph).decode(detectors)
 
 
 class TestDecoder:

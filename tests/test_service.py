@@ -12,8 +12,10 @@ import asyncio
 import json
 import urllib.request
 
+import numpy as np
 import pytest
 
+from repro.experiments.adaptive import AdaptiveConfig, apply_adaptive
 from repro.experiments.executor import SweepExecutor
 from repro.experiments.jobs import SweepJob, SweepPlan
 from repro.experiments.store import ResultStore
@@ -107,6 +109,49 @@ class TestEndToEnd:
                 assert ours.statistically_equal(theirs)
 
         with_service(body, tmp_path=tmp_path)
+
+    def test_mixed_adaptive_plan_identical_across_backends(self, tmp_path):
+        """An adaptive decode job next to a ``decode=False`` job: claims go
+        round-robin over a job the stopping rule never applies to, and
+        serial, ``jobs=2`` and the service agree bit for bit."""
+        configs = [
+            dict(distance=3, policy="eraser", shots=400, cycles=1, p=0.02),
+            dict(distance=3, policy="always-lrc", shots=150, cycles=1, p=0.02, decode=False),
+        ]
+        plan = apply_adaptive(
+            SweepPlan.build(configs, seed=7, chunk_shots=50),
+            AdaptiveConfig(target_ci_halfwidth=0.2, min_chunks=2),
+        )
+        assert plan.jobs[0].target_ci_halfwidth == 0.2
+        assert plan.jobs[1].target_ci_halfwidth is None
+        serial_executor = SweepExecutor(jobs=1)
+        serial = serial_executor.run(plan)
+        pool_executor = SweepExecutor(jobs=2)
+        pooled = pool_executor.run(plan)
+        assert serial_executor.last_stats.jobs_stopped_early == 1
+        assert serial_executor.last_stats.shots_saved > 0
+        assert serial[0].shots < 400 and serial[1].shots == 150
+
+        served = []
+
+        async def body(client, scheduler, service):
+            t = asyncio.to_thread
+            job_id = await t(client.submit, plan)
+            status = await t(client.wait, job_id, 120)
+            assert status["state"] == "done"
+            served.append(await t(client.results, job_id))
+
+        with_service(body, tmp_path=tmp_path)
+        service_results, service_stats = served[0]
+        for stats in (pool_executor.last_stats, service_stats):
+            assert stats.shots_saved == serial_executor.last_stats.shots_saved
+            assert stats.jobs_stopped_early == 1
+        for results in (pooled, service_results):
+            for ours, theirs in zip(results, serial):
+                assert ours.shots == theirs.shots
+                assert ours.statistically_equal(theirs)
+                np.testing.assert_array_equal(ours.lpr_data, theirs.lpr_data)
+                np.testing.assert_array_equal(ours.lpr_parity, theirs.lpr_parity)
 
     def test_warm_resubmit_executes_zero_chunks(self, tmp_path):
         async def body(client, scheduler, service):

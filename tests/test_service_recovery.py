@@ -444,6 +444,55 @@ class TestAdmissionControl:
 
         asyncio.run(body())
 
+    def test_chunk_backlog_watermark_rejects_until_drained(self, tmp_path):
+        """``max_inflight_chunks`` bounds the unfinished-chunk backlog: the
+        sum over live submissions of ``chunks_total - chunks_done``."""
+
+        async def body():
+            scheduler = make_scheduler(
+                tmp_path, max_inflight_chunks=10, retry_after=0.125
+            )
+            await scheduler.start()
+            service = SweepService(scheduler)
+            await service.start()
+            try:
+                blocking = await scheduler.submit(make_plan())  # 100 chunks
+                health = scheduler.health()
+                assert health["queue_depth"] == 100
+                assert health["status"] == "degraded"
+                with pytest.raises(SchedulerSaturated) as excinfo:
+                    await scheduler.submit(make_plan(policies=("always-lrc",)))
+                assert excinfo.value.retry_after == 0.125
+
+                def probe():
+                    body = json.dumps({"plan": make_plan(shots=40).to_wire()})
+                    request = urllib.request.Request(
+                        service.url + "/submit",
+                        data=body.encode("utf-8"),
+                        method="POST",
+                    )
+                    try:
+                        urllib.request.urlopen(request, timeout=10)
+                    except urllib.error.HTTPError as error:
+                        return error.code, error.headers.get("Retry-After")
+                    return None, None
+
+                assert await asyncio.to_thread(probe) == (429, "0.125")
+                counters = scheduler.metrics.snapshot()["counters"]
+                assert counters["submissions_rejected_saturated"] == 2
+
+                assert await scheduler.wait(blocking, 120) == "done"
+                health = scheduler.health()
+                assert health["queue_depth"] == 0
+                assert health["status"] == "ok"
+                admitted = await scheduler.submit(make_plan(shots=40))
+                assert await scheduler.wait(admitted, 120) == "done"
+            finally:
+                await service.stop()
+                await scheduler.stop(drain=False)
+
+        asyncio.run(body())
+
     def test_unknown_engine_is_400_and_never_journaled(self, tmp_path):
         """A plan naming a retired engine is rejected at admission.
 

@@ -6,11 +6,14 @@ with the job-based sweep engine: a single user seed fans out via
 the execution backend can never change a statistic.
 """
 
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
 from repro.dqlr.protocol import run_dqlr_comparison
-from repro.experiments.executor import SweepExecutor
+from repro.experiments.adaptive import AdaptiveConfig, apply_adaptive
+from repro.experiments.executor import PlanExecution, SweepExecutor
 from repro.experiments.jobs import SweepPlan
 from repro.experiments.store import ResultStore
 from repro.experiments.sweep import compare_policies, lpr_time_series, run_single
@@ -62,6 +65,37 @@ class TestBackendEquivalence:
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ValueError):
             SweepExecutor(jobs=0)
+
+
+class TestChunkFrontier:
+    """Every backend dispatches through ``claim_tasks``; its order comes
+    from the plan (2 jobs x 3 chunks here)."""
+
+    def test_claim_order_is_job_major_without_stopping_targets(self):
+        execution = PlanExecution(build_plan())
+        assert execution.claim_tasks(4) == [(0, 0), (0, 1), (0, 2), (1, 0)]
+        assert execution.claim_tasks(4) == [(1, 1), (1, 2)]
+        assert execution.claim_tasks(4) == []
+
+    def test_claim_order_is_round_robin_with_a_stopping_target(self):
+        plan = apply_adaptive(build_plan(), AdaptiveConfig(target_ci_halfwidth=0.1))
+        execution = PlanExecution(plan)
+        assert execution.claim_tasks(4) == [(0, 0), (1, 0), (0, 1), (1, 1)]
+
+    def test_pool_never_exceeds_pending_chunks(self, monkeypatch):
+        widths = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr("repro.experiments.executor.ProcessPoolExecutor", RecordingPool)
+        one_chunk_jobs = build_plan(chunk_shots=8)
+        SweepExecutor(jobs=8).run(one_chunk_jobs)
+        # A single pending chunk runs in-process: no pool at all.
+        SweepExecutor(jobs=8).run(SweepPlan(one_chunk_jobs.jobs[:1]))
+        assert widths == [2]
 
 
 class TestCaching:
