@@ -110,14 +110,6 @@ def _add_common_sweep_args(parser: argparse.ArgumentParser) -> None:
         help="Shots simulated together per packed-engine batch "
         "(default 16384; ignored by the scalar engine).",
     )
-    parser.add_argument(
-        "--decoder-cache-size",
-        type=int,
-        default=None,
-        help="Bound on the decoder's syndrome->correction LRU cache "
-        "(0 disables caching).  Tuning knob only: corrections are "
-        "bit-identical for any value.",
-    )
     _add_orchestration_args(parser)
 
 
@@ -235,7 +227,6 @@ def _cmd_ler(args: argparse.Namespace) -> int:
         seed=args.seed,
         engine=args.engine,
         batch_size=args.batch_size,
-        decoder_cache_size=args.decoder_cache_size,
         **_scenario_options(args),
         **_sweep_options(args),
     )
@@ -547,7 +538,6 @@ def _cmd_dqlr(args: argparse.Namespace) -> int:
         seed=args.seed,
         engine=args.engine,
         batch_size=args.batch_size,
-        decoder_cache_size=args.decoder_cache_size,
         **_scenario_options(args),
         **_sweep_options(args),
     )

@@ -456,10 +456,9 @@ def ensure_graph_tables(graph) -> bool:
     """Build-and-persist a graph's tables if its store lacks them.
 
     Returns ``True`` when the tables were built and saved by this call,
-    ``False`` when the store already held them (or the graph cannot use
-    them: no store attached, or non-positive edge weights).  Used by the
-    sweep executor to pre-build artifacts once before fanning out, so
-    workers never race on construction.
+    ``False`` when the store already held them or no store is attached.
+    Used by the sweep executor to pre-build artifacts once before fanning
+    out, so workers never race on construction.
     """
     store = getattr(graph, "artifact_store", None)
     if store is None:

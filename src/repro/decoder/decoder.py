@@ -42,6 +42,10 @@ from repro.decoder.matching import build_matcher, canonical_method
 DEFAULT_CACHE_SIZE = 8192
 
 
+#: :class:`DecoderStats` fields that mirror the decoding graph's counters.
+_GRAPH_COUNTERS = ("artifact_hits", "artifact_misses", "apsp_builds", "frame_table_builds")
+
+
 @dataclass
 class DecoderStats:
     """Dispatch counters for the layered decode fast path (see module doc).
@@ -50,9 +54,12 @@ class DecoderStats:
     artifact-store bookkeeping (:mod:`repro.decoder.artifacts`): how often
     the space-time table was loaded from the store versus built
     (``apsp_builds`` and ``frame_table_builds`` both count table builds).
-    Shared graphs accumulate over every decoder using them, so after a warm
-    start both stay ``0`` — the assertion the cross-process reuse tests and
-    the CI smoke job grep for.  ``lru_prewarmed`` counts the
+    The graph is shared by every decoder of the same configuration in a
+    process, so each decoder reports only what happened since it was
+    constructed: summed over decoders, the counters equal the builds and
+    loads that actually ran.  After a warm start both build counters stay
+    ``0`` — the assertion the cross-process reuse tests and the CI smoke
+    job grep for.  ``lru_prewarmed`` counts the
     syndrome->correction entries restored into the LRU at construction.
     ``frame_fallbacks`` counts ambiguous frame queries (shortest paths of
     both observable parities tie) that the matcher answered with an exact
@@ -137,6 +144,8 @@ class SurfaceCodeDecoder:
             diagonal_weight=self.diagonal_weight,
             artifact_store=self.artifact_store,
         )
+        # The graph's counters so far belong to earlier decoders sharing it.
+        self._graph_baseline = {name: getattr(self.graph, name) for name in _GRAPH_COUNTERS}
         self._matcher = build_matcher(
             self.graph,
             method=self.method,
@@ -262,12 +271,10 @@ class SurfaceCodeDecoder:
         }
 
     def _sync_artifact_stats(self) -> None:
-        """Mirror the graph's artifact and the matcher's fallback counters."""
-        graph = self.graph
-        self.stats.artifact_hits = graph.artifact_hits
-        self.stats.artifact_misses = graph.artifact_misses
-        self.stats.apsp_builds = graph.apsp_builds
-        self.stats.frame_table_builds = graph.frame_table_builds
+        """Mirror the graph's artifact counters (since construction) and the
+        matcher's fallback counter."""
+        for name, baseline in self._graph_baseline.items():
+            setattr(self.stats, name, getattr(self.graph, name) - baseline)
         matcher_stats = getattr(self._matcher, "stats", None) or {}
         self.stats.frame_fallbacks = matcher_stats.get("frame_fallbacks", 0)
 

@@ -53,7 +53,9 @@ class DecodingGraph:
         space_weight: Edge weight for data-qubit errors.
         time_weight: Edge weight for measurement errors.
         diagonal_weight: Edge weight for hook-like space-time errors; ``None``
-            disables diagonal edges.
+            disables diagonal edges.  Every weight must be strictly
+            positive (``ValueError`` otherwise): the space-time table of
+            ``repro.decoder.matching`` relies on it.
         artifact_store: Optional
             :class:`~repro.decoder.artifacts.DecoderArtifactStore`.  When
             set, the matching layer loads the graph's space-time table
@@ -74,6 +76,10 @@ class DecodingGraph:
     def __post_init__(self) -> None:
         if self.num_rounds < 1:
             raise ValueError("num_rounds must be >= 1")
+        for name in ("space_weight", "time_weight", "diagonal_weight"):
+            weight = getattr(self, name)
+            if weight is not None and not weight > 0:
+                raise ValueError(f"{name} must be > 0, got {weight}")
         #: Artifact-store dispatch counters, maintained by
         #: ``repro.decoder.matching`` and surfaced through ``DecoderStats``.
         self.artifact_hits = 0

@@ -37,8 +37,9 @@ symmetric (diagonal edges come in both orientations):
   equals what the seed's predecessor walk from either endpoint gives.
   Entries where shortest paths of both parities tie are flagged in the
   mask; those queries fall back to the seed's exact route, a Dijkstra row
-  from the query's source plus a predecessor walk.  Graphs with a
-  non-positive edge weight get no table and use exact per-shot rows.
+  from the query's source plus a predecessor walk.  Every graph has a
+  table: :class:`~repro.decoder.graph.DecodingGraph` rejects non-positive
+  edge weights.
 
 Corrections therefore stay bit-identical to
 :mod:`repro.decoder.reference` for every matcher.  The table costs 14
@@ -49,7 +50,7 @@ at d=9 with 90 rounds, where all-pairs tables took 13 bytes per node pair.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -177,16 +178,12 @@ def _ambiguity_rows(
     return ambiguous
 
 
-def _all_pairs(graph: DecodingGraph) -> Optional[_SpaceTimeTable]:
+def _all_pairs(graph: DecodingGraph) -> _SpaceTimeTable:
     """The graph's space-time table, built (or loaded) once and cached.
 
     The rows live on the graph as ``_apsp_cache`` (``(distances,
     predecessors)``), ``_frame_parity_cache`` and ``_ambiguity_cache``;
-    ``DecodingGraph.clear_caches()`` drops all three.  Tables are built
-    for strictly positive edge weights only, like the frame tables before
-    them; any other graph gets ``None`` (the refusal is cached as
-    ``_frame_parity_cache = False``) and decodes on exact per-shot
-    Dijkstra rows.
+    ``DecodingGraph.clear_caches()`` drops all three.
 
     With an artifact store attached (:mod:`repro.decoder.artifacts`) the
     rows are looked up there first: a hit installs memory-mapped views
@@ -198,8 +195,6 @@ def _all_pairs(graph: DecodingGraph) -> Optional[_SpaceTimeTable]:
     frames = getattr(graph, "_frame_parity_cache", None)
     if frames is None:
         frames = _install_table(graph)
-    if frames is False:
-        return None
     return _SpaceTimeTable(
         graph.num_checks, graph._apsp_cache[0], frames, graph._ambiguity_cache
     )
@@ -207,9 +202,6 @@ def _all_pairs(graph: DecodingGraph) -> Optional[_SpaceTimeTable]:
 
 def _install_table(graph: DecodingGraph):
     """Load or build the table rows and cache them on ``graph``."""
-    if graph.edge_weights.size and not (graph.edge_weights > 0).all():
-        graph._frame_parity_cache = False
-        return False
     store = graph.artifact_store
     loaded = None if store is None else store.load_graph_tables(graph)
     if loaded is not None:
@@ -236,10 +228,9 @@ def _install_table(graph: DecodingGraph):
     return frames
 
 
-def _frame_parity_table(graph: DecodingGraph) -> Optional[np.ndarray]:
-    """The frame-parity rows of the graph's table (``None`` without one)."""
-    table = _all_pairs(graph)
-    return None if table is None else table.frames
+def _frame_parity_table(graph: DecodingGraph) -> np.ndarray:
+    """The frame-parity rows of the graph's table."""
+    return _all_pairs(graph).frames
 
 
 class _ShortestPaths:
@@ -251,7 +242,6 @@ class _ShortestPaths:
     seed's predecessor walk from ``sources[i]`` accumulates it.  Entries
     come from the space-time table; ambiguous ones are answered by an exact
     Dijkstra row from the source and a walk, counted in ``fallbacks``.
-    Graphs without a table run one exact Dijkstra per shot instead.
     """
 
     def __init__(self, graph: DecodingGraph, sources: np.ndarray):
@@ -261,31 +251,19 @@ class _ShortestPaths:
         self._rows: Dict[int, np.ndarray] = {}
         k = sources.size
         table = _all_pairs(graph)
-        if table is None:
-            distances, predecessors = dijkstra(
-                graph.adjacency,
-                directed=False,
-                indices=sources,
-                return_predecessors=True,
-            )
-            self.dist = distances[:, np.append(sources, graph.boundary_node)]
-            self._rows = dict(enumerate(predecessors))
-            self._frames = self._ambiguous = None
-        else:
-            rows, cols = table.index(sources, graph.boundary_node)
-            self.dist = table.distances[rows, cols]
-            self._frames = table.frames[rows, cols]
-            self._ambiguous = table.ambiguous[rows, cols]
+        rows, cols = table.index(sources, graph.boundary_node)
+        self.dist = table.distances[rows, cols]
+        self._frames = table.frames[rows, cols]
+        self._ambiguous = table.ambiguous[rows, cols]
         self.pair_dist = self.dist[:, :k]
         self.boundary_dist = self.dist[:, k]
 
     def frame(self, i: int, j: int) -> bool:
         """XOR of edge frames along the shortest path from detector ``i``
         to detector ``j`` (``j == k``: the boundary)."""
-        if self._ambiguous is not None:
-            if not self._ambiguous[i, j]:
-                return bool(self._frames[i, j])
-            self.fallbacks += 1
+        if not self._ambiguous[i, j]:
+            return bool(self._frames[i, j])
+        self.fallbacks += 1
         source = int(self.sources[i])
         preds = self._rows.get(i)
         if preds is None:

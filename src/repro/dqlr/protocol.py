@@ -13,7 +13,12 @@ This module provides:
   every data qubit every round,
 * :func:`run_dqlr_comparison` — the sweep behind Figures 20 and 21, comparing
   baseline DQLR against ERASER, ERASER+M, and Optimal scheduling of the same
-  protocol under the alternative (exchange) leakage-transport model.
+  protocol under the alternative (exchange) leakage-transport model.  It and
+  its plan twin :func:`dqlr_comparison_plan` are
+  :func:`~repro.experiments.sweep.compare_policies` /
+  :func:`~repro.experiments.sweep.compare_policies_plan` with those two job
+  fields fixed, and follow the keyword contract of
+  :mod:`repro.experiments.sweep`.
 """
 
 from __future__ import annotations
@@ -25,11 +30,10 @@ import numpy as np
 from repro.core.dli import SwapLookupTable
 from repro.core.policies.base import LrcPolicy, assignment_to_row
 from repro.core.qsg import PROTOCOL_DQLR
-from repro.experiments.executor import SweepExecutor, warn_unseeded_cache
 from repro.experiments.jobs import SweepPlan
 from repro.experiments.results import PolicySweepResult
+from repro.experiments.sweep import compare_policies, compare_policies_plan
 from repro.noise.leakage import LeakageTransportModel
-from repro.sim.rng import RngLike
 
 
 class DqlrBaselinePolicy(LrcPolicy):
@@ -97,6 +101,11 @@ class DqlrBaselinePolicy(LrcPolicy):
 #: The four policies compared in Figures 20 and 21.
 DQLR_POLICIES = ("dqlr", "eraser", "eraser+m", "optimal")
 
+#: The job fields every Appendix A.2 configuration shares.
+_DQLR_FIELDS = dict(
+    transport_model=LeakageTransportModel.EXCHANGE, protocol=PROTOCOL_DQLR
+)
+
 
 def dqlr_policy_names() -> Sequence[str]:
     """The four policies compared in Figures 20 and 21."""
@@ -109,40 +118,17 @@ def dqlr_comparison_plan(
     p: float = 1e-3,
     cycles: int = 10,
     shots: int = 100,
-    decode: bool = True,
-    decoder_method: str = "auto",
-    seed: RngLike = None,
-    engine: str = "auto",
-    batch_size: int = None,
-    chunk_shots: int = None,
-    decoder_cache_size: int = None,
-    decoder_artifact_dir: str = None,
-    code_family: str = None,
-    noise_profile=None,
+    **fields,
 ) -> SweepPlan:
-    """The Appendix A.2 sweep (Figures 20/21) as an executable plan."""
-    configs = [
-        dict(
-            distance=distance,
-            policy=policy_name,
-            p=p,
-            shots=shots,
-            cycles=cycles,
-            transport_model=LeakageTransportModel.EXCHANGE,
-            protocol=PROTOCOL_DQLR,
-            decode=decode,
-            decoder_method=decoder_method,
-            engine=engine,
-            batch_size=batch_size,
-            decoder_cache_size=decoder_cache_size,
-            decoder_artifact_dir=decoder_artifact_dir,
-            code_family=code_family,
-            noise_profile=noise_profile,
-        )
-        for distance in distances
-        for policy_name in policies
-    ]
-    return SweepPlan.build(configs, seed=seed, chunk_shots=chunk_shots)
+    """The Appendix A.2 sweep (Figures 20/21) as an executable plan.
+
+    :func:`~repro.experiments.sweep.compare_policies_plan` with the DQLR
+    protocol and the exchange transport model; every other keyword is
+    forwarded to it.
+    """
+    return compare_policies_plan(
+        distances, policies, p, cycles, shots, **_DQLR_FIELDS, **fields
+    )
 
 
 def run_dqlr_comparison(
@@ -151,54 +137,17 @@ def run_dqlr_comparison(
     p: float = 1e-3,
     cycles: int = 10,
     shots: int = 100,
-    decode: bool = True,
-    decoder_method: str = "auto",
-    seed: RngLike = None,
-    engine: str = "auto",
-    batch_size: int = None,
-    jobs: int = 1,
-    cache_dir: str = None,
-    resume: bool = False,
-    chunk_shots: int = None,
-    executor: SweepExecutor = None,
-    decoder_cache_size: int = None,
-    decoder_artifact_dir: str = None,
-    code_family: str = None,
-    noise_profile=None,
+    **options,
 ) -> PolicySweepResult:
     """Sweep DQLR-based leakage removal across distances and policies.
 
     Matches the evaluation setup of Appendix A.2: the LeakageISWAP has CX-like
     fidelity and the alternative (exchange) leakage-transport model is used so
-    the results reflect Sycamore-like transport behaviour.  ``jobs``,
-    ``cache_dir`` and ``resume`` behave as in
-    :mod:`repro.experiments.sweep`: the plan runs through a
-    :class:`~repro.experiments.executor.SweepExecutor`, optionally in
-    parallel and backed by the content-addressed result cache.
+    the results reflect Sycamore-like transport behaviour.  This is
+    :func:`~repro.experiments.sweep.compare_policies` with those two fields
+    fixed, so it takes the same job fields and executor options (``jobs``,
+    ``cache_dir``, ``resume``, ``executor``, ...).
     """
-    plan = dqlr_comparison_plan(
-        distances=distances,
-        policies=policies,
-        p=p,
-        cycles=cycles,
-        shots=shots,
-        decode=decode,
-        decoder_method=decoder_method,
-        seed=seed,
-        engine=engine,
-        batch_size=batch_size,
-        chunk_shots=chunk_shots,
-        decoder_cache_size=decoder_cache_size,
-        decoder_artifact_dir=decoder_artifact_dir,
-        code_family=code_family,
-        noise_profile=noise_profile,
+    return compare_policies(
+        distances, policies, p, cycles, shots, **_DQLR_FIELDS, **options
     )
-    if executor is None:
-        warn_unseeded_cache(seed, cache_dir, resume)
-        executor = SweepExecutor(
-            jobs=jobs,
-            cache_dir=cache_dir,
-            resume=resume,
-            decoder_artifact_dir=decoder_artifact_dir,
-        )
-    return PolicySweepResult(list(executor.run(plan)))

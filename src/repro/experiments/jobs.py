@@ -60,9 +60,10 @@ RESULT_SEMANTICS_VERSION = 1
 
 #: Wire keys of removed perf-only fields, ignored by
 #: :meth:`SweepJob.from_wire`.  ``decoder_dp_threshold`` capped the retired
-#: bitmask-DP matcher; it never joined :meth:`SweepJob.config_dict`, so
-#: dropping it leaves every cache key unchanged.
-_RETIRED_WIRE_FIELDS = frozenset({"decoder_dp_threshold"})
+#: bitmask-DP matcher and ``decoder_cache_size`` bounded the decoder's
+#: correction LRU; neither joined :meth:`SweepJob.config_dict`, so dropping
+#: them leaves every cache key unchanged.
+_RETIRED_WIRE_FIELDS = frozenset({"decoder_dp_threshold", "decoder_cache_size"})
 
 
 def resolve_policy(name: str, **kwargs) -> LrcPolicy:
@@ -137,15 +138,11 @@ class SweepJob:
     seed_entropy: int = 0
     spawn_key: Tuple[int, ...] = ()
     chunk_shots: int = DEFAULT_CHUNK_SHOTS
-    #: Decoder LRU bound (see ``repro.decoder.decoder``).  Deliberately
-    #: *not* part of :meth:`config_dict`: corrections — and therefore every
-    #: statistic — are bit-identical for any value, so jobs tuned
-    #: differently still address the same cache entry.
-    decoder_cache_size: Optional[int] = None
     #: Persistent decoder-artifact store directory
-    #: (``repro.decoder.artifacts``).  Excluded from :meth:`config_dict` for
-    #: the same reason: the store only changes where the decoding-graph
-    #: tables come from, never a single correction.
+    #: (``repro.decoder.artifacts``).  Deliberately *not* part of
+    #: :meth:`config_dict`: the store only changes where the decoding-graph
+    #: tables come from, never a single correction, so jobs with and without
+    #: it address the same cache entry.
     decoder_artifact_dir: Optional[str] = None
     #: Sequential stopping rule (``repro.experiments.adaptive``): stop
     #: dispatching chunks once the Wilson interval on the job's LER is
@@ -249,7 +246,6 @@ class SweepJob:
             "seed_entropy": self.seed_entropy,
             "spawn_key": list(self.spawn_key),
             "chunk_shots": self.chunk_shots,
-            "decoder_cache_size": self.decoder_cache_size,
             "decoder_artifact_dir": self.decoder_artifact_dir,
             "target_ci_halfwidth": self.target_ci_halfwidth,
             "target_rel_halfwidth": self.target_rel_halfwidth,
@@ -329,7 +325,6 @@ class SweepJob:
             protocol=self.protocol,
             decode=self.decode,
             decoder_method=self.decoder_method,
-            decoder_cache_size=self.decoder_cache_size,
             decoder_artifact_dir=self.decoder_artifact_dir,
             seed=rng,
             engine=self.engine,

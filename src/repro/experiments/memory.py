@@ -94,8 +94,6 @@ class MemoryExperiment:
         protocol: ``"swap"`` (main text) or ``"dqlr"`` (Appendix A.2).
         decode: Whether to decode shots (disable for LPR-only studies).
         decoder_method: Matching engine passed to the decoder.
-        decoder_cache_size: Bound on the decoder's syndrome->correction LRU
-            (``None`` = library default, ``0`` disables).  Performance-only.
         decoder_artifact_dir: Directory of a persistent decoder-artifact
             store (:mod:`repro.decoder.artifacts`).  The decoder loads its
             decoding-graph tables from there (memory-mapped, shared across
@@ -126,7 +124,6 @@ class MemoryExperiment:
         protocol: str = PROTOCOL_SWAP,
         decode: bool = True,
         decoder_method: str = "auto",
-        decoder_cache_size: Optional[int] = None,
         decoder_artifact_dir: Optional[str] = None,
         seed: RngLike = None,
         engine: str = "auto",
@@ -181,23 +178,19 @@ class MemoryExperiment:
         )
         self.decoder: Optional[SurfaceCodeDecoder] = None
         if decode:
-            decoder_kwargs = {}
-            if decoder_cache_size is not None:
-                decoder_kwargs["cache_size"] = decoder_cache_size
+            artifact_store = None
             if decoder_artifact_dir:
                 # One shared store instance per resolved path, so every
                 # experiment in this process maps the same entries.
                 from repro.decoder.artifacts import get_artifact_store
 
-                decoder_kwargs["artifact_store"] = get_artifact_store(
-                    decoder_artifact_dir
-                )
+                artifact_store = get_artifact_store(decoder_artifact_dir)
             self.decoder = SurfaceCodeDecoder(
                 code=code,
                 num_rounds=rounds,
                 stabilizer_type=StabilizerType.Z,
                 method=decoder_method,
-                **decoder_kwargs,
+                artifact_store=artifact_store,
             )
         self.policy.bind(code, rng=self.rng)
         self._data_indices = np.asarray(code.data_indices, dtype=np.int64)

@@ -14,95 +14,85 @@ twin that expands the parameter grid into a
 :class:`~repro.experiments.jobs.SweepPlan` — one seeded
 :class:`~repro.experiments.jobs.SweepJob` per configuration, with child seeds
 fanned out via ``numpy.random.SeedSequence.spawn`` — and the sweep itself
-hands the plan to a :class:`~repro.experiments.executor.SweepExecutor`.  All
-helpers therefore share three orchestration knobs:
+hands the plan to a :class:`~repro.experiments.executor.SweepExecutor`.
+
+The keyword contract
+--------------------
+A plan builder declares only its grid: the distance(s), the policies (or
+``cycles_list``), ``p``, ``cycles``, ``shots``, plus ``seed`` and
+``chunk_shots``.  Every other keyword is a :class:`SweepJob` field
+(``leakage_enabled``, ``transport_model``, ``engine``, ``code_family``,
+``rounds``, ...) and is stamped on every job of the grid;
+:meth:`SweepPlan.build` normalises it and an unknown name raises
+``TypeError``.  Arguments after the grid are keyword-only.
+
+A runner takes everything its plan builder takes, plus the executor options:
 
 * ``jobs`` — worker processes (``1`` = in-process; results are bit-identical
   either way),
 * ``cache_dir`` — content-addressed on-disk result cache; reruns of any
   configuration already computed there skip its Monte-Carlo work entirely,
 * ``resume`` — reuse the default cache directory so an interrupted sweep
-  continues from the configurations already finished.
+  continues from the configurations already finished,
+* ``decoder_artifact_dir`` — persistent decoder-artifact store, stamped on
+  every job (also when ``executor`` is given),
+* ``adaptive`` — an :class:`~repro.experiments.adaptive.AdaptiveConfig`
+  stopping rule for every decode job,
+* ``executor`` — a ready :class:`SweepExecutor` to run the plan on instead;
+  ``jobs``, ``cache_dir``, ``resume`` and ``adaptive`` are then ignored.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.qsg import PROTOCOL_SWAP
 from repro.experiments.adaptive import AdaptiveConfig
-from repro.experiments.executor import SweepExecutor, warn_unseeded_cache
+from repro.experiments.executor import (
+    SweepExecutor,
+    apply_decoder_artifact_dir,
+    warn_unseeded_cache,
+)
 from repro.experiments.jobs import SweepJob, SweepPlan
 from repro.experiments.results import MemoryExperimentResult, PolicySweepResult
-from repro.noise.leakage import LeakageTransportModel
 from repro.noise.profiles import NoiseProfile
 from repro.sim.rng import RngLike
 
 DEFAULT_POLICIES = ("always-lrc", "eraser", "eraser+m", "optimal")
 
 
-def _executor(
-    jobs: int,
-    cache_dir: Optional[str],
-    resume: bool,
-    executor: Optional[SweepExecutor],
+def _run(
+    build: Callable[..., SweepPlan],
+    *grid,
     seed: RngLike = None,
+    jobs: int = 1,
+    cache_dir: Optional[str] = None,
+    resume: bool = False,
+    executor: Optional[SweepExecutor] = None,
     decoder_artifact_dir: Optional[str] = None,
     adaptive: Optional[AdaptiveConfig] = None,
-) -> SweepExecutor:
-    if executor is not None:
-        return executor
-    warn_unseeded_cache(seed, cache_dir, resume)
-    return SweepExecutor(
-        jobs=jobs,
-        cache_dir=cache_dir,
-        resume=resume,
-        decoder_artifact_dir=decoder_artifact_dir,
-        adaptive=adaptive,
-    )
+    **fields,
+) -> List[MemoryExperimentResult]:
+    """Build the plan ``build(*grid, seed=seed, **fields)`` and execute it.
 
-
-def _config(
-    distance: int,
-    policy_name: str,
-    p: float,
-    shots: int,
-    cycles: Optional[int] = None,
-    rounds: Optional[int] = None,
-    leakage_enabled: bool = True,
-    transport_model: LeakageTransportModel = LeakageTransportModel.REMAIN,
-    protocol: str = PROTOCOL_SWAP,
-    decode: bool = True,
-    decoder_method: str = "auto",
-    engine: str = "auto",
-    batch_size: Optional[int] = None,
-    decoder_cache_size: Optional[int] = None,
-    decoder_artifact_dir: Optional[str] = None,
-    code_family: Optional[str] = None,
-    noise_profile=None,
-) -> Dict[str, object]:
-    """One grid point in the dict form consumed by :meth:`SweepPlan.build`."""
-    return dict(
-        distance=distance,
-        policy=policy_name,
-        p=p,
-        shots=shots,
-        cycles=cycles,
-        rounds=rounds,
-        leakage_enabled=leakage_enabled,
-        transport_model=transport_model,
-        protocol=protocol,
-        decode=decode,
-        decoder_method=decoder_method,
-        engine=engine,
-        batch_size=batch_size,
-        decoder_cache_size=decoder_cache_size,
-        decoder_artifact_dir=decoder_artifact_dir,
-        code_family=code_family,
-        noise_profile=noise_profile,
-    )
+    The executor options are described in the module docstring.
+    ``decoder_artifact_dir`` is stamped on the plan itself, so a caller's
+    ``executor`` receives it too; ``adaptive`` only configures the executor
+    built here.
+    """
+    plan = build(*grid, seed=seed, **fields)
+    plan = apply_decoder_artifact_dir(plan, decoder_artifact_dir)
+    if executor is None:
+        warn_unseeded_cache(seed, cache_dir, resume)
+        executor = SweepExecutor(
+            jobs=jobs,
+            cache_dir=cache_dir,
+            resume=resume,
+            decoder_artifact_dir=decoder_artifact_dir,
+            adaptive=adaptive,
+        )
+    return executor.run(plan)
 
 
 def run_single_plan(
@@ -111,47 +101,14 @@ def run_single_plan(
     p: float = 1e-3,
     cycles: int = 10,
     shots: int = 100,
-    leakage_enabled: bool = True,
-    transport_model: LeakageTransportModel = LeakageTransportModel.REMAIN,
-    protocol: str = PROTOCOL_SWAP,
-    decode: bool = True,
-    decoder_method: str = "auto",
-    seed: RngLike = None,
-    rounds: Optional[int] = None,
-    engine: str = "auto",
-    batch_size: Optional[int] = None,
-    chunk_shots: Optional[int] = None,
-    decoder_cache_size: Optional[int] = None,
-    decoder_artifact_dir: Optional[str] = None,
-    code_family: Optional[str] = None,
-    noise_profile=None,
+    **fields,
 ) -> SweepPlan:
-    """A one-job plan for a single (distance, policy) configuration."""
-    return SweepPlan.build(
-        [
-            _config(
-                distance,
-                policy_name,
-                p,
-                shots,
-                cycles=cycles if rounds is None else None,
-                rounds=rounds,
-                leakage_enabled=leakage_enabled,
-                transport_model=transport_model,
-                protocol=protocol,
-                decode=decode,
-                decoder_method=decoder_method,
-                engine=engine,
-                batch_size=batch_size,
-                decoder_cache_size=decoder_cache_size,
-                decoder_artifact_dir=decoder_artifact_dir,
-                code_family=code_family,
-                noise_profile=noise_profile,
-            )
-        ],
-        seed=seed,
-        chunk_shots=chunk_shots,
-    )
+    """A one-job plan for a single (distance, policy) configuration.
+
+    :func:`compare_policies_plan` on a one-point grid.  A ``rounds`` field
+    overrides ``cycles``.
+    """
+    return compare_policies_plan([distance], [policy_name], p, cycles, shots, **fields)
 
 
 def run_single(
@@ -160,51 +117,10 @@ def run_single(
     p: float = 1e-3,
     cycles: int = 10,
     shots: int = 100,
-    leakage_enabled: bool = True,
-    transport_model: LeakageTransportModel = LeakageTransportModel.REMAIN,
-    protocol: str = PROTOCOL_SWAP,
-    decode: bool = True,
-    decoder_method: str = "auto",
-    seed: RngLike = None,
-    rounds: Optional[int] = None,
-    engine: str = "auto",
-    batch_size: Optional[int] = None,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    resume: bool = False,
-    chunk_shots: Optional[int] = None,
-    executor: Optional[SweepExecutor] = None,
-    decoder_cache_size: Optional[int] = None,
-    decoder_artifact_dir: Optional[str] = None,
-    code_family: Optional[str] = None,
-    noise_profile=None,
-    adaptive: Optional[AdaptiveConfig] = None,
+    **options,
 ) -> MemoryExperimentResult:
     """Run one (distance, policy) configuration and return its result."""
-    plan = run_single_plan(
-        distance=distance,
-        policy_name=policy_name,
-        p=p,
-        cycles=cycles,
-        shots=shots,
-        leakage_enabled=leakage_enabled,
-        transport_model=transport_model,
-        protocol=protocol,
-        decode=decode,
-        decoder_method=decoder_method,
-        seed=seed,
-        rounds=rounds,
-        engine=engine,
-        batch_size=batch_size,
-        chunk_shots=chunk_shots,
-        decoder_cache_size=decoder_cache_size,
-        decoder_artifact_dir=decoder_artifact_dir,
-        code_family=code_family,
-        noise_profile=noise_profile,
-    )
-    return _executor(
-        jobs, cache_dir, resume, executor, seed, decoder_artifact_dir, adaptive
-    ).run(plan)[0]
+    return _run(run_single_plan, distance, policy_name, p, cycles, shots, **options)[0]
 
 
 def compare_policies_plan(
@@ -213,40 +129,14 @@ def compare_policies_plan(
     p: float = 1e-3,
     cycles: int = 10,
     shots: int = 100,
-    leakage_enabled: bool = True,
-    transport_model: LeakageTransportModel = LeakageTransportModel.REMAIN,
-    protocol: str = PROTOCOL_SWAP,
-    decode: bool = True,
-    decoder_method: str = "auto",
+    *,
     seed: RngLike = None,
-    engine: str = "auto",
-    batch_size: Optional[int] = None,
     chunk_shots: Optional[int] = None,
-    decoder_cache_size: Optional[int] = None,
-    decoder_artifact_dir: Optional[str] = None,
-    code_family: Optional[str] = None,
-    noise_profile=None,
+    **fields,
 ) -> SweepPlan:
     """The (distance x policy) grid behind Figures 14-17 and 20 as a plan."""
     configs = [
-        _config(
-            distance,
-            policy_name,
-            p,
-            shots,
-            cycles=cycles,
-            leakage_enabled=leakage_enabled,
-            transport_model=transport_model,
-            protocol=protocol,
-            decode=decode,
-            decoder_method=decoder_method,
-            engine=engine,
-            batch_size=batch_size,
-            decoder_cache_size=decoder_cache_size,
-            decoder_artifact_dir=decoder_artifact_dir,
-            code_family=code_family,
-            noise_profile=noise_profile,
-        )
+        dict(distance=distance, policy=policy_name, p=p, cycles=cycles, shots=shots, **fields)
         for distance in distances
         for policy_name in policies
     ]
@@ -259,24 +149,7 @@ def compare_policies(
     p: float = 1e-3,
     cycles: int = 10,
     shots: int = 100,
-    leakage_enabled: bool = True,
-    transport_model: LeakageTransportModel = LeakageTransportModel.REMAIN,
-    protocol: str = PROTOCOL_SWAP,
-    decode: bool = True,
-    decoder_method: str = "auto",
-    seed: RngLike = None,
-    engine: str = "auto",
-    batch_size: Optional[int] = None,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    resume: bool = False,
-    chunk_shots: Optional[int] = None,
-    executor: Optional[SweepExecutor] = None,
-    decoder_cache_size: Optional[int] = None,
-    decoder_artifact_dir: Optional[str] = None,
-    code_family: Optional[str] = None,
-    noise_profile=None,
-    adaptive: Optional[AdaptiveConfig] = None,
+    **options,
 ) -> PolicySweepResult:
     """Sweep policies across code distances (the shape behind Figures 14-17, 20).
 
@@ -285,29 +158,7 @@ def compare_policies(
     runs only until the Wilson interval on its LER meets the target, which
     is what makes the low-``p`` Figure 14(b) regime affordable.
     """
-    plan = compare_policies_plan(
-        distances=distances,
-        policies=policies,
-        p=p,
-        cycles=cycles,
-        shots=shots,
-        leakage_enabled=leakage_enabled,
-        transport_model=transport_model,
-        protocol=protocol,
-        decode=decode,
-        decoder_method=decoder_method,
-        seed=seed,
-        engine=engine,
-        batch_size=batch_size,
-        chunk_shots=chunk_shots,
-        decoder_cache_size=decoder_cache_size,
-        decoder_artifact_dir=decoder_artifact_dir,
-        code_family=code_family,
-        noise_profile=noise_profile,
-    )
-    results = _executor(
-        jobs, cache_dir, resume, executor, seed, decoder_artifact_dir, adaptive
-    ).run(plan)
+    results = _run(compare_policies_plan, distances, policies, p, cycles, shots, **options)
     return PolicySweepResult(list(results))
 
 
@@ -327,30 +178,16 @@ def lpr_time_series_plan(
     p: float = 1e-3,
     cycles: int = 10,
     shots: int = 50,
-    transport_model: LeakageTransportModel = LeakageTransportModel.REMAIN,
-    protocol: str = PROTOCOL_SWAP,
+    *,
     seed: RngLike = None,
-    engine: str = "auto",
-    batch_size: Optional[int] = None,
     chunk_shots: Optional[int] = None,
-    code_family: Optional[str] = None,
-    noise_profile=None,
+    **fields,
 ) -> SweepPlan:
     """The per-policy LPR trace sweep as a plan (decoding disabled)."""
     configs = [
-        _config(
-            distance,
-            policy_name,
-            p,
-            shots,
-            cycles=cycles,
-            transport_model=transport_model,
-            protocol=protocol,
-            decode=False,
-            engine=engine,
-            batch_size=batch_size,
-            code_family=code_family,
-            noise_profile=noise_profile,
+        dict(
+            distance=distance, policy=policy_name, p=p, cycles=cycles, shots=shots,
+            decode=False, **fields,
         )
         for policy_name in policies
     ]
@@ -363,45 +200,14 @@ def lpr_time_series(
     p: float = 1e-3,
     cycles: int = 10,
     shots: int = 50,
-    transport_model: LeakageTransportModel = LeakageTransportModel.REMAIN,
-    protocol: str = PROTOCOL_SWAP,
-    seed: RngLike = None,
-    engine: str = "auto",
-    batch_size: Optional[int] = None,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    resume: bool = False,
-    chunk_shots: Optional[int] = None,
-    executor: Optional[SweepExecutor] = None,
-    decoder_artifact_dir: Optional[str] = None,
-    code_family: Optional[str] = None,
-    noise_profile=None,
+    **options,
 ) -> Dict[str, np.ndarray]:
     """Per-round leakage population ratio per policy (Figures 5, 15, 18, 21).
 
     Decoding is disabled because the LPR does not depend on it, which makes
     these long time-series sweeps much faster.
     """
-    plan = lpr_time_series_plan(
-        distance=distance,
-        policies=policies,
-        p=p,
-        cycles=cycles,
-        shots=shots,
-        transport_model=transport_model,
-        protocol=protocol,
-        seed=seed,
-        engine=engine,
-        batch_size=batch_size,
-        chunk_shots=chunk_shots,
-        code_family=code_family,
-        noise_profile=noise_profile,
-    )
-    # decode=False, so the artifact dir only matters if an executor reuses it;
-    # the prebuild step skips non-decode jobs either way.
-    results = _executor(
-        jobs, cache_dir, resume, executor, seed, decoder_artifact_dir
-    ).run(plan)
+    results = _run(lpr_time_series_plan, distance, policies, p, cycles, shots, **options)
     return {result.policy: result.lpr_total for result in results}
 
 
@@ -448,26 +254,14 @@ def ler_vs_cycles_plan(
     cycles_list: Sequence[int],
     p: float = 1e-3,
     shots: int = 100,
-    leakage_enabled: bool = True,
-    decoder_method: str = "auto",
+    *,
     seed: RngLike = None,
-    engine: str = "auto",
-    batch_size: Optional[int] = None,
     chunk_shots: Optional[int] = None,
+    **fields,
 ) -> SweepPlan:
     """The (cycles x policy) grid behind Figures 1(c), 2(c) and 6 as a plan."""
     configs = [
-        _config(
-            distance,
-            policy_name,
-            p,
-            shots,
-            cycles=cycles,
-            leakage_enabled=leakage_enabled,
-            decoder_method=decoder_method,
-            engine=engine,
-            batch_size=batch_size,
-        )
+        dict(distance=distance, policy=policy_name, p=p, cycles=cycles, shots=shots, **fields)
         for cycles in cycles_list
         for policy_name in policies
     ]
@@ -480,35 +274,10 @@ def ler_vs_cycles(
     cycles_list: Sequence[int],
     p: float = 1e-3,
     shots: int = 100,
-    leakage_enabled: bool = True,
-    seed: RngLike = None,
-    decoder_method: str = "auto",
-    engine: str = "auto",
-    batch_size: Optional[int] = None,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    resume: bool = False,
-    chunk_shots: Optional[int] = None,
-    executor: Optional[SweepExecutor] = None,
-    decoder_artifact_dir: Optional[str] = None,
+    **options,
 ) -> Dict[str, Dict[int, float]]:
     """LER as a function of the number of QEC cycles (Figures 1(c), 2(c), 6)."""
-    plan = ler_vs_cycles_plan(
-        distance=distance,
-        policies=policies,
-        cycles_list=cycles_list,
-        p=p,
-        shots=shots,
-        leakage_enabled=leakage_enabled,
-        decoder_method=decoder_method,
-        seed=seed,
-        engine=engine,
-        batch_size=batch_size,
-        chunk_shots=chunk_shots,
-    )
-    results = _executor(
-        jobs, cache_dir, resume, executor, seed, decoder_artifact_dir
-    ).run(plan)
+    results = _run(ler_vs_cycles_plan, distance, policies, cycles_list, p, shots, **options)
     table: Dict[str, Dict[int, float]] = {}
     for result in results:
         cycles = result.rounds // result.distance
@@ -543,12 +312,8 @@ def ler_vs_bias_plan(
     doubles as a consistency anchor against the Figure 14 numbers.
     """
     configs = [
-        _config(
-            distance,
-            policy_name,
-            p,
-            shots,
-            cycles=cycles,
+        dict(
+            distance=distance, policy=policy_name, p=p, cycles=cycles, shots=shots,
             noise_profile=NoiseProfile.biased(eta),
         )
         for eta in etas
@@ -575,12 +340,8 @@ def ler_heterogeneous_plan(
     this), anchoring the sweep to the paper's operating point.
     """
     configs = [
-        _config(
-            distance,
-            policy_name,
-            p,
-            shots,
-            cycles=cycles,
+        dict(
+            distance=distance, policy=policy_name, p=p, cycles=cycles, shots=shots,
             noise_profile=NoiseProfile.heterogeneous(profile_seed, spread),
         )
         for spread in spreads

@@ -25,8 +25,10 @@ from repro.decoder.graph import (
     shared_decoding_graph,
 )
 from repro.decoder.matching import _frame_parity_table
-from repro.experiments.executor import SweepExecutor
+from repro.experiments.executor import SweepExecutor, execute_chunk_with_stats
+from repro.experiments.jobs import SweepJob
 from repro.experiments.memory import MemoryExperiment
+from repro.experiments.metrics import MetricsRegistry
 from repro.experiments.sweep import compare_policies_plan
 from repro.core.policies import make_policy
 
@@ -328,6 +330,22 @@ class TestSharedGraphs:
             code, 4, artifact_store=get_artifact_store(tmp_path)
         )
         assert bare is not stored
+
+
+    def test_chunk_stats_count_one_build_per_shared_graph(self):
+        """Decoders sharing a graph report per-decoder deltas, so merging
+        every chunk's stats counts the one table build exactly once."""
+        clear_shared_graphs()
+        job = SweepJob(distance=3, policy="eraser", shots=40, rounds=30, chunk_shots=10)
+        assert job.num_chunks == 4
+        registry = MetricsRegistry()
+        for chunk in range(job.num_chunks):
+            _, stats = execute_chunk_with_stats(job, chunk)
+            registry.merge_counts(stats, prefix="decoder_")
+        counters = registry.snapshot()["counters"]
+        assert counters["decoder_apsp_builds"] == 1
+        assert counters["decoder_frame_table_builds"] == 1
+        assert counters["decoder_shots"] == job.shots
 
 
 class TestExperimentWiring:

@@ -43,6 +43,12 @@ class TestStructure:
         with pytest.raises(ValueError):
             DecodingGraph(code, num_rounds=0)
 
+    @pytest.mark.parametrize("name", ["space_weight", "time_weight", "diagonal_weight"])
+    @pytest.mark.parametrize("weight", [0.0, -1.0])
+    def test_rejects_non_positive_weight(self, code, name, weight):
+        with pytest.raises(ValueError, match=name):
+            DecodingGraph(code, 2, **{name: weight})
+
     def test_x_type_graph(self, code):
         graph = DecodingGraph(code, num_rounds=2, stabilizer_type=StabilizerType.X)
         assert graph.num_checks == len(code.x_stabilizers)

@@ -198,12 +198,14 @@ class TestCrashRecovery:
 
     def test_journal_with_retired_dp_knob_recovers(self, tmp_path):
         """An acceptance journaled while jobs still carried the retired
-        ``decoder_dp_threshold`` wire key recovers under its original id."""
+        ``decoder_dp_threshold`` and ``decoder_cache_size`` wire keys
+        recovers under its original id."""
         plan = make_plan(shots=200)
         reference = SweepExecutor().run(make_plan(shots=200))
         wire = plan.to_wire()
         for job in wire["jobs"]:
             job["decoder_dp_threshold"] = 12
+            job["decoder_cache_size"] = 64
         with SubmissionJournal(tmp_path / "journal") as journal:
             journal.append(
                 {

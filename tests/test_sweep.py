@@ -1,8 +1,13 @@
 """Tests for the sweep helpers used by the benchmark harness."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.dqlr.protocol import run_dqlr_comparison
+from repro.experiments import EXPERIMENTS
+from repro.experiments.executor import SweepExecutor
 from repro.experiments.sweep import (
     compare_policies,
     ler_vs_cycles,
@@ -84,3 +89,64 @@ class TestLerVsCycles:
     def test_alias_names_map_to_canonical(self):
         table = ler_vs_cycles(3, ["always"], cycles_list=[1], shots=2, seed=4)
         assert "always-lrc" in table
+
+
+#: SHA-256 of the newline-joined cache keys of every registry plan built with
+#: ``make_plan(shots=64, max_distance=5, seed=3, chunk_shots=16)``, in
+#: registry order.  Any change to how the helpers turn arguments into jobs
+#: moves a cache key and breaks this pin.
+REGISTRY_PLAN_DIGEST = "bd1382e38efddc5dd7c7b99034538a0336c14dd6ab89707f6db61f6164bfbc66"
+
+
+class TestPlanIdentity:
+    def test_registry_plans_keep_their_cache_keys(self):
+        keys = [
+            job.cache_key()
+            for spec in EXPERIMENTS.values()
+            if spec.has_plan
+            for job in spec.make_plan(shots=64, max_distance=5, seed=3, chunk_shots=16)
+        ]
+        assert len(keys) == 107
+        digest = hashlib.sha256("\n".join(keys).encode()).hexdigest()
+        assert digest == REGISTRY_PLAN_DIGEST
+
+
+class _RecordingExecutor:
+    """Runs plans serially and remembers every job it was handed."""
+
+    def __init__(self):
+        self.jobs = []
+
+    def run(self, plan):
+        self.jobs.extend(plan.jobs)
+        return SweepExecutor().run(plan)
+
+
+RUNNERS = {
+    "run_single": lambda **kw: run_single(3, "eraser", **kw),
+    "compare_policies": lambda **kw: compare_policies([3], ["eraser"], **kw),
+    "lpr_time_series": lambda **kw: lpr_time_series(3, ["eraser"], **kw),
+    "ler_vs_cycles": lambda **kw: ler_vs_cycles(3, ["eraser"], [1], **kw),
+    "run_dqlr_comparison": lambda **kw: run_dqlr_comparison([3], ["eraser"], **kw),
+}
+
+
+class TestHelperKeywords:
+    def test_unknown_keyword_raises(self):
+        with pytest.raises(TypeError):
+            compare_policies([3], ["eraser"], cycles=1, shots=2, seed=1, cache_dri="x")
+
+    def test_arguments_past_the_grid_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            compare_policies([3], ["eraser"], 1e-3, 1, 2, True)
+
+    @pytest.mark.parametrize("name", sorted(RUNNERS))
+    def test_artifact_dir_reaches_a_caller_executor(self, name, tmp_path):
+        """``decoder_artifact_dir`` is stamped even when ``executor=`` is given."""
+        executor = _RecordingExecutor()
+        kwargs = dict(shots=2, seed=1, executor=executor, decoder_artifact_dir=str(tmp_path))
+        if name != "ler_vs_cycles":
+            kwargs["cycles"] = 1
+        RUNNERS[name](**kwargs)
+        assert executor.jobs
+        assert {job.decoder_artifact_dir for job in executor.jobs} == {str(tmp_path)}

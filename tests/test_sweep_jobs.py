@@ -371,9 +371,9 @@ class TestDecoderMethodValidation:
 
 
 class TestWireCompatibility:
-    #: Wire key of the retired bitmask-DP size limit, still present in
-    #: journals and submissions written before its removal.
-    RETIRED_KEY = "decoder_dp_threshold"
+    #: Wire keys of the retired bitmask-DP size limit and decoder LRU bound,
+    #: still present in journals and submissions written before their removal.
+    RETIRED_KEYS = ("decoder_dp_threshold", "decoder_cache_size")
 
     def test_default_cache_key_is_pinned(self):
         # The key the job had while the DP knob still existed.
@@ -384,7 +384,7 @@ class TestWireCompatibility:
     @pytest.mark.parametrize("value", [None, 0, 12])
     def test_retired_key_is_dropped_with_any_value(self, value):
         job = make_job()
-        payload = dict(job.to_wire(), **{self.RETIRED_KEY: value})
+        payload = dict(job.to_wire(), **{key: value for key in self.RETIRED_KEYS})
         restored = SweepJob.from_wire(payload)
         assert restored == job
         assert restored.cache_key() == job.cache_key()
