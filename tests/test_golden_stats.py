@@ -17,8 +17,10 @@ import pytest
 
 from repro.codes import make_code
 from repro.core.policies import make_policy
+from repro.core.qsg import PROTOCOL_DQLR, PROTOCOL_SWAP
+from repro.experiments.jobs import resolve_policy
 from repro.experiments.memory import MemoryExperiment
-from repro.noise.leakage import LeakageModel
+from repro.noise.leakage import LeakageModel, LeakageTransportModel
 from repro.noise.model import NoiseParams
 from repro.noise.profiles import NoiseProfile
 
@@ -62,6 +64,50 @@ def test_golden_statistics(engine, policy_name):
     assert float(np.mean(result.lpr_parity)) == pytest.approx(lpr_parity, abs=1e-9)
     assert result.lrcs_per_round == pytest.approx(lrcs, abs=1e-9)
     assert result.metadata["engine"] == engine
+
+
+#: Packed pins for the LRC kernels the two packed pins above never reach:
+#: the ERASER+M squash path (multi-level readout), the oracle's ground-truth
+#: decisions, and the DQLR LeakageISWAP protocol under the Appendix A.2
+#: exchange transport model, for its baseline and for ERASER.
+#: (policy, protocol) -> (logical errors, mean LPR total/data/parity, LRCs/round).
+GOLDEN_PACKED_PATHS = {
+    ("eraser+m", PROTOCOL_SWAP): (2, 0.0011029412, 0.0018518519, 0.0002604167, 0.4083333333),
+    ("optimal", PROTOCOL_SWAP): (1, 0.0007352941, 0.0011574074, 0.0002604167, 0.0062500000),
+    ("dqlr", PROTOCOL_DQLR): (1, 0.0008578431, 0.0016203704, 0.0000000000, 8.0000000000),
+    ("eraser", PROTOCOL_DQLR): (2, 0.0002450980, 0.0004629630, 0.0000000000, 0.2000000000),
+}
+
+
+@pytest.mark.parametrize(
+    "policy_name,protocol",
+    sorted(GOLDEN_PACKED_PATHS),
+    ids=[f"{policy}-{protocol}" for policy, protocol in sorted(GOLDEN_PACKED_PATHS)],
+)
+def test_golden_packed_path_statistics(policy_name, protocol):
+    transport = (
+        LeakageTransportModel.EXCHANGE
+        if protocol == PROTOCOL_DQLR
+        else LeakageTransportModel.REMAIN
+    )
+    result = MemoryExperiment(
+        distance=3,
+        policy=resolve_policy(policy_name),
+        noise=NoiseParams.standard(2e-3),
+        leakage=LeakageModel.standard(2e-3, transport_model=transport),
+        cycles=2,
+        protocol=protocol,
+        decode=True,
+        seed=SEED,
+        engine="packed",
+    ).run(SHOTS)
+    errors, lpr_total, lpr_data, lpr_parity, lrcs = GOLDEN_PACKED_PATHS[(policy_name, protocol)]
+    assert result.logical_errors == errors
+    assert float(np.mean(result.lpr_total)) == pytest.approx(lpr_total, abs=1e-9)
+    assert float(np.mean(result.lpr_data)) == pytest.approx(lpr_data, abs=1e-9)
+    assert float(np.mean(result.lpr_parity)) == pytest.approx(lpr_parity, abs=1e-9)
+    assert result.lrcs_per_round == pytest.approx(lrcs, abs=1e-9)
+    assert result.metadata["engine"] == "packed"
 
 
 #: Scenario golden pins: one biased, one heterogeneous, and one
