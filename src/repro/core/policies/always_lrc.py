@@ -14,7 +14,7 @@ from typing import Dict
 import numpy as np
 
 from repro.core.dli import SwapLookupTable
-from repro.core.policies.base import LrcPolicy, assignment_to_row
+from repro.core.policies.base import LrcPolicy, PairMasks
 
 
 class AlwaysLrcPolicy(LrcPolicy):
@@ -68,9 +68,8 @@ class AlwaysLrcPolicy(LrcPolicy):
         syndrome: np.ndarray,
         readout_labels: np.ndarray,
         true_leaked_data: np.ndarray,
-    ) -> np.ndarray:
-        # The static schedule is identical across shots: broadcast one row.
-        row = assignment_to_row(
-            self._assignment_for_round(round_index + 1), self.code.num_data_qubits
+    ) -> PairMasks:
+        # The static schedule is identical across shots.
+        return self.pairs.broadcast(
+            self._assignment_for_round(round_index + 1), detection_events.shape[0]
         )
-        return np.tile(row, (detection_events.shape[0], 1))

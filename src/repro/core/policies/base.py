@@ -7,32 +7,86 @@ and the no-LRC baseline — implements this per-round decision interface.
 from __future__ import annotations
 
 import abc
-from typing import Dict, Optional
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.codes.base import StabilizerCode
+from repro.sim.packed_bits import full_words, pack_bool
 from repro.sim.rng import RngLike, make_rng
 
-#: Sentinel stabilizer index meaning "no LRC" in batched assignment arrays.
-NO_LRC = -1
 
+@dataclass(frozen=True)
+class PairMasks:
+    """One round's per-shot LRC decisions in the packed simulator's word layout.
 
-def assignment_to_row(assignment: Dict[int, int], num_data_qubits: int) -> np.ndarray:
-    """Encode a ``{data qubit: stabilizer}`` assignment as a dense int row.
-
-    Entry ``row[q]`` holds the stabilizer index data qubit ``q`` swaps with,
-    or :data:`NO_LRC` when no LRC is scheduled for it.
+    Column ``j`` schedules an LRC between data qubit ``data[j]`` and the
+    parity qubit of stabilizer ``stabs[j]`` in every shot whose bit is set in
+    ``act[:, j]`` (shot ``s`` is bit ``s & 63`` of word row ``s >> 6``; bits
+    past the last shot are zero).  Columns come in ascending (physical data
+    qubit, physical parity qubit) order and none is all-zero, so the masks
+    run unchanged through the simulator's masked column kernels.
     """
-    row = np.full(num_data_qubits, NO_LRC, dtype=np.int16)
-    for data_qubit, stab in assignment.items():
-        row[data_qubit] = stab
-    return row
+
+    data: np.ndarray
+    stabs: np.ndarray
+    act: np.ndarray
+
+    @cached_property
+    def data_unique(self) -> bool:
+        """Whether no data qubit appears in two columns (shots then partition)."""
+        return np.unique(self.data).size == self.data.size
+
+    @cached_property
+    def stabs_unique(self) -> bool:
+        """Whether no stabilizer appears in two columns."""
+        return np.unique(self.stabs).size == self.stabs.size
 
 
-def row_to_assignment(row: np.ndarray) -> Dict[int, int]:
-    """Decode a dense assignment row back into a ``{data qubit: stabilizer}`` dict."""
-    return {int(q): int(row[q]) for q in np.flatnonzero(row >= 0)}
+class LrcPairs:
+    """Every adjacent (data qubit, stabilizer) pair of a code, as mask columns.
+
+    Policies mark decisions in a ``(shots, len(column))`` matrix over these
+    columns (or look one up with :attr:`column`) and turn it into
+    :class:`PairMasks`; the column order is the one :class:`PairMasks`
+    requires.
+    """
+
+    def __init__(self, code: StabilizerCode):
+        pairs = sorted(
+            (data_qubit, code.ancilla_of(stab), stab)
+            for data_qubit in code.data_indices
+            for stab in code.stabilizer_neighbors(data_qubit)
+        )
+        self.data = np.asarray([q for q, _, _ in pairs], dtype=np.int64)
+        self.stabs = np.asarray([s for _, _, s in pairs], dtype=np.int64)
+        #: ``(data qubit, stabilizer) -> column``.
+        self.column: Dict[Tuple[int, int], int] = {
+            (q, s): j for j, (q, _, s) in enumerate(pairs)
+        }
+        self._broadcasts: Dict[tuple, PairMasks] = {}
+
+    def pack(self, chosen: np.ndarray) -> PairMasks:
+        """Masks of a bool ``(shots, len(column))`` decision matrix."""
+        act = pack_bool(chosen)
+        keep = np.flatnonzero(act.any(axis=0))
+        return PairMasks(self.data[keep], self.stabs[keep], act[:, keep])
+
+    def broadcast(self, assignment: Dict[int, int], shots: int) -> PairMasks:
+        """Masks applying one ``{data qubit: stabilizer}`` assignment to every shot.
+
+        Cached per (assignment, shots): static schedules repeat a few masks.
+        """
+        key = (frozenset(assignment.items()), shots)
+        if key not in self._broadcasts:
+            cols = np.asarray(
+                sorted(self.column[(q, s)] for q, s in assignment.items()), dtype=np.int64
+            )
+            act = np.repeat(full_words(shots)[:, np.newaxis], cols.size, axis=1)
+            self._broadcasts[key] = PairMasks(self.data[cols], self.stabs[cols], act)
+        return self._broadcasts[key]
 
 
 class LrcPolicy(abc.ABC):
@@ -49,11 +103,12 @@ class LrcPolicy(abc.ABC):
        *next* round as a mapping from data qubit to stabilizer index.
 
     Policies that set :attr:`supports_batch` additionally implement the batched
-    protocol used by the vectorised Monte-Carlo engine: :meth:`start_batch`
+    protocol used by the packed Monte-Carlo engine: :meth:`start_batch`
     replaces :meth:`start_shot`, and :meth:`decide_batch` consumes
-    ``(shots, num_stabilizers)`` syndrome/label arrays and returns a
-    ``(shots, num_data_qubits)`` int array of per-shot assignments
-    (:data:`NO_LRC` where no LRC is scheduled).
+    ``(shots, num_stabilizers)`` syndrome/label arrays and returns every
+    shot's assignment at once as :class:`PairMasks` — packed shot masks per
+    (data qubit, stabilizer) pair, built over :attr:`pairs`, which the
+    simulator's LRC kernels consume as they are.
     """
 
     #: Human-readable policy name used in result tables.
@@ -70,11 +125,13 @@ class LrcPolicy(abc.ABC):
 
     def __init__(self) -> None:
         self.code: Optional[StabilizerCode] = None
+        self.pairs: Optional[LrcPairs] = None
         self.rng = make_rng(None)
 
     def bind(self, code: StabilizerCode, rng: RngLike = None) -> None:
         """Attach the policy to a code instance (called once per experiment)."""
         self.code = code
+        self.pairs = LrcPairs(code)
         self.rng = make_rng(rng)
         self._on_bind()
         self.start_shot()
@@ -99,10 +156,9 @@ class LrcPolicy(abc.ABC):
                 f"policy {self.name!r} does not support batched execution"
             )
 
-    def initial_assignment_batch(self, shots: int) -> np.ndarray:
-        """Per-shot assignment rows for round 0 (default: broadcast scalar)."""
-        row = assignment_to_row(self.initial_assignment(), self.code.num_data_qubits)
-        return np.tile(row, (shots, 1))
+    def initial_assignment_batch(self, shots: int) -> PairMasks:
+        """Round-0 masks (default: the scalar assignment in every shot)."""
+        return self.pairs.broadcast(self.initial_assignment(), shots)
 
     def decide_batch(
         self,
@@ -111,8 +167,8 @@ class LrcPolicy(abc.ABC):
         syndrome: np.ndarray,
         readout_labels: np.ndarray,
         true_leaked_data: Optional[np.ndarray],
-    ) -> np.ndarray:
-        """Return per-shot assignment rows for the next round.
+    ) -> PairMasks:
+        """Return every shot's assignment for the next round.
 
         Args:
             round_index: Index of the round that just completed (0-based).
@@ -124,9 +180,9 @@ class LrcPolicy(abc.ABC):
                 flags, or ``None`` unless :attr:`uses_ground_truth` is set.
 
         Returns:
-            ``(shots, num_data_qubits)`` int16 array; entry ``[s, q]`` is the
-            stabilizer index whose parity qubit data qubit ``q`` swaps with in
-            shot ``s``, or :data:`NO_LRC`.
+            :class:`PairMasks` over the batch's shots: shot ``s`` swaps data
+            qubit ``data[j]`` with the parity qubit of ``stabs[j]`` for every
+            column ``j`` whose ``act`` bit is set for ``s``.
         """
         raise NotImplementedError(
             f"policy {self.name!r} does not support batched execution"

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core.dli import DynamicLrcInsertion, SwapLookupTable
 from repro.core.lsb import LeakageSpeculationBlock
-from repro.core.policies.base import NO_LRC, LrcPolicy
+from repro.core.policies.base import LrcPolicy, PairMasks
 
 
 class EraserPolicy(LrcPolicy):
@@ -73,17 +73,22 @@ class EraserPolicy(LrcPolicy):
         # a whole batch with one matmul; the neighbour lists and per-qubit
         # flip thresholds are the LSB's own (it is the canonical definition of
         # the speculation rule), so both engines share one source of truth.
+        # float32 counts small integers exactly and, unlike integer types,
+        # runs the product through BLAS.
         n_data = self.code.num_data_qubits
         n_stabs = self.code.num_stabilizers
-        adjacency = np.zeros((n_data, n_stabs), dtype=np.uint8)
+        adjacency = np.zeros((n_data, n_stabs), dtype=np.float32)
         for data_qubit in self.code.data_indices:
             adjacency[data_qubit, self._lsb._neighbors[data_qubit]] = 1
         self._adjacency_t = adjacency.T.copy()
         self._thresholds = self._lsb._thresholds
         # Candidate lists in the DLI's visitation order (ascending data qubit,
-        # primary before backups) so the batched path can replay the greedy
-        # pairing for all shots at once.
-        self._dli_candidates = sorted(self._dli.lookup_table.candidates.items())
+        # primary before backups), each candidate with its mask column, so
+        # the batched path can replay the greedy pairing for all shots at once.
+        self._dli_candidates = [
+            (data_qubit, [(stab, self.pairs.column[(data_qubit, stab)]) for stab in stabs])
+            for data_qubit, stabs in sorted(self._dli.lookup_table.candidates.items())
+        ]
         self._batch_ltt = None
         self._batch_putt = None
         self._batch_had_lrc = None
@@ -131,7 +136,7 @@ class EraserPolicy(LrcPolicy):
         syndrome: np.ndarray,
         readout_labels: np.ndarray,
         true_leaked_data: np.ndarray,
-    ) -> np.ndarray:
+    ) -> PairMasks:
         events = np.asarray(detection_events, dtype=bool)
         shots = events.shape[0]
         had_lrc = self._batch_had_lrc
@@ -139,44 +144,48 @@ class EraserPolicy(LrcPolicy):
         # are cleared from the LTT and excluded from this round's speculation;
         # everything else is marked when enough neighbouring checks flipped.
         self._batch_ltt &= ~had_lrc
-        flip_counts = events.astype(np.uint8) @ self._adjacency_t
+        flip_counts = events.astype(np.float32) @ self._adjacency_t
         mark = flip_counts >= self._thresholds[np.newaxis, :]
         if self._use_multilevel and readout_labels is not None:
             leaked_checks = np.asarray(readout_labels) == self._lsb.leaked_label
-            mark |= (leaked_checks.astype(np.uint8) @ self._adjacency_t) > 0
+            mark |= (leaked_checks.astype(np.float32) @ self._adjacency_t) > 0
         self._batch_ltt |= mark & ~had_lrc
 
         # DLI step: the greedy lookup-table pairing is sequential over data
         # qubits, but every shot walks the same ascending-qubit, primary-first
         # candidate order, so the whole batch replays it in lockstep — one
         # boolean column op per (data qubit, candidate) instead of a Python
-        # loop per shot.  Decisions are identical to DynamicLrcInsertion.assign
-        # run shot by shot.
-        assign = np.full((shots, self.code.num_data_qubits), NO_LRC, dtype=np.int16)
+        # loop per shot.  Each candidate's takers fill its pair column of
+        # ``chosen``, which is packed once.  Decisions are identical to
+        # DynamicLrcInsertion.assign run shot by shot.
+        chosen = np.zeros((shots, len(self.pairs.column)), dtype=bool)
+        assigned = np.zeros_like(self._batch_ltt)
+        putt = np.zeros_like(self._batch_putt)
         if self._batch_ltt.any():
             taken = self._batch_putt.copy()
             for data_qubit, candidates in self._dli_candidates:
                 pending = self._batch_ltt[:, data_qubit].copy()
                 if not pending.any():
                     continue
-                for stab in candidates:
+                for stab, column in candidates:
                     take = pending & ~taken[:, stab]
                     if take.any():
-                        assign[take, data_qubit] = stab
-                        taken[take, stab] = True
+                        chosen[:, column] = take
+                        assigned[:, data_qubit] |= take
+                        taken[:, stab] |= take
                         pending &= ~take
                         if not pending.any():
                             break
+            # The parity qubits taken this round are the ones not blocked
+            # before it.
+            putt = taken ^ self._batch_putt
 
         # Commit step: assigned qubits leave the LTT, their parity qubits are
         # blocked for one round, and they count as "had an LRC" next round.
-        assigned = assign >= 0
         self._batch_ltt &= ~assigned
-        self._batch_putt[:] = False
-        rows, qubits = np.nonzero(assigned)
-        self._batch_putt[rows, assign[rows, qubits]] = True
+        self._batch_putt = putt
         self._batch_had_lrc = assigned
-        return assign
+        return self.pairs.pack(chosen)
 
 
 class EraserMPolicy(EraserPolicy):

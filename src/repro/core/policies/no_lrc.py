@@ -10,7 +10,7 @@ from typing import Dict
 
 import numpy as np
 
-from repro.core.policies.base import NO_LRC, LrcPolicy
+from repro.core.policies.base import LrcPolicy, PairMasks
 
 
 class NoLrcPolicy(LrcPolicy):
@@ -36,6 +36,5 @@ class NoLrcPolicy(LrcPolicy):
         syndrome: np.ndarray,
         readout_labels: np.ndarray,
         true_leaked_data: np.ndarray,
-    ) -> np.ndarray:
-        shots = detection_events.shape[0]
-        return np.full((shots, self.code.num_data_qubits), NO_LRC, dtype=np.int16)
+    ) -> PairMasks:
+        return self.pairs.broadcast({}, detection_events.shape[0])

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.core.dli import DynamicLrcInsertion, SwapLookupTable
 from repro.core.lsb import ParityUsageTrackingTable
-from repro.core.policies.base import NO_LRC, LrcPolicy
+from repro.core.policies.base import LrcPolicy, PairMasks
 
 
 class OptimalLrcPolicy(LrcPolicy):
@@ -67,20 +67,19 @@ class OptimalLrcPolicy(LrcPolicy):
         syndrome: np.ndarray,
         readout_labels: np.ndarray,
         true_leaked_data: np.ndarray,
-    ) -> np.ndarray:
-        shots = detection_events.shape[0]
-        assign = np.full((shots, self.code.num_data_qubits), NO_LRC, dtype=np.int16)
+    ) -> PairMasks:
         leaked = np.asarray(true_leaked_data, dtype=bool)
+        chosen = np.zeros((leaked.shape[0], len(self.pairs.column)), dtype=bool)
+        blocked = self._putt_batch
+        self._putt_batch = np.zeros_like(blocked)
         # Leakage is rare at realistic rates; only shots with at least one
         # leaked data qubit need the greedy lookup-table pairing.
         for shot in np.flatnonzero(leaked.any(axis=1)):
             assignment = self._dli.assign(
                 (int(q) for q in np.flatnonzero(leaked[shot])),
-                blocked_stabilizers=np.flatnonzero(self._putt_batch[shot]),
+                blocked_stabilizers=np.flatnonzero(blocked[shot]),
             )
             for data_qubit, stab in assignment.items():
-                assign[shot, data_qubit] = stab
-        self._putt_batch[:] = False
-        rows, qubits = np.nonzero(assign >= 0)
-        self._putt_batch[rows, assign[rows, qubits]] = True
-        return assign
+                chosen[shot, self.pairs.column[(data_qubit, stab)]] = True
+                self._putt_batch[shot, stab] = True
+        return self.pairs.pack(chosen)

@@ -175,21 +175,9 @@ class QecScheduleGenerator:
             Tuple of the operation list and the :class:`RoundLayout` describing
             how measurement records map back to stabilizer indices.
         """
-        tail, layout = self.build_round_tail(assignment)
-        return list(self.round_prefix()) + tail, layout
-
-    def build_round_tail(
-        self, assignment: Dict[int, int] = None
-    ) -> Tuple[List[Operation], RoundLayout]:
-        """Build only the assignment-dependent tail of one round.
-
-        The tail holds the LRC SWAPs (or DQLR LeakageISWAPs) and the
-        measurement operations; prepend :meth:`round_prefix` to obtain the
-        full round.
-        """
         assignment = dict(assignment or {})
         self._validate_assignment(assignment)
-        ops: List[Operation] = []
+        ops: List[Operation] = list(self.round_prefix())
         if self.protocol == PROTOCOL_SWAP:
             layout = self._finish_swap_round(ops, assignment)
         else:

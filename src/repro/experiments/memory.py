@@ -17,9 +17,11 @@ time through a fresh :class:`~repro.sim.frame_simulator.LeakageFrameSimulator`
 batch through one
 :class:`~repro.sim.packed_frame_simulator.PackedLeakageFrameSimulator`,
 which carries the frames as bit-packed uint64 words — 64 shots per word —
-with sparsely sampled noise: each round, the policy produces per-shot LRC
-assignments in one vectorised ``decide_batch`` call, the per-shot LRC tails
-run as flattened pair instances, and the frames are unpacked only at the
+with sparsely sampled noise: each round, the policy produces every shot's
+LRC assignment in one ``decide_batch`` call as
+:class:`~repro.core.policies.base.PairMasks` (a packed shot mask per
+(data qubit, stabilizer) pair), the per-shot LRC tails run as masked word
+kernels over those pairs, and the frames are unpacked only at the
 syndrome-extraction boundary where the decoder and the policy take over.
 The engines are statistically equivalent
 (``tests/test_engine_equivalence.py``).
@@ -35,7 +37,7 @@ import numpy as np
 from repro.codes.base import StabilizerCode
 from repro.codes.layout import StabilizerType
 from repro.codes.rotated_surface import RotatedSurfaceCode
-from repro.core.policies.base import LrcPolicy
+from repro.core.policies.base import LrcPolicy, PairMasks
 from repro.core.qsg import (
     KEY_FINAL_DATA,
     KEY_MAIN_SYNDROME,
@@ -50,6 +52,7 @@ from repro.noise.model import NoiseParams
 from repro.noise.profiles import NoiseProfile
 from repro.sim.circuit import MeasureReset
 from repro.sim.frame_simulator import LeakageFrameSimulator
+from repro.sim.packed_bits import full_words, popcount, update_columns
 from repro.sim.packed_frame_simulator import PackedLeakageFrameSimulator
 from repro.sim.rng import RngLike, make_rng
 
@@ -195,7 +198,8 @@ class MemoryExperiment:
         self.policy.bind(code, rng=self.rng)
         self._data_indices = np.asarray(code.data_indices, dtype=np.int64)
         self._parity_indices = np.asarray(code.parity_indices, dtype=np.int64)
-        # Static lookups used by the packed engine's instance execution.
+        self._all_qubits = np.arange(code.num_qubits, dtype=np.int64)
+        # Static lookups used by the packed engine's pair-mask execution.
         n_stabs = code.num_stabilizers
         self._ancilla_of_stab = np.asarray(
             [code.ancilla_of(s) for s in range(n_stabs)], dtype=np.int64
@@ -289,34 +293,30 @@ class MemoryExperiment:
     # ------------------------------------------------------------------
     # Packed (multi-shot) execution
     # ------------------------------------------------------------------
-    def _assignment_instances(
-        self, assignments: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Flatten per-shot assignment rows into validated pair instances.
+    def _check_masks(self, masks: PairMasks) -> Tuple[int, np.ndarray, np.ndarray]:
+        """Validate one round's pair masks by popcount.
 
-        Returns parallel arrays ``(shot, stabilizer, data qubit, ancilla)``
-        with one entry per scheduled LRC across the whole batch, ordered by
-        shot then data qubit (matching the scalar QSG's sorted order).
+        Returns the LRC count and the pair columns ORed per data qubit and
+        per stabilizer.  Pairs must be adjacent, and no shot may use a
+        parity or data qubit twice: each OR must keep every set bit.
         """
-        shot_idx, data_qubit = np.nonzero(assignments >= 0)
-        stabs = assignments[shot_idx, data_qubit].astype(np.int64)
-        if shot_idx.size:
-            if not self._adjacency[data_qubit, stabs].all():
-                raise ValueError("LRC assignment pairs a data qubit with a non-adjacent stabilizer")
-            # O(instances) duplicate check via scatter (np.unique hashing
-            # dominated the whole batch at dense assignment loads).
-            n_stabs = self.code.num_stabilizers
-            keys = shot_idx * n_stabs + stabs
-            seen = np.zeros(assignments.shape[0] * n_stabs, dtype=bool)
-            seen[keys] = True
-            if np.count_nonzero(seen) != keys.size:
-                raise ValueError("LRC assignment reuses a parity qubit within one round")
-        return (
-            shot_idx,
-            stabs,
-            self._data_indices[data_qubit],
-            self._ancilla_of_stab[stabs],
+        if not self._adjacency[masks.data, masks.stabs].all():
+            raise ValueError("LRC assignment pairs a data qubit with a non-adjacent stabilizer")
+        count = popcount(masks.act)
+        words = masks.act.shape[0]
+        by_data = update_columns(
+            np.bitwise_or, np.zeros((words, self.code.num_data_qubits), dtype=np.uint64),
+            masks.data, masks.act, masks.data_unique,
         )
+        by_stab = update_columns(
+            np.bitwise_or, np.zeros((words, self.code.num_stabilizers), dtype=np.uint64),
+            masks.stabs, masks.act, masks.stabs_unique,
+        )
+        if not masks.stabs_unique and popcount(by_stab) != count:
+            raise ValueError("LRC assignment reuses a parity qubit within one round")
+        if not masks.data_unique and popcount(by_data) != count:
+            raise ValueError("LRC assignment gives a data qubit two LRCs within one round")
+        return count, by_data, by_stab
 
     def _run_batch(
         self,
@@ -330,78 +330,74 @@ class MemoryExperiment:
             rng=self.rng,
         )
         self.policy.start_batch(batch_shots)
-        assignments = self.policy.initial_assignment_batch(batch_shots)
+        masks = self.policy.initial_assignment_batch(batch_shots)
 
         n_stabs = self.code.num_stabilizers
         swap_protocol = self.protocol == PROTOCOL_SWAP
         adaptive = self.qsg.adaptive_multilevel
         history = np.zeros((batch_shots, self.rounds, n_stabs), dtype=np.uint8)
         previous_syndrome = np.zeros((batch_shots, n_stabs), dtype=np.uint8)
+        all_active = np.repeat(full_words(batch_shots)[:, np.newaxis], n_stabs, axis=1)
+        cells = batch_shots * self.code.num_data_qubits
         total_lrcs = 0
 
         for round_index in range(self.rounds):
-            predicted = assignments >= 0
-            leaked = sim.leaked_at(self._data_indices)
-            speculation.update(
-                tp=np.count_nonzero(predicted & leaked),
-                fp=np.count_nonzero(predicted & ~leaked),
-                tn=np.count_nonzero(~predicted & ~leaked),
-                fn=np.count_nonzero(~predicted & leaked),
-            )
-            total_lrcs += int(np.count_nonzero(predicted))
+            count, predicted, by_stab = self._check_masks(masks)
+            leaked = sim.leaked[:, self._data_indices]
+            tp = popcount(predicted & leaked)
+            fn = popcount(leaked) - tp
+            speculation.update(tp=tp, fp=count - tp, tn=cells - count - fn, fn=fn)
+            total_lrcs += count
 
             # The assignment-independent head of the round (noise + extraction
             # CNOTs) runs over the whole batch in one vectorised pass; the
-            # per-shot LRC tails run as flattened pair instances, so the cost
-            # per round does not depend on how many assignments differ.
+            # per-shot LRC tails run as masked pair-column kernels, so the
+            # cost per round does not depend on how many assignments differ.
             sim.run(self.qsg.round_prefix())
-            shot_idx, stabs, lrc_data, lrc_ancillas = self._assignment_instances(
-                assignments
-            )
+            data_cols = self._data_indices[masks.data]
+            ancilla_cols = self._ancilla_of_stab[masks.stabs]
+            unique = (masks.data_unique, masks.stabs_unique)
             if swap_protocol:
-                sim.swap_instances(shot_idx, lrc_data, lrc_ancillas)
+                sim.swap_instances(data_cols, ancilla_cols, masks.act, unique=unique)
                 # Each shot measures its own main (non-LRC) parity qubits;
                 # LRC'd ancillas hold parked data states and stay untouched.
-                active = np.ones((batch_shots, n_stabs), dtype=bool)
-                active[shot_idx, stabs] = False
                 record = sim.measure_reset_masked(
-                    self._ancilla_of_stab, tuple(range(n_stabs)), active
+                    self._ancilla_of_stab, tuple(range(n_stabs)),
+                    all_active & ~by_stab,
                 )
-                syndrome = record.bits.copy()
-                labels = record.labels.copy()
-                if shot_idx.size:
-                    bits, lrc_labels, _ = sim.lrc_finalize_instances(
-                        shot_idx, lrc_data, lrc_ancillas,
-                        adaptive_multilevel=adaptive,
-                    )
-                    syndrome[shot_idx, stabs] = bits
-                    labels[shot_idx, stabs] = lrc_labels
-            else:
-                records = sim.run(self._main_measure_ops)
-                record = records[KEY_MAIN_SYNDROME]
                 syndrome = record.bits
                 labels = record.labels
-                sim.leak_iswap_instances(shot_idx, lrc_data, lrc_ancillas)
-                sim.reset_instances(shot_idx, lrc_ancillas)
+                if masks.data.size:
+                    # Main and LRC results cover disjoint cells (each reads 0
+                    # outside its own), so merging them is an OR per column.
+                    bits, lrc_labels, _ = sim.lrc_finalize_instances(
+                        data_cols, ancilla_cols, masks.act,
+                        adaptive_multilevel=adaptive, unique=unique,
+                    )
+                    for merged, lrc in ((syndrome, bits), (labels, lrc_labels)):
+                        update_columns(
+                            np.bitwise_or, merged, masks.stabs, lrc, masks.stabs_unique
+                        )
+            else:
+                record = sim.run(self._main_measure_ops)[KEY_MAIN_SYNDROME]
+                syndrome = record.bits
+                labels = record.labels
+                sim.leak_iswap_instances(data_cols, ancilla_cols, masks.act)
+                sim.reset_instances(ancilla_cols, masks.act)
             history[:, round_index] = syndrome
 
-            lpr_sums[0, round_index] += sim.leaked_fraction().sum()
-            lpr_sums[1, round_index] += sim.leaked_fraction(self._data_indices).sum()
-            lpr_sums[2, round_index] += sim.leaked_fraction(self._parity_indices).sum()
+            # One unpack of the leakage plane serves the three population
+            # sums and the oracle's ground truth.
+            leaked_now = sim.leaked_at(self._all_qubits)
+            lpr_sums[0, round_index] += leaked_now.mean(axis=1).sum()
+            lpr_sums[1, round_index] += leaked_now[:, self._data_indices].mean(axis=1).sum()
+            lpr_sums[2, round_index] += leaked_now[:, self._parity_indices].mean(axis=1).sum()
 
             detection_events = (syndrome ^ previous_syndrome).astype(bool)
             previous_syndrome = syndrome
-            truth = (
-                sim.leaked_at(self._data_indices)
-                if self.policy.uses_ground_truth
-                else None
-            )
-            assignments = self.policy.decide_batch(
-                round_index,
-                detection_events,
-                syndrome,
-                labels,
-                truth,
+            truth = leaked_now[:, self._data_indices] if self.policy.uses_ground_truth else None
+            masks = self.policy.decide_batch(
+                round_index, detection_events, syndrome, labels, truth
             )
 
         logical_errors = 0

@@ -9,6 +9,9 @@ holds the supporting primitives:
 * :func:`pack_bool` / :func:`unpack_words` — the boundary converters between
   boolean ``(shots, n)`` matrices and word planes (little-endian bit and
   byte order, matching the host byte order on the supported platforms);
+* :func:`full_words` / :func:`popcount` / :func:`update_columns` — the
+  all-shots mask, set-bit counts, and column updates tolerating repeated
+  columns, with which per-shot LRC pair masks are checked and applied;
 * :func:`fair_words` — uniformly random uint64 words, i.e. 64 independent
   fair bits per word, for the probability-1/2 draws (random Pauli frames,
   leaked-measurement outcomes);
@@ -52,33 +55,55 @@ def pack_bool(matrix: np.ndarray) -> np.ndarray:
     """Pack a boolean ``(shots, n)`` matrix into ``(num_words(shots), n)`` uint64.
 
     Bit ``s & 63`` of word row ``s >> 6`` carries shot ``s``; tail bits of
-    the final word row (shot indices ``>= shots``) are zero.
+    the final word row (shot indices ``>= shots``) are zero.  Each column is
+    packed as one contiguous bit string, then the words are transposed.
     """
-    matrix = np.ascontiguousarray(matrix, dtype=bool)
+    matrix = np.asarray(matrix, dtype=bool)
     shots, n = matrix.shape
-    rows = num_words(shots)
-    pad = rows * WORD_BITS - shots
-    if pad:
-        matrix = np.concatenate(
-            [matrix, np.zeros((pad, n), dtype=bool)], axis=0
-        )
-    as_bytes = np.packbits(matrix, axis=0, bitorder="little")  # (rows * 8, n)
-    as_bytes = np.ascontiguousarray(
-        as_bytes.reshape(rows, 8, n).transpose(0, 2, 1)
-    )
-    return as_bytes.view(np.uint64).reshape(rows, n)
+    padded = np.zeros((n, num_words(shots) * WORD_BITS), dtype=bool)
+    padded[:, :shots] = matrix.T
+    as_bytes = np.packbits(padded, axis=1, bitorder="little")  # (n, rows * 8)
+    return np.ascontiguousarray(as_bytes.view(np.uint64).T)
 
 
 def unpack_words(words: np.ndarray, shots: int) -> np.ndarray:
-    """Inverse of :func:`pack_bool`: word plane back to a bool ``(shots, n)``."""
-    words = np.ascontiguousarray(words, dtype=np.uint64)
-    rows, n = words.shape
-    as_bytes = words.view(np.uint8).reshape(rows, n, 8)
-    as_bytes = np.ascontiguousarray(as_bytes.transpose(0, 2, 1)).reshape(
-        rows * 8, n
-    )
-    bits = np.unpackbits(as_bytes, axis=0, bitorder="little")
-    return bits[:shots].astype(bool)
+    """Inverse of :func:`pack_bool`: word plane back to a bool ``(shots, n)``.
+
+    The result is a transposed (column-major) view of the unpacked bit
+    strings; copying it to row-major would cost more than the unpack.
+    """
+    as_bytes = np.ascontiguousarray(np.asarray(words, dtype=np.uint64).T).view(np.uint8)
+    bits = np.unpackbits(as_bytes, axis=1, count=shots, bitorder="little")
+    return bits.view(bool).T
+
+
+def full_words(shots: int) -> np.ndarray:
+    """``(num_words(shots),)`` words with every shot's bit set and a zero tail."""
+    return pack_bool(np.ones((shots, 1), dtype=bool))[:, 0]
+
+
+def popcount(words: np.ndarray) -> int:
+    """Total number of set bits in a word array."""
+    return int(np.bitwise_count(words).sum())
+
+
+def update_columns(
+    ufunc: np.ufunc,
+    out: np.ndarray,
+    cols: np.ndarray,
+    values: np.ndarray,
+    unique: bool,
+) -> np.ndarray:
+    """``out[:, cols[j]] = ufunc(out[:, cols[j]], values[:, j])`` for every ``j``; returns ``out``.
+
+    ``unique`` says ``cols`` holds no index twice, which allows one buffered
+    update instead of an unbuffered scatter.
+    """
+    if unique:
+        out[:, cols] = ufunc(out[:, cols], values)
+    else:
+        ufunc.at(out, (slice(None), cols), values)
+    return out
 
 
 def fair_words(rng: np.random.Generator, shape) -> np.ndarray:

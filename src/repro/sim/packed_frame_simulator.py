@@ -27,10 +27,11 @@ syndrome-extraction boundary, where measurement records, leakage-population
 fractions, and ground-truth leakage cross into the (unpacked) decoder and
 policy layers as :class:`BatchedMeasurementRecord` rows.  Adaptive LRC
 policies give different shots different schedules within one round; the
-``*_instances`` methods take those per-shot LRC tails as *pair instances* —
-parallel 1-D arrays ``(shot, data qubit, ancilla)``, one entry per scheduled
-LRC in the whole batch — and run them as masked word-parallel column
-kernels.
+``*_instances`` methods take those per-shot LRC tails as *pair masks* —
+a data-qubit column and an ancilla column per pair plus a ``(words,
+n_pairs)`` uint64 plane whose column ``j`` holds the shots scheduling pair
+``j``, in the engine's own word layout — and run them as masked
+word-parallel column kernels.
 
 Statistical contract
 --------------------
@@ -78,10 +79,11 @@ from repro.sim.frame_simulator import LABEL_LEAKED
 from repro.sim.packed_bits import (
     bit_positions,
     fair_words,
+    full_words,
     num_words,
-    pack_bool,
     sample_cells,
     unpack_words,
+    update_columns,
 )
 from repro.sim.rng import RngLike, make_rng
 
@@ -169,7 +171,6 @@ class PackedLeakageFrameSimulator:
         self.x = np.zeros((self.words, num_qubits), dtype=np.uint64)
         self.z = np.zeros((self.words, num_qubits), dtype=np.uint64)
         self.leaked = np.zeros((self.words, num_qubits), dtype=np.uint64)
-        self._w_index = np.arange(self.words, dtype=np.int64)[:, np.newaxis]
         self._p_round = self._as_channel(noise.p_round_depolarize)
         self._p_gate1 = self._as_channel(noise.p_gate1)
         self._p_gate2 = self._as_channel(noise.p_gate2)
@@ -209,7 +210,7 @@ class PackedLeakageFrameSimulator:
         """Execute operations on all shots and return measurement records.
 
         Every operation acts on every shot; per-shot divergence (adaptive
-        LRC tails) goes through the ``*_instances`` methods instead.
+        LRC tails) goes through the masked ``*_instances`` kernels instead.
         """
         records: Dict[str, BatchedMeasurementRecord] = {}
         for op in operations:
@@ -227,9 +228,17 @@ class PackedLeakageFrameSimulator:
             elif isinstance(op, Reset):
                 self._reset_cols(op.qubits)
             elif isinstance(op, LrcFinalize):
-                records[op.key] = self._lrc_finalize(op)
+                results = self.lrc_finalize_instances(
+                    op.data_qubits, op.ancillas, self._all_shots(op.data_qubits.size),
+                    adaptive_multilevel=op.adaptive_multilevel,
+                )
+                records[op.key] = BatchedMeasurementRecord(
+                    op.data_qubits.copy(), *results, op.meta
+                )
             elif isinstance(op, LeakISwap):
-                self._leak_iswap_all(op.data_qubits, op.ancillas)
+                self.leak_iswap_instances(
+                    op.data_qubits, op.ancillas, self._all_shots(op.data_qubits.size)
+                )
             else:  # pragma: no cover - defensive
                 raise TypeError(f"unsupported operation {type(op).__name__}")
         return records
@@ -255,119 +264,86 @@ class PackedLeakageFrameSimulator:
         return self.leaked_at(np.arange(self.num_qubits, dtype=np.int64))
 
     # ------------------------------------------------------------------
-    # Instance API (one entry per scheduled LRC pair across the batch)
+    # Masked pair kernels: column j of ``act`` holds the shots in which
+    # qubit pair (data_qubits[j], ancillas[j]) gets its LRC.
     # ------------------------------------------------------------------
-    def _group_pairs(
-        self,
-        shot_idx: np.ndarray,
-        first: np.ndarray,
-        second: np.ndarray,
-        positions: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, bool, bool, np.ndarray]:
-        """Group pair instances by their (first, second) qubit columns.
+    @staticmethod
+    def _uniqueness(
+        data_qubits: np.ndarray, ancillas: np.ndarray, unique: Optional[Tuple[bool, bool]]
+    ) -> Tuple[bool, bool]:
+        """``unique`` if given, else whether each column set is free of repeats."""
+        if unique is None:
+            unique = tuple(np.unique(c).size == c.size for c in (data_qubits, ancillas))
+        return unique
 
-        Returns ``(first_cols, second_cols, mask_words, first_unique,
-        second_unique, pair_of)``: one column pair per distinct qubit pair
-        in the instance set, a ``(words, n_pairs)`` activity plane whose
-        column ``j`` has the shot bits scheduling pair ``j``, and the local
-        pair index of each instance.  This turns a batch of scattered
-        per-shot instances into masked word-parallel column kernels.  The
-        ``*_unique`` flags report whether a qubit appears in more than one
-        distinct pair (shots partition between them), which forces
-        unbuffered scatter in the column kernels.
-        """
-        nq = self.num_qubits
-        key = first.astype(np.int64) * nq + second
-        present = np.zeros(nq * nq, dtype=bool)
-        present[key] = True
-        uniq = np.nonzero(present)[0]
-        lookup = np.empty(nq * nq, dtype=np.int64)
-        lookup[uniq] = np.arange(uniq.size)
-        pair_of = lookup[key]
-        wrows, masks = positions if positions is not None else bit_positions(shot_idx)
-        mask_words = np.zeros((self.words, uniq.size), dtype=np.uint64)
-        np.bitwise_or.at(mask_words, (wrows, pair_of), masks)
-        first_cols = uniq // nq
-        second_cols = uniq % nq
-        first_unique = np.unique(first_cols).size == first_cols.size
-        second_unique = np.unique(second_cols).size == second_cols.size
-        return first_cols, second_cols, mask_words, first_unique, second_unique, pair_of
-
-    def _xor_cols(
-        self, plane: np.ndarray, cols: np.ndarray, vals: np.ndarray, unique: bool
-    ) -> None:
-        """XOR word columns into ``plane``, tolerating duplicated columns."""
-        if unique:
-            plane[:, cols] ^= vals
-        else:
-            np.bitwise_xor.at(plane, (self._w_index, cols), vals)
+    def _instances(self, act: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Set bits of ``act`` as shot-major ``(word row, bit mask, column)`` instances."""
+        shot, col = np.nonzero(unpack_words(act, self.shots))
+        wrows, masks = bit_positions(shot)
+        return wrows, masks, col
 
     def swap_instances(
-        self, shot_idx: np.ndarray, data_qubits: np.ndarray, ancillas: np.ndarray
+        self,
+        data_qubits: np.ndarray,
+        ancillas: np.ndarray,
+        act: np.ndarray,
+        unique: Optional[Tuple[bool, bool]] = None,
     ) -> None:
-        """Three-CNOT SWAP on per-shot (data, ancilla) pair instances."""
-        if shot_idx.size == 0:
+        """Three-CNOT SWAP on each (data, ancilla) column pair where ``act`` is set.
+
+        ``unique`` reports whether the data and the ancilla columns are
+        each free of repeats (computed when omitted); a qubit in several
+        pairs (shots partition between them) forces unbuffered scatter.
+        """
+        if act.shape[1] == 0:
             return
-        d_cols, a_cols, act, d_u, a_u, _ = self._group_pairs(
-            np.asarray(shot_idx, dtype=np.int64), data_qubits, ancillas
-        )
-        self._cnot_cols(d_cols, a_cols, act=act, c_unique=d_u, t_unique=a_u)
-        self._cnot_cols(a_cols, d_cols, act=act, c_unique=a_u, t_unique=d_u)
-        self._cnot_cols(d_cols, a_cols, act=act, c_unique=d_u, t_unique=a_u)
+        d_u, a_u = self._uniqueness(data_qubits, ancillas, unique)
+        self._cnot_cols(data_qubits, ancillas, act=act, c_unique=d_u, t_unique=a_u)
+        self._cnot_cols(ancillas, data_qubits, act=act, c_unique=a_u, t_unique=d_u)
+        self._cnot_cols(data_qubits, ancillas, act=act, c_unique=d_u, t_unique=a_u)
 
     def lrc_finalize_instances(
         self,
-        shot_idx: np.ndarray,
         data_qubits: np.ndarray,
         ancillas: np.ndarray,
+        act: np.ndarray,
         adaptive_multilevel: bool = False,
+        unique: Optional[Tuple[bool, bool]] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """SWAP-LRC tail on pair instances; returns 1-D (bits, labels, leaked).
+        """SWAP-LRC tail on masked column pairs; returns ``(shots, n_pairs)`` (bits, labels, leaked).
 
         Semantics mirror :class:`~repro.sim.circuit.LrcFinalize`: measure
         the data-side qubit (holding the parity outcome), reset it, swap the
         parked data state back — unless ``adaptive_multilevel`` is set and the measurement
         reported |L>, in which case the swap-back is squashed and the parity
-        qubit is reset instead (ERASER+M, Section 4.6.2).
+        qubit is reset instead (ERASER+M, Section 4.6.2).  Result cells
+        outside ``act`` read 0.
         """
-        shot_idx = np.asarray(shot_idx, dtype=np.int64)
-        wrows, masks = bit_positions(shot_idx)
-        d_cols, a_cols, act, d_u, a_u, pair_of = self._group_pairs(
-            shot_idx, data_qubits, ancillas, positions=(wrows, masks)
-        )
-        bits_m, labels_m, leaked_m = self._measure_pair_cols(d_cols, act, d_u)
-        self._reset_pair_cols(d_cols, act, d_u)
-        bits = bits_m[shot_idx, pair_of]
-        labels = labels_m[shot_idx, pair_of]
-        true_leaked = leaked_m[shot_idx, pair_of]
-        if adaptive_multilevel:
-            leaked_label = labels == LABEL_LEAKED
-        else:
-            leaked_label = None
+        d_u, a_u = self._uniqueness(data_qubits, ancillas, unique)
+        bits, labels, true_leaked = self._measure_pair_cols(data_qubits, act, d_u)
+        self._reset_cols(data_qubits, active=act, unique=d_u)
         act_back = act
-        if leaked_label is not None and leaked_label.any():
-            # Squashed instances drop out of the swap-back activity plane.
-            act_back = act.copy()
-            np.bitwise_and.at(
-                act_back,
-                (wrows[leaked_label], pair_of[leaked_label]),
-                ~masks[leaked_label],
-            )
+        squashed = None
+        if adaptive_multilevel:
+            shot, pair = np.nonzero(labels == LABEL_LEAKED)
+            if shot.size:
+                # Squashed instances drop out of the swap-back activity plane.
+                w_q, m_q = bit_positions(shot)
+                act_back = act.copy()
+                np.bitwise_and.at(act_back, (w_q, pair), ~m_q)
+                squashed = (w_q, m_q, pair)
         # Two-CNOT swap-back (valid because the data-side qubit is |0>).
-        self._cnot_cols(a_cols, d_cols, act=act_back, c_unique=a_u, t_unique=d_u)
-        self._cnot_cols(d_cols, a_cols, act=act_back, c_unique=d_u, t_unique=a_u)
+        self._cnot_cols(ancillas, data_qubits, act=act_back, c_unique=a_u, t_unique=d_u)
+        self._cnot_cols(data_qubits, ancillas, act=act_back, c_unique=d_u, t_unique=a_u)
         # The parity qubit physically ends in |0>; clear the unphysical
         # residual phase frame, as the other engines do.
-        if a_u:
-            self.z[:, a_cols] &= ~act_back
-        else:
-            np.bitwise_and.at(self.z, (self._w_index, a_cols), ~act_back)
-        if leaked_label is not None and leaked_label.any():
-            w_q, m_q = wrows[leaked_label], masks[leaked_label]
-            d_q, a_q = data_qubits[leaked_label], ancillas[leaked_label]
-            self._reset_instances_ix(w_q, m_q, a_q)
+        update_columns(np.bitwise_and, self.z, ancillas, ~act_back, a_u)
+        if squashed is not None:
+            w_q, m_q, pair = squashed
+            self._reset_instances_ix(w_q, m_q, ancillas[pair])
             # The parked data state is lost; the freshly reset data qubit is
             # a random Pauli relative to the reference.
+            d_q = data_qubits[pair]
             codes = self.rng.integers(0, 4, size=w_q.size)
             xf, zf = _pauli_flips(codes)
             np.bitwise_xor.at(self.x, (w_q, d_q), _flag_masks(m_q, xf))
@@ -375,20 +351,23 @@ class PackedLeakageFrameSimulator:
         return bits, labels, true_leaked
 
     def leak_iswap_instances(
-        self, shot_idx: np.ndarray, data_qubits: np.ndarray, ancillas: np.ndarray
+        self, data_qubits: np.ndarray, ancillas: np.ndarray, act: np.ndarray
     ) -> None:
-        """DQLR LeakageISWAP on per-shot (data, ancilla) pair instances."""
-        if shot_idx.size == 0:
-            return
-        wrows, masks = bit_positions(np.asarray(shot_idx, dtype=np.int64))
-        self._leak_iswap_instances_ix(wrows, masks, data_qubits, ancillas)
+        """DQLR LeakageISWAP on each (data, ancilla) column pair where ``act`` is set.
 
-    def reset_instances(self, shot_idx: np.ndarray, qubits: np.ndarray) -> None:
-        """Reset per-shot qubit instances to |0>."""
-        if shot_idx.size == 0:
+        Draws one number per scheduled (shot, pair) instance, shot-major.
+        """
+        if act.shape[1] == 0:
             return
-        wrows, masks = bit_positions(np.asarray(shot_idx, dtype=np.int64))
-        self._reset_instances_ix(wrows, masks, qubits)
+        wrows, masks, col = self._instances(act)
+        self._leak_iswap_instances_ix(wrows, masks, data_qubits[col], ancillas[col])
+
+    def reset_instances(self, qubits: np.ndarray, act: np.ndarray) -> None:
+        """Reset each qubit column to |0> in the shots where ``act`` is set."""
+        if act.shape[1] == 0:
+            return
+        wrows, masks, col = self._instances(act)
+        self._reset_instances_ix(wrows, masks, qubits[col])
 
     def measure_reset_masked(
         self,
@@ -398,25 +377,16 @@ class PackedLeakageFrameSimulator:
     ) -> BatchedMeasurementRecord:
         """Measure-and-reset the given qubits only where ``active`` is set.
 
-        Used by the harness to measure each shot's *main* parity qubits
-        while leaving the per-shot LRC'd ancillas (which hold parked data
-        states) untouched; record cells where ``active`` is False carry
-        draws but no state was touched there, and the harness overwrites
-        them with the per-shot LRC measurement results.
+        ``active`` is a ``(words, len(qubits))`` mask plane.  Used by the
+        harness to measure each shot's *main* parity qubits while leaving
+        the per-shot LRC'd ancillas (which hold parked data states)
+        untouched; record cells outside ``active`` read 0, ready for the
+        harness to merge the per-shot LRC measurement results in.
         """
         qubits = np.asarray(qubits, dtype=np.int64)
-        active_words = pack_bool(np.ascontiguousarray(active, dtype=bool))
-        bits, labels, true_leaked = self._measure_cols(
-            qubits, collapse=active_words
-        )
-        self._reset_cols(qubits, active=active_words)
-        return BatchedMeasurementRecord(
-            qubits=qubits.copy(),
-            bits=bits,
-            labels=labels,
-            true_leaked=true_leaked,
-            meta=meta,
-        )
+        record = self._measure_record(qubits, meta, active=active)
+        self._reset_cols(qubits, active=active)
+        return record
 
     # ------------------------------------------------------------------
     # Random draws
@@ -570,9 +540,8 @@ class PackedLeakageFrameSimulator:
     ) -> None:
         """CNOT layer over qubit columns, optionally masked per (shot, pair).
 
-        ``act`` is a ``(words, n_pairs)`` activity plane (from
-        :meth:`_group_pairs`) restricting the gate to the shots scheduling
-        each pair; ``None`` means all shots.  ``c_unique``/``t_unique``
+        ``act`` is a ``(words, n_pairs)`` pair mask plane restricting the
+        gate to the shots scheduling each pair; ``None`` means all shots.  ``c_unique``/``t_unique``
         report column uniqueness — duplicated columns (one qubit in several
         masked pairs) require unbuffered scatter.
         """
@@ -586,8 +555,8 @@ class PackedLeakageFrameSimulator:
         # Frame propagation on fully unleaked pairs (unmasked tail bits of
         # both_ok are set, but the x/z planes are tail-clean, so the AND
         # keeps them so).
-        self._xor_cols(self.x, t_cols, self.x[:, c_cols] & both_ok, t_unique)
-        self._xor_cols(self.z, c_cols, self.z[:, t_cols] & both_ok, c_unique)
+        update_columns(np.bitwise_xor, self.x, t_cols, self.x[:, c_cols] & both_ok, t_unique)
+        update_columns(np.bitwise_xor, self.z, c_cols, self.z[:, t_cols] & both_ok, c_unique)
         self._depolarize2_cells(c_cols, t_cols, act=act)
 
         # Interaction between a leaked and an unleaked operand: the unleaked
@@ -621,30 +590,57 @@ class PackedLeakageFrameSimulator:
         self._inject_leakage_cols(t_cols, self.leakage.p_leak_gate, act=act)
 
     def _measure_cols(
-        self, cols: np.ndarray, collapse: Optional[np.ndarray] = None
+        self, cols: np.ndarray, active: Optional[np.ndarray] = None
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Measure the given qubit columns; returns unpacked (bits, labels, leaked).
 
-        Same pinned error-application order as the other engines: classical
-        p_measure flip first, then the leaked-qubit bit is *overwritten* by a
-        fair random outcome, labels are derived afterwards, and the
-        multi-level classification error shifts labels last.  ``collapse``
-        (packed words) restricts the phase-frame collapse to active cells.
+        ``active`` (packed words) restricts the phase-frame collapse to
+        active cells, and cells outside it read 0.
         """
-        true_leaked = self.leaked[:, cols].copy()
-        bits = self.x[:, cols].copy()
+        true_leaked = self.leaked[:, cols]
+        bits = self._measurement_flips(self.x[:, cols], cols)
+        result = self._read_out(bits, true_leaked, cols, active)
+        if active is None:
+            self.z[:, cols] = _ZERO
+        else:
+            self.z[:, cols] &= ~active
+        return result
+
+    def _measurement_flips(self, bits: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Classical p_measure flips on measured words (in place)."""
         rows, col_local = sample_cells(
             self.rng, self.shots, cols.size, self._rate(self._p_measure, cols)
         )
         if rows.size:
             wrows, masks = bit_positions(rows)
             np.bitwise_xor.at(bits, (wrows, col_local), masks)
+        return bits
+
+    def _read_out(
+        self,
+        bits: np.ndarray,
+        true_leaked: np.ndarray,
+        cols: np.ndarray,
+        act: Optional[np.ndarray],
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Finish a measurement of flipped words; unpacked (bits, labels, leaked).
+
+        Same pinned error-application order as the other engines: classical
+        p_measure flip first (done by the caller), then the leaked-qubit bit
+        is *overwritten* by a fair random outcome, labels are derived
+        afterwards, and the multi-level classification error shifts labels
+        last.  With ``act``, cells outside it read 0 (their draws are still
+        made).
+        """
         if true_leaked.any():
             random_bits = fair_words(self.rng, true_leaked.shape)
             bits = (bits & ~true_leaked) | (random_bits & true_leaked)
-        bits_b = unpack_words(bits, self.shots)
+        if act is not None:
+            bits &= act
+            true_leaked = true_leaked & act
+        bits_b = unpack_words(bits, self.shots).view(np.uint8)
         leaked_b = unpack_words(true_leaked, self.shots)
-        labels = bits_b.astype(np.int8)
+        labels = bits_b.copy()
         labels[leaked_b] = LABEL_LEAKED
         if channel_active(self._p_multilevel):
             rows, col_local = sample_cells(
@@ -652,140 +648,68 @@ class PackedLeakageFrameSimulator:
                 self._rate(self._p_multilevel, cols),
             )
             if rows.size:
-                shift = self.rng.integers(1, 3, size=rows.size).astype(np.int8)
+                shift = self.rng.integers(1, 3, size=rows.size).astype(np.uint8)
+                if act is not None:
+                    wrows, masks = bit_positions(rows)
+                    keep = (act[wrows, col_local] & masks) != 0
+                    rows, col_local, shift = rows[keep], col_local[keep], shift[keep]
                 labels[rows, col_local] = (labels[rows, col_local] + shift) % 3
-        if collapse is None:
-            self.z[:, cols] = _ZERO
-        else:
-            self.z[:, cols] &= ~collapse
-        return bits_b.astype(np.uint8), labels.astype(np.uint8), leaked_b
+        return bits_b, labels, leaked_b
 
     def _measure_record(
-        self, qubits: np.ndarray, meta: tuple
+        self, qubits: np.ndarray, meta: tuple, active: Optional[np.ndarray] = None
     ) -> BatchedMeasurementRecord:
-        bits, labels, true_leaked = self._measure_cols(qubits)
         return BatchedMeasurementRecord(
-            qubits=qubits.copy(),
-            bits=bits,
-            labels=labels,
-            true_leaked=true_leaked,
-            meta=meta,
+            qubits.copy(), *self._measure_cols(qubits, active=active), meta
         )
 
     def _reset_cols(
-        self, cols: np.ndarray, active: Optional[np.ndarray] = None
+        self,
+        cols: np.ndarray,
+        active: Optional[np.ndarray] = None,
+        unique: bool = True,
     ) -> None:
+        """Reset qubit columns to |0> (only where ``active`` is set, if given).
+
+        ``unique`` reports that ``cols`` has no repeats (masked pair columns
+        may repeat a qubit; its shots then partition between the columns).
+        """
         rows, col_local = sample_cells(
             self.rng, self.shots, cols.size, self._rate(self._p_reset, cols)
         )
-        wrows, masks = bit_positions(rows)
         if active is None:
-            self.x[:, cols] = _ZERO
-            self.z[:, cols] = _ZERO
-            self.leaked[:, cols] = _ZERO
-            if rows.size:
-                np.bitwise_or.at(self.x, (wrows, cols[col_local]), masks)
+            for plane in (self.x, self.z, self.leaked):
+                plane[:, cols] = _ZERO
         else:
-            self.x[:, cols] &= ~active
-            self.z[:, cols] &= ~active
-            self.leaked[:, cols] &= ~active
-            if rows.size:
+            not_active = ~active
+            for plane in (self.x, self.z, self.leaked):
+                update_columns(np.bitwise_and, plane, cols, not_active, unique)
+        if rows.size:
+            wrows, masks = bit_positions(rows)
+            if active is not None:
                 keep = (active[wrows, col_local] & masks) != 0
-                np.bitwise_or.at(
-                    self.x,
-                    (wrows[keep], cols[col_local[keep]]),
-                    masks[keep],
-                )
+                wrows, masks, col_local = wrows[keep], masks[keep], col_local[keep]
+            np.bitwise_or.at(self.x, (wrows, cols[col_local]), masks)
 
     def _measure_pair_cols(
         self, cols: np.ndarray, act: np.ndarray, unique: bool
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Measure grouped pair columns where ``act`` is set; (shots, n) matrices.
+        """Measure masked pair columns where ``act`` is set; (shots, n) matrices.
 
-        ``cols`` are the data-side qubit columns of :meth:`_group_pairs`
-        output — possibly duplicated (one qubit in several pairs), which is
-        why results are pair-local matrices rather than state columns.
-        Cells outside ``act`` carry draws but no meaning; callers only read
-        back active cells, and only those cells' phase frames collapse.
+        ``cols`` are the data-side qubit columns of a pair mask — possibly
+        duplicated (one qubit in several pairs), which is why results are
+        pair-local matrices rather than state columns.  Cells outside
+        ``act`` read 0, and only active cells' phase frames collapse.
         """
         true_leaked = self.leaked[:, cols] & act
-        bits = self.x[:, cols] & act
-        rows, col_local = sample_cells(
-            self.rng, self.shots, cols.size, self._rate(self._p_measure, cols)
-        )
-        if rows.size:
-            w_f, m_f = bit_positions(rows)
-            np.bitwise_xor.at(bits, (w_f, col_local), m_f)
-        if true_leaked.any():
-            random_bits = fair_words(self.rng, true_leaked.shape)
-            bits = (bits & ~true_leaked) | (random_bits & true_leaked)
-        bits_b = unpack_words(bits, self.shots)
-        leaked_b = unpack_words(true_leaked, self.shots)
-        labels = bits_b.astype(np.int8)
-        labels[leaked_b] = LABEL_LEAKED
-        if channel_active(self._p_multilevel):
-            rows, col_local = sample_cells(
-                self.rng, self.shots, cols.size,
-                self._rate(self._p_multilevel, cols),
-            )
-            if rows.size:
-                shift = self.rng.integers(1, 3, size=rows.size).astype(np.int8)
-                labels[rows, col_local] = (labels[rows, col_local] + shift) % 3
-        if unique:
-            self.z[:, cols] &= ~act
-        else:
-            np.bitwise_and.at(self.z, (self._w_index, cols), ~act)
-        return bits_b.astype(np.uint8), labels.astype(np.uint8), leaked_b
+        bits = self._measurement_flips(self.x[:, cols], cols)
+        result = self._read_out(bits, true_leaked, cols, act)
+        update_columns(np.bitwise_and, self.z, cols, ~act, unique)
+        return result
 
-    def _reset_pair_cols(
-        self, cols: np.ndarray, act: np.ndarray, unique: bool
-    ) -> None:
-        """Reset grouped pair columns to |0> where ``act`` is set."""
-        rows, col_local = sample_cells(
-            self.rng, self.shots, cols.size, self._rate(self._p_reset, cols)
-        )
-        not_act = ~act
-        if unique:
-            self.x[:, cols] &= not_act
-            self.z[:, cols] &= not_act
-            self.leaked[:, cols] &= not_act
-        else:
-            np.bitwise_and.at(self.x, (self._w_index, cols), not_act)
-            np.bitwise_and.at(self.z, (self._w_index, cols), not_act)
-            np.bitwise_and.at(self.leaked, (self._w_index, cols), not_act)
-        if rows.size:
-            w_f, m_f = bit_positions(rows)
-            keep = (act[w_f, col_local] & m_f) != 0
-            np.bitwise_or.at(
-                self.x, (w_f[keep], cols[col_local[keep]]), m_f[keep]
-            )
-
-    def _lrc_finalize(self, op: LrcFinalize) -> BatchedMeasurementRecord:
-        # Expand the (shots x pairs) block into pair instances so the IR path
-        # and the instance path share one implementation.
-        n_pairs = op.data_qubits.size
-        shot_idx = np.repeat(np.arange(self.shots, dtype=np.int64), n_pairs)
-        data_qubits = np.tile(op.data_qubits, self.shots)
-        ancillas = np.tile(op.ancillas, self.shots)
-        bits, labels, true_leaked = self.lrc_finalize_instances(
-            shot_idx, data_qubits, ancillas,
-            adaptive_multilevel=op.adaptive_multilevel,
-        )
-        shape = (self.shots, n_pairs)
-        return BatchedMeasurementRecord(
-            qubits=op.data_qubits.copy(),
-            bits=bits.reshape(shape),
-            labels=labels.reshape(shape),
-            true_leaked=true_leaked.reshape(shape),
-            meta=op.meta,
-        )
-
-    def _leak_iswap_all(self, data_qubits: np.ndarray, ancillas: np.ndarray) -> None:
-        n_pairs = data_qubits.size
-        shot_idx = np.repeat(np.arange(self.shots, dtype=np.int64), n_pairs)
-        self.leak_iswap_instances(
-            shot_idx, np.tile(data_qubits, self.shots), np.tile(ancillas, self.shots)
-        )
+    def _all_shots(self, n: int) -> np.ndarray:
+        """A ``(words, n)`` mask plane selecting every shot in every column."""
+        return np.repeat(full_words(self.shots)[:, np.newaxis], n, axis=1)
 
     # ------------------------------------------------------------------
     # Instance kernels (per-shot scattered cells; word/bit scatter-gather)

@@ -5,10 +5,12 @@ import pytest
 
 from repro.codes.rotated_surface import RotatedSurfaceCode
 from repro.core.policies import make_policy
+from repro.core.policies.base import LrcPolicy, PairMasks
 from repro.core.qsg import PROTOCOL_DQLR
 from repro.experiments.memory import MemoryExperiment
 from repro.noise.leakage import LeakageModel, LeakageTransportModel
 from repro.noise.model import NoiseParams
+from repro.sim.packed_bits import pack_bool
 
 
 @pytest.fixture(scope="module")
@@ -317,3 +319,91 @@ class TestDqlrProtocol:
         result = experiment.run(5)
         assert result.metadata["protocol"] == PROTOCOL_DQLR
         assert result.shots == 5
+
+
+class StubMaskPolicy(LrcPolicy):
+    """Schedules the same hand-built pair masks every round.
+
+    ``cells`` maps a ``(data qubit, stabilizer)`` pair to the shots that
+    schedule it; nothing checks the pairs, so the harness must.
+    """
+
+    name = "stub-masks"
+    supports_batch = True
+
+    def __init__(self, cells):
+        super().__init__()
+        self.cells = cells
+
+    def decide(self, round_index, detection_events, syndrome, readout_labels, true_leaked_data):
+        return {}
+
+    def initial_assignment_batch(self, shots):
+        pairs = sorted(self.cells, key=lambda pair: (pair[0], self.code.ancilla_of(pair[1])))
+        chosen = np.zeros((shots, len(pairs)), dtype=bool)
+        for column, pair in enumerate(pairs):
+            chosen[self.cells[pair], column] = True
+        return PairMasks(
+            np.asarray([q for q, _ in pairs], dtype=np.int64),
+            np.asarray([s for _, s in pairs], dtype=np.int64),
+            pack_bool(chosen),
+        )
+
+    def decide_batch(self, round_index, detection_events, syndrome, readout_labels, true_leaked_data):
+        return self.initial_assignment_batch(detection_events.shape[0])
+
+
+class TestMaskValidation:
+    """The packed harness checks every round's pair masks by popcount."""
+
+    def run_stub(self, code, protocol, cells):
+        return MemoryExperiment(
+            code=code,
+            policy=StubMaskPolicy(cells),
+            noise=NoiseParams.noiseless(),
+            leakage=LeakageModel.disabled(),
+            rounds=2,
+            protocol=protocol,
+            decode=False,
+            engine="packed",
+            seed=1,
+        ).run(70)
+
+    @staticmethod
+    def shared_stabilizer(code):
+        """Two data qubits and a stabilizer adjacent to both."""
+        for stab in range(code.num_stabilizers):
+            users = [q for q in code.data_indices if stab in code.stabilizer_neighbors(q)]
+            if len(users) >= 2:
+                return users[0], users[1], stab
+        raise AssertionError("no shared stabilizer")
+
+    @pytest.mark.parametrize("protocol", ["swap", PROTOCOL_DQLR])
+    def test_non_adjacent_pair_rejected(self, code, protocol):
+        stab = next(
+            s for s in range(code.num_stabilizers) if s not in code.stabilizer_neighbors(0)
+        )
+        with pytest.raises(ValueError, match="non-adjacent"):
+            self.run_stub(code, protocol, {(0, stab): [3]})
+
+    @pytest.mark.parametrize("protocol", ["swap", PROTOCOL_DQLR])
+    def test_parity_qubit_reused_within_a_shot_rejected(self, code, protocol):
+        first, second, stab = self.shared_stabilizer(code)
+        with pytest.raises(ValueError, match="reuses a parity qubit"):
+            self.run_stub(code, protocol, {(first, stab): [0, 65], (second, stab): [65]})
+
+    @pytest.mark.parametrize("protocol", ["swap", PROTOCOL_DQLR])
+    def test_data_qubit_in_two_pairs_within_a_shot_rejected(self, code, protocol):
+        qubit = next(q for q in code.data_indices if len(code.stabilizer_neighbors(q)) >= 2)
+        one, two = code.stabilizer_neighbors(qubit)[:2]
+        with pytest.raises(ValueError, match="two LRCs"):
+            self.run_stub(code, protocol, {(qubit, one): [1, 69], (qubit, two): [69]})
+
+    @pytest.mark.parametrize("protocol", ["swap", PROTOCOL_DQLR])
+    def test_shared_qubits_in_different_shots_accepted(self, code, protocol):
+        # A qubit may sit in several pairs as long as no shot schedules two.
+        first, second, stab = self.shared_stabilizer(code)
+        other = next(s for s in code.stabilizer_neighbors(first) if s != stab)
+        cells = {(first, stab): [0, 64], (second, stab): [1, 65], (first, other): [2, 66]}
+        result = self.run_stub(code, protocol, cells)
+        assert result.lrcs_per_round == pytest.approx(6 / 70)

@@ -35,6 +35,13 @@ def get_plane(sim, plane):
     return unpack_words(getattr(sim, plane), sim.shots)
 
 
+def shot_mask(shot_indices, shots=70):
+    """A one-column pair mask plane selecting the given shots."""
+    selected = np.zeros((shots, 1), dtype=bool)
+    selected[shot_indices] = True
+    return pack_bool(selected)
+
+
 class TestConstruction:
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
@@ -141,7 +148,7 @@ class TestDeterministicKernels:
         set_plane(sim, "x", x)
         active = np.zeros((70, 2), dtype=bool)
         active[:35] = True
-        record = sim.measure_reset_masked(np.array([0, 1]), (0, 1), active)
+        record = sim.measure_reset_masked(np.array([0, 1]), (0, 1), pack_bool(active))
         got = get_plane(sim, "x")
         assert not got[:35, [0, 1]].any()  # reset where active
         assert got[35:, [0, 1]].all()  # untouched elsewhere
@@ -180,9 +187,7 @@ class TestInstanceKernels:
         set_plane(sim, "x", x)
         scheduled = np.arange(0, 70, 2)
         sim.swap_instances(
-            scheduled,
-            np.zeros(scheduled.size, dtype=np.int64),
-            np.full(scheduled.size, 1, dtype=np.int64),
+            np.array([0]), np.array([1]), shot_mask(scheduled)
         )
         got = get_plane(sim, "x")
         assert got[scheduled, 1].all() and not got[scheduled, 0].any()
@@ -195,14 +200,11 @@ class TestInstanceKernels:
         x[:10, 0] = True  # parity outcome parked on the data-side qubit
         x[:, 1] = True  # data state parked on the ancilla
         set_plane(sim, "x", x)
-        shot_idx = np.arange(70, dtype=np.int64)
         bits, labels, true_leaked = sim.lrc_finalize_instances(
-            shot_idx,
-            np.zeros(70, dtype=np.int64),
-            np.ones(70, dtype=np.int64),
+            np.array([0]), np.array([1]), shot_mask(np.arange(70))
         )
-        np.testing.assert_array_equal(bits.astype(bool), x[:, 0])
-        np.testing.assert_array_equal(labels.astype(bool), x[:, 0])
+        np.testing.assert_array_equal(bits[:, 0].astype(bool), x[:, 0])
+        np.testing.assert_array_equal(labels[:, 0].astype(bool), x[:, 0])
         assert not true_leaked.any()
         got = get_plane(sim, "x")
         assert got[:, 0].all()  # parked data state swapped back
@@ -230,14 +232,12 @@ class TestTailInvariant:
         for _ in range(4):
             sim.run(ops)
             sim.swap_instances(
-                np.arange(0, 70, 3),
-                np.zeros(24, dtype=np.int64),
-                np.full(24, 2, dtype=np.int64),
+                np.array([0]), np.array([2]), shot_mask(np.arange(0, 70, 3))
             )
             sim.lrc_finalize_instances(
-                np.arange(0, 70, 3),
-                np.zeros(24, dtype=np.int64),
-                np.full(24, 2, dtype=np.int64),
+                np.array([0]),
+                np.array([2]),
+                shot_mask(np.arange(0, 70, 3)),
                 adaptive_multilevel=True,
             )
         tail_mask = np.uint64(2**64 - 1) ^ np.uint64((1 << (70 - 64)) - 1)

@@ -13,6 +13,7 @@ import pytest
 
 from repro.codes import make_code
 from repro.experiments.jobs import resolve_policy
+from repro.sim.packed_bits import full_words, num_words, unpack_words
 
 BATCH_POLICIES = ("always-lrc", "eraser", "eraser+m", "optimal", "no-lrc", "dqlr")
 
@@ -21,12 +22,24 @@ SHOTS = 130
 ROUNDS = 12
 
 
-def batch_assignments(decision, shots):
-    """Per-shot ``{data qubit: stabilizer}`` dicts of a batched decision."""
-    return [
-        {int(q): int(decision[s, q]) for q in np.flatnonzero(decision[s] >= 0)}
-        for s in range(shots)
-    ]
+def batch_assignments(masks, shots, code):
+    """Per-shot ``{data qubit: stabilizer}`` dicts of batched pair masks."""
+    assert masks.data.shape == masks.stabs.shape
+    assert masks.act.shape == (num_words(shots), masks.data.size)
+    # Columns ascend by (data qubit, parity qubit), none is empty, and no
+    # bit past the last shot is set.
+    order = [(q, code.ancilla_of(s)) for q, s in zip(masks.data, masks.stabs)]
+    assert order == sorted(set(order))
+    assert masks.act.any(axis=0).all()
+    np.testing.assert_array_equal(masks.act & ~full_words(shots)[:, None], 0)
+    active = unpack_words(masks.act, shots)
+    assignments = []
+    for row in active:
+        pairs = np.flatnonzero(row)
+        assignment = {int(masks.data[j]): int(masks.stabs[j]) for j in pairs}
+        assert len(assignment) == pairs.size, "a data qubit has two LRCs in one shot"
+        assignments.append(assignment)
+    return assignments
 
 
 def drive(policy_name, code, seed, event_rate, label_rate, leak_rate):
@@ -43,7 +56,7 @@ def drive(policy_name, code, seed, event_rate, label_rate, leak_rate):
         copies.append(copy)
     yield (
         -1,
-        batch_assignments(batch.initial_assignment_batch(SHOTS), SHOTS),
+        batch_assignments(batch.initial_assignment_batch(SHOTS), SHOTS, code),
         [copy.initial_assignment() for copy in copies],
     )
     n_stabs, n_data = code.num_stabilizers, code.num_data_qubits
@@ -61,7 +74,7 @@ def drive(policy_name, code, seed, event_rate, label_rate, leak_rate):
             copy.decide(round_index, events[s], syndrome[s], labels[s], truth[s])
             for s, copy in enumerate(copies)
         ]
-        yield round_index, batch_assignments(decision, SHOTS), scalar
+        yield round_index, batch_assignments(decision, SHOTS, code), scalar
 
 
 @pytest.mark.parametrize("distance", [3, 5])
