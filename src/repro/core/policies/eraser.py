@@ -82,13 +82,13 @@ class EraserPolicy(LrcPolicy):
             adjacency[data_qubit, self._lsb._neighbors[data_qubit]] = 1
         self._adjacency_t = adjacency.T.copy()
         self._thresholds = self._lsb._thresholds
-        # Candidate lists in the DLI's visitation order (ascending data qubit,
-        # primary before backups), each candidate with its mask column, so
-        # the batched path can replay the greedy pairing for all shots at once.
-        self._dli_candidates = [
-            (data_qubit, [(stab, self.pairs.column[(data_qubit, stab)]) for stab in stabs])
-            for data_qubit, stabs in sorted(self._dli.lookup_table.candidates.items())
-        ]
+        # Candidate lists in the DLI's visitation order (primary before
+        # backups), each candidate with its mask column, so the batched path
+        # can replay the greedy pairing for all shots at once.
+        self._dli_candidates = {
+            data_qubit: [(stab, self.pairs.column[(data_qubit, stab)]) for stab in stabs]
+            for data_qubit, stabs in self._dli.lookup_table.candidates.items()
+        }
         self._batch_ltt = None
         self._batch_putt = None
         self._batch_had_lrc = None
@@ -160,30 +160,24 @@ class EraserPolicy(LrcPolicy):
         # DynamicLrcInsertion.assign run shot by shot.
         chosen = np.zeros((shots, len(self.pairs.column)), dtype=bool)
         assigned = np.zeros_like(self._batch_ltt)
-        putt = np.zeros_like(self._batch_putt)
-        if self._batch_ltt.any():
-            taken = self._batch_putt.copy()
-            for data_qubit, candidates in self._dli_candidates:
-                pending = self._batch_ltt[:, data_qubit].copy()
-                if not pending.any():
-                    continue
-                for stab, column in candidates:
-                    take = pending & ~taken[:, stab]
-                    if take.any():
-                        chosen[:, column] = take
-                        assigned[:, data_qubit] |= take
-                        taken[:, stab] |= take
-                        pending &= ~take
-                        if not pending.any():
-                            break
-            # The parity qubits taken this round are the ones not blocked
-            # before it.
-            putt = taken ^ self._batch_putt
+        taken = self._batch_putt.copy()
+        for data_qubit in np.flatnonzero(self._batch_ltt.any(axis=0)):
+            pending = self._batch_ltt[:, data_qubit].copy()
+            for stab, column in self._dli_candidates[data_qubit]:
+                take = pending & ~taken[:, stab]
+                if take.any():
+                    chosen[:, column] = take
+                    assigned[:, data_qubit] |= take
+                    taken[:, stab] |= take
+                    pending &= ~take
+                    if not pending.any():
+                        break
 
-        # Commit step: assigned qubits leave the LTT, their parity qubits are
-        # blocked for one round, and they count as "had an LRC" next round.
+        # Commit step: assigned qubits leave the LTT, the parity qubits taken
+        # this round (those not blocked before it) are blocked for one round,
+        # and assigned qubits count as "had an LRC" next round.
         self._batch_ltt &= ~assigned
-        self._batch_putt = putt
+        self._batch_putt = taken ^ self._batch_putt
         self._batch_had_lrc = assigned
         return self.pairs.pack(chosen)
 

@@ -541,9 +541,10 @@ class PackedLeakageFrameSimulator:
         """CNOT layer over qubit columns, optionally masked per (shot, pair).
 
         ``act`` is a ``(words, n_pairs)`` pair mask plane restricting the
-        gate to the shots scheduling each pair; ``None`` means all shots.  ``c_unique``/``t_unique``
-        report column uniqueness — duplicated columns (one qubit in several
-        masked pairs) require unbuffered scatter.
+        gate to the shots scheduling each pair; ``None`` means all shots.
+        ``c_unique``/``t_unique`` report column uniqueness — duplicated
+        columns (one qubit in several masked pairs) require unbuffered
+        scatter.
         """
         c_cols = controls
         t_cols = targets
@@ -640,8 +641,8 @@ class PackedLeakageFrameSimulator:
             true_leaked = true_leaked & act
         bits_b = unpack_words(bits, self.shots).view(np.uint8)
         leaked_b = unpack_words(true_leaked, self.shots)
-        labels = bits_b.copy()
-        labels[leaked_b] = LABEL_LEAKED
+        # The bit where unleaked, LABEL_LEAKED (2) where leaked.
+        labels = bits_b + leaked_b.view(np.uint8) * (LABEL_LEAKED - bits_b)
         if channel_active(self._p_multilevel):
             rows, col_local = sample_cells(
                 self.rng, self.shots, cols.size,
