@@ -356,9 +356,8 @@ class MemoryExperiment:
             sim.run(self.qsg.round_prefix())
             data_cols = self._data_indices[masks.data]
             ancilla_cols = self._ancilla_of_stab[masks.stabs]
-            unique = (masks.data_unique, masks.stabs_unique)
             if swap_protocol:
-                sim.swap_instances(data_cols, ancilla_cols, masks.act, unique=unique)
+                sim.swap_instances(data_cols, ancilla_cols, masks.act)
                 # Each shot measures its own main (non-LRC) parity qubits;
                 # LRC'd ancillas hold parked data states and stay untouched.
                 record = sim.measure_reset_masked(
@@ -371,8 +370,7 @@ class MemoryExperiment:
                     # Main and LRC results cover disjoint cells (each reads 0
                     # outside its own), so merging them is an OR per column.
                     bits, lrc_labels, _ = sim.lrc_finalize_instances(
-                        data_cols, ancilla_cols, masks.act,
-                        adaptive_multilevel=adaptive, unique=unique,
+                        data_cols, ancilla_cols, masks.act, adaptive_multilevel=adaptive
                     )
                     for merged, lrc in ((syndrome, bits), (labels, lrc_labels)):
                         update_columns(

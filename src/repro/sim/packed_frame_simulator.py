@@ -268,13 +268,13 @@ class PackedLeakageFrameSimulator:
     # qubit pair (data_qubits[j], ancillas[j]) gets its LRC.
     # ------------------------------------------------------------------
     @staticmethod
-    def _uniqueness(
-        data_qubits: np.ndarray, ancillas: np.ndarray, unique: Optional[Tuple[bool, bool]]
-    ) -> Tuple[bool, bool]:
-        """``unique`` if given, else whether each column set is free of repeats."""
-        if unique is None:
-            unique = tuple(np.unique(c).size == c.size for c in (data_qubits, ancillas))
-        return unique
+    def _uniqueness(data_qubits: np.ndarray, ancillas: np.ndarray) -> Tuple[bool, bool]:
+        """Whether the data and the ancilla columns are each free of repeats.
+
+        A qubit in several pairs (its shots partition between them) forces
+        unbuffered scatter in the column kernels.
+        """
+        return tuple(np.unique(c).size == c.size for c in (data_qubits, ancillas))
 
     def _instances(self, act: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Set bits of ``act`` as shot-major ``(word row, bit mask, column)`` instances."""
@@ -287,17 +287,11 @@ class PackedLeakageFrameSimulator:
         data_qubits: np.ndarray,
         ancillas: np.ndarray,
         act: np.ndarray,
-        unique: Optional[Tuple[bool, bool]] = None,
     ) -> None:
-        """Three-CNOT SWAP on each (data, ancilla) column pair where ``act`` is set.
-
-        ``unique`` reports whether the data and the ancilla columns are
-        each free of repeats (computed when omitted); a qubit in several
-        pairs (shots partition between them) forces unbuffered scatter.
-        """
+        """Three-CNOT SWAP on each (data, ancilla) column pair where ``act`` is set."""
         if act.shape[1] == 0:
             return
-        d_u, a_u = self._uniqueness(data_qubits, ancillas, unique)
+        d_u, a_u = self._uniqueness(data_qubits, ancillas)
         self._cnot_cols(data_qubits, ancillas, act=act, c_unique=d_u, t_unique=a_u)
         self._cnot_cols(ancillas, data_qubits, act=act, c_unique=a_u, t_unique=d_u)
         self._cnot_cols(data_qubits, ancillas, act=act, c_unique=d_u, t_unique=a_u)
@@ -308,7 +302,6 @@ class PackedLeakageFrameSimulator:
         ancillas: np.ndarray,
         act: np.ndarray,
         adaptive_multilevel: bool = False,
-        unique: Optional[Tuple[bool, bool]] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """SWAP-LRC tail on masked column pairs; returns ``(shots, n_pairs)`` (bits, labels, leaked).
 
@@ -319,7 +312,7 @@ class PackedLeakageFrameSimulator:
         qubit is reset instead (ERASER+M, Section 4.6.2).  Result cells
         outside ``act`` read 0.
         """
-        d_u, a_u = self._uniqueness(data_qubits, ancillas, unique)
+        d_u, a_u = self._uniqueness(data_qubits, ancillas)
         bits, labels, true_leaked = self._measure_pair_cols(data_qubits, act, d_u)
         self._reset_cols(data_qubits, active=act, unique=d_u)
         act_back = act
