@@ -11,7 +11,7 @@
 * :class:`EraserMPolicy` — ERASER enhanced with multi-level readout.
 """
 
-from repro.core.policies.base import LrcPolicy
+from repro.core.policies.base import LrcPolicy, PairMasks
 from repro.core.policies.no_lrc import NoLrcPolicy
 from repro.core.policies.always_lrc import AlwaysLrcPolicy
 from repro.core.policies.optimal import OptimalLrcPolicy
@@ -54,6 +54,7 @@ def make_policy(name: str, **kwargs) -> LrcPolicy:
 
 __all__ = [
     "LrcPolicy",
+    "PairMasks",
     "NoLrcPolicy",
     "AlwaysLrcPolicy",
     "OptimalLrcPolicy",

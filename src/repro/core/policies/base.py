@@ -37,12 +37,12 @@ class PairMasks:
     @cached_property
     def data_unique(self) -> bool:
         """Whether no data qubit appears in two columns (shots then partition)."""
-        return np.unique(self.data).size == self.data.size
+        return len(set(self.data.tolist())) == self.data.size
 
     @cached_property
     def stabs_unique(self) -> bool:
         """Whether no stabilizer appears in two columns."""
-        return np.unique(self.stabs).size == self.stabs.size
+        return len(set(self.stabs.tolist())) == self.stabs.size
 
 
 class LrcPairs:

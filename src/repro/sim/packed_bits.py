@@ -77,6 +77,17 @@ def unpack_words(words: np.ndarray, shots: int) -> np.ndarray:
     return bits.view(bool).T
 
 
+def set_cells(words: np.ndarray, shots: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.nonzero(unpack_words(words, shots))``: every set bit's (shot, column), shot-major.
+
+    Scans the unpacked columns as the contiguous bit strings they are and
+    sorts the hits, which beats a 2-D ``np.nonzero`` several times over.
+    """
+    n = words.shape[1]
+    col, shot = np.divmod(np.flatnonzero(unpack_words(words, shots).T), shots)
+    return np.divmod(np.sort(shot * n + col), n)
+
+
 def full_words(shots: int) -> np.ndarray:
     """``(num_words(shots),)`` words with every shot's bit set and a zero tail."""
     return pack_bool(np.ones((shots, 1), dtype=bool))[:, 0]
@@ -136,6 +147,10 @@ def sample_distinct(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     need = k
     while need > 0:
         draw = rng.integers(0, n, size=need + (need >> 3) + 16, dtype=np.int64)
+        if k == 1:
+            # The commonest request at circuit-level rates: one value is
+            # always distinct, so skip the dedup.
+            return draw[:1]
         pool = np.concatenate([chosen, draw])
         _, first = np.unique(pool, return_index=True)
         # Keep first-appearance order so the prefix is exactly the first k

@@ -82,6 +82,7 @@ from repro.sim.packed_bits import (
     full_words,
     num_words,
     sample_cells,
+    set_cells,
     unpack_words,
     update_columns,
 )
@@ -274,11 +275,11 @@ class PackedLeakageFrameSimulator:
         A qubit in several pairs (its shots partition between them) forces
         unbuffered scatter in the column kernels.
         """
-        return tuple(np.unique(c).size == c.size for c in (data_qubits, ancillas))
+        return tuple(len(set(c.tolist())) == c.size for c in (data_qubits, ancillas))
 
     def _instances(self, act: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Set bits of ``act`` as shot-major ``(word row, bit mask, column)`` instances."""
-        shot, col = np.nonzero(unpack_words(act, self.shots))
+        shot, col = set_cells(act, self.shots)
         wrows, masks = bit_positions(shot)
         return wrows, masks, col
 
@@ -559,8 +560,7 @@ class PackedLeakageFrameSimulator:
         if act is not None:
             one_leaked &= act
         if one_leaked.any():
-            pairs_hit = unpack_words(one_leaked, self.shots)
-            shot, pair = np.nonzero(pairs_hit)
+            shot, pair = set_cells(one_leaked, self.shots)
             wrows, masks = bit_positions(shot)
             recv_is_target = (self.leaked[wrows, c_cols[pair]] & masks) != 0
             recv = np.where(recv_is_target, t_cols[pair], c_cols[pair])

@@ -7,11 +7,15 @@ from repro.sim.packed_bits import (
     WORD_BITS,
     bit_positions,
     fair_words,
+    full_words,
     num_words,
     pack_bool,
+    popcount,
     sample_cells,
     sample_distinct,
+    set_cells,
     unpack_words,
+    update_columns,
 )
 
 
@@ -56,6 +60,37 @@ class TestPackRoundtrip:
         words = pack_bool(np.zeros((10, 0), dtype=bool))
         assert words.shape == (1, 0)
         assert unpack_words(words, 10).shape == (10, 0)
+
+
+class TestMaskHelpers:
+    @pytest.mark.parametrize("shots", [1, 63, 64, 65, 130])
+    def test_full_words_sets_every_shot_and_no_tail(self, shots):
+        words = full_words(shots)
+        assert unpack_words(words[:, np.newaxis], shots).all()
+        assert popcount(words) == shots
+
+    @pytest.mark.parametrize("shots,ncols", [(1, 1), (70, 4), (130, 0), (257, 9)])
+    def test_popcount_and_set_cells_match_unpacked(self, shots, ncols):
+        matrix = np.random.default_rng(shots + ncols).random((shots, ncols)) < 0.2
+        words = pack_bool(matrix)
+        assert popcount(words) == np.count_nonzero(matrix)
+        rows, cols = set_cells(words, shots)
+        want_rows, want_cols = np.nonzero(matrix)
+        np.testing.assert_array_equal(rows, want_rows)
+        np.testing.assert_array_equal(cols, want_cols)
+
+    @pytest.mark.parametrize("unique", [True, False])
+    def test_update_columns_applies_every_column(self, unique):
+        rng = np.random.default_rng(5)
+        out = rng.integers(0, 1 << 62, size=(3, 6)).astype(np.uint64)
+        values = rng.integers(0, 1 << 62, size=(3, 4)).astype(np.uint64)
+        cols = np.array([4, 1, 0, 3]) if unique else np.array([4, 1, 4, 1])
+        want = out.copy()
+        for j, col in enumerate(cols):
+            want[:, col] ^= values[:, j]
+        got = update_columns(np.bitwise_xor, out, cols, values, unique)
+        assert got is out
+        np.testing.assert_array_equal(got, want)
 
 
 class TestBitPositions:
