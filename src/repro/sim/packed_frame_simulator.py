@@ -266,7 +266,9 @@ class PackedLeakageFrameSimulator:
 
     # ------------------------------------------------------------------
     # Masked pair kernels: column j of ``act`` holds the shots in which
-    # qubit pair (data_qubits[j], ancillas[j]) gets its LRC.
+    # qubit pair (data_qubits[j], ancillas[j]) gets its LRC.  The
+    # ``*_instances`` names predate the masks; perfbench's layer table
+    # times the kernels under these names.
     # ------------------------------------------------------------------
     @staticmethod
     def _uniqueness(data_qubits: np.ndarray, ancillas: np.ndarray) -> Tuple[bool, bool]:
@@ -304,14 +306,15 @@ class PackedLeakageFrameSimulator:
         act: np.ndarray,
         adaptive_multilevel: bool = False,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """SWAP-LRC tail on masked column pairs; returns ``(shots, n_pairs)`` (bits, labels, leaked).
+        """SWAP-LRC tail on masked column pairs.
 
-        Semantics mirror :class:`~repro.sim.circuit.LrcFinalize`: measure
-        the data-side qubit (holding the parity outcome), reset it, swap the
-        parked data state back — unless ``adaptive_multilevel`` is set and the measurement
+        Returns ``(bits, labels, leaked)`` as ``(shots, n_pairs)`` matrices
+        whose cells outside ``act`` read 0.  Semantics mirror
+        :class:`~repro.sim.circuit.LrcFinalize`: measure the data-side qubit
+        (holding the parity outcome), reset it, swap the parked data state
+        back — unless ``adaptive_multilevel`` is set and the measurement
         reported |L>, in which case the swap-back is squashed and the parity
-        qubit is reset instead (ERASER+M, Section 4.6.2).  Result cells
-        outside ``act`` read 0.
+        qubit is reset instead (ERASER+M, Section 4.6.2).
         """
         d_u, a_u = self._uniqueness(data_qubits, ancillas)
         bits, labels, true_leaked = self._measure_pair_cols(data_qubits, act, d_u)
