@@ -85,8 +85,7 @@ def _add_common_sweep_args(parser: argparse.ArgumentParser) -> None:
         choices=list(ENGINES),
         default="auto",
         help="Monte-Carlo engine: bit-packed words (64 shots per word) or "
-        "the scalar reference loop (auto picks packed whenever the policy "
-        "supports vectorised decisions).",
+        "the scalar reference loop (auto picks packed).",
     )
     parser.add_argument(
         "--code-family",

@@ -21,7 +21,6 @@ class AlwaysLrcPolicy(LrcPolicy):
     """Schedule LRCs for (almost) all data qubits every alternate round."""
 
     name = "always-lrc"
-    supports_batch = True
 
     def __init__(self, start_with_lrc_round: bool = False):
         super().__init__()

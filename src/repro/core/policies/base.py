@@ -102,9 +102,9 @@ class LrcPolicy(abc.ABC):
        ground-truth data-qubit leakage.  It returns the assignment for the
        *next* round as a mapping from data qubit to stabilizer index.
 
-    Policies that set :attr:`supports_batch` additionally implement the batched
-    protocol used by the packed Monte-Carlo engine: :meth:`start_batch`
-    replaces :meth:`start_shot`, and :meth:`decide_batch` consumes
+    Every policy also implements the batched protocol used by the packed
+    Monte-Carlo engine: :meth:`start_batch` replaces :meth:`start_shot`, and
+    :meth:`decide_batch` consumes
     ``(shots, num_stabilizers)`` syndrome/label arrays and returns every
     shot's assignment at once as :class:`PairMasks` — packed shot masks per
     (data qubit, stabilizer) pair, built over :attr:`pairs`, which the
@@ -119,9 +119,6 @@ class LrcPolicy(abc.ABC):
 
     #: Whether this policy consumes multi-level readout labels.
     uses_multilevel_readout: bool = False
-
-    #: Whether this policy implements the batched decision protocol.
-    supports_batch: bool = False
 
     def __init__(self) -> None:
         self.code: Optional[StabilizerCode] = None
@@ -147,19 +144,16 @@ class LrcPolicy(abc.ABC):
         return {}
 
     # ------------------------------------------------------------------
-    # Batched protocol (policies with ``supports_batch = True``)
+    # Batched protocol (the packed engine)
     # ------------------------------------------------------------------
     def start_batch(self, shots: int) -> None:
         """Reset per-shot state for a batch of ``shots`` Monte-Carlo shots."""
-        if not self.supports_batch:
-            raise NotImplementedError(
-                f"policy {self.name!r} does not support batched execution"
-            )
 
     def initial_assignment_batch(self, shots: int) -> PairMasks:
         """Round-0 masks (default: the scalar assignment in every shot)."""
         return self.pairs.broadcast(self.initial_assignment(), shots)
 
+    @abc.abstractmethod
     def decide_batch(
         self,
         round_index: int,
@@ -184,9 +178,6 @@ class LrcPolicy(abc.ABC):
             qubit ``data[j]`` with the parity qubit of ``stabs[j]`` for every
             column ``j`` whose ``act`` bit is set for ``s``.
         """
-        raise NotImplementedError(
-            f"policy {self.name!r} does not support batched execution"
-        )
 
     @abc.abstractmethod
     def decide(

@@ -40,7 +40,6 @@ class EraserPolicy(LrcPolicy):
 
     name = "eraser"
     uses_multilevel_readout = False
-    supports_batch = True
 
     def __init__(
         self,

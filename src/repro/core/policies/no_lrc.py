@@ -17,7 +17,6 @@ class NoLrcPolicy(LrcPolicy):
     """Never insert LRCs; parity qubits are still reset by normal readout."""
 
     name = "no-lrc"
-    supports_batch = True
 
     def decide(
         self,

@@ -22,7 +22,6 @@ class OptimalLrcPolicy(LrcPolicy):
 
     name = "optimal"
     uses_ground_truth = True
-    supports_batch = True
 
     def __init__(self, num_backups: int = None):
         super().__init__()

@@ -4,11 +4,11 @@ The paper decodes memory experiments with MWPM (Section 5.3).  This package
 provides a from-scratch implementation: a space-time decoding graph built from
 the code structure, exact shortest paths and frame parities from one cached
 scipy Dijkstra row per layer-0 check (the space-time table), syndrome dedup
-and an LRU ahead of the matcher, and three matching engines: exact MWPM by a
-native array-indexed blossom port (bit-identical to networkx), a vectorised
-greedy matcher, and a Union-Find decoder.  The seed implementation is
-preserved in :mod:`repro.decoder.reference` for equivalence testing and
-benchmarking.
+and an LRU ahead of the matcher, and two matching engines: exact MWPM by a
+native array-indexed blossom port (bit-identical to networkx) and a
+vectorised greedy matcher, which ``auto`` combines by syndrome size.  The
+seed implementation is preserved in :mod:`repro.decoder.reference` for
+equivalence testing and benchmarking.
 """
 
 from repro.decoder.graph import (
@@ -22,7 +22,6 @@ from repro.decoder.matching import (
     MwpmMatcher,
     build_matcher,
 )
-from repro.decoder.union_find import UnionFindMatcher
 from repro.decoder.decoder import DecoderStats, SurfaceCodeDecoder
 from repro.decoder.artifacts import (
     DecoderArtifactStore,
@@ -38,7 +37,6 @@ __all__ = [
     "AutoMatcher",
     "MwpmMatcher",
     "GreedyMatcher",
-    "UnionFindMatcher",
     "build_matcher",
     "DecoderStats",
     "SurfaceCodeDecoder",

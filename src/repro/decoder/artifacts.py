@@ -3,7 +3,7 @@
 Infrastructure for the Section 5.3 MWPM decoding pipeline: the decoder's
 per-graph precomputation — the space-time table of
 :mod:`repro.decoder.matching`, one row per layer-0 check of Dijkstra
-distances/predecessors, frame parities and the ambiguity mask — is
+distances, frame parities and the ambiguity mask — is
 persisted to an on-disk store so that every process decoding the same
 graph starts warm instead of every worker of a
 :class:`~repro.experiments.executor.SweepExecutor` pool building it from
@@ -18,7 +18,7 @@ atomically (temp file + ``os.replace``) with arrays first and a JSON commit
 marker last, and read back treating missing, torn, or mismatched entries as
 misses.  Each graph entry is a pair of files under the store root::
 
-    <graph-key>.npz             table rows: distances, predecessors, masks
+    <graph-key>.npz             table rows: distances, masks
     <graph-key>.json            commit marker (format + identity)
     <graph-key>.lru-<id>.npz    syndrome->correction LRU snapshot
     <graph-key>.lru-<id>.json   commit marker (format + LRU identity)
@@ -54,9 +54,10 @@ from typing import Dict, Iterable, Optional, Tuple
 import numpy as np
 
 #: Bump when the on-disk layout changes; mismatched entries read as misses.
-#: Version 2 stores the ``(num_checks, num_nodes + 1)`` space-time table
-#: rows; version 1 stored full all-pairs matrices.
-ARTIFACT_FORMAT_VERSION = 2
+#: Version 3 stores the ``(num_checks, num_nodes + 1)`` space-time table
+#: rows as ``distances`` plus ``masks`` (frames and ambiguity); version 2
+#: also stored Dijkstra predecessors, version 1 full all-pairs matrices.
+ARTIFACT_FORMAT_VERSION = 3
 
 #: Environment variable naming the default artifact directory.
 ENV_ARTIFACT_DIR = "ERASER_REPRO_DECODER_ARTIFACT_DIR"
@@ -87,8 +88,8 @@ def graph_identity(graph) -> Dict[str, object]:
     Covers everything the space-time table depends on: the code family and
     distance, the round count, the decoded stabilizer type, the scalar edge
     weights, and a digest of the flat edge arrays *in construction order*
-    (order is load-bearing: Union-Find tie-breaking and blossom edge
-    enumeration both follow it).  Two graphs with equal identities produce
+    (so any change to the construction changes the key).  Two graphs with
+    equal identities produce
     bit-identical tables, so artifacts written by one process are valid in
     any other.
     """
@@ -295,7 +296,6 @@ class DecoderArtifactStore:
         self,
         graph,
         distances: np.ndarray,
-        predecessors: np.ndarray,
         frames: np.ndarray,
         ambiguous: np.ndarray,
     ) -> None:
@@ -306,7 +306,6 @@ class DecoderArtifactStore:
             self.graph_json_path(key),
             {
                 "distances": np.ascontiguousarray(distances),
-                "predecessors": np.ascontiguousarray(predecessors),
                 # Frames and the ambiguity mask share one member: fewer
                 # headers to parse on every warm load.
                 "masks": np.stack((frames, ambiguous)).astype(bool),
@@ -320,8 +319,8 @@ class DecoderArtifactStore:
 
     def load_graph_tables(
         self, graph
-    ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """Memory-mapped ``(distances, predecessors, frames, ambiguous)``.
+    ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Memory-mapped ``(distances, frames, ambiguous)``.
 
         Returns ``None`` on a miss.  The arrays are read-only
         :class:`numpy.memmap` views backed by the store file; every consumer
@@ -346,17 +345,15 @@ class DecoderArtifactStore:
                 },
             )
             distances = arrays["distances"]
-            predecessors = arrays["predecessors"]
             masks = arrays["masks"]
             shape = (graph.num_checks, graph.num_nodes + 1)
             if (
                 distances.shape != shape
-                or predecessors.shape != shape
                 or masks.shape != (2,) + shape
                 or masks.dtype != np.bool_
             ):
                 return None
-            return distances, predecessors, masks[0], masks[1]
+            return distances, masks[0], masks[1]
         except _MISS_ERRORS:
             return None
 

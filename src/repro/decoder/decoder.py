@@ -14,8 +14,7 @@ Decoding is batch-aware and layered (fastest layer first):
    repeated syndromes across batches (and across `decode_shot` calls), so
    duplicates within a sweep job are free;
 4. *matching engine* — only distinct, uncached syndromes reach the engine
-   (native blossom / greedy / union-find; see
-   :mod:`repro.decoder.matching`).
+   (native blossom / greedy; see :mod:`repro.decoder.matching`).
 
 Every layer is exact: corrections are bit-identical to matching each shot
 individually with the seed implementation
@@ -34,7 +33,7 @@ import numpy as np
 from repro.codes.layout import StabilizerType
 from repro.codes.base import StabilizerCode
 from repro.decoder.graph import DecodingGraph, shared_decoding_graph
-from repro.decoder.matching import build_matcher, canonical_method
+from repro.decoder.matching import AutoMatcher, build_matcher, canonical_method
 
 #: Default bound on the per-decoder syndrome->correction LRU cache.  Keys are
 #: packed detector bitmaps (~num_nodes/8 bytes each: 77 bytes at d=5, 50
@@ -103,12 +102,12 @@ class SurfaceCodeDecoder:
         num_rounds: Number of syndrome-extraction rounds per experiment.
         stabilizer_type: Detector family to match; ``Z`` (default) decodes the
             X errors that corrupt a memory-Z experiment.
-        method: Matching engine — ``"mwpm"``, ``"greedy"``, ``"auto"`` or
-            ``"union-find"``.
+        method: Matching engine — ``"mwpm"``, ``"greedy"`` or ``"auto"``
+            (exact up to
+            :attr:`~repro.decoder.matching.AutoMatcher.EXACT_THRESHOLD`
+            detectors, greedy above).
         space_weight / time_weight / diagonal_weight: Decoding-graph edge
             weights (see :class:`~repro.decoder.graph.DecodingGraph`).
-        exact_threshold: Syndrome size above which ``"auto"`` switches from
-            exact matching to greedy.
         cache_size: Bound on the syndrome->correction LRU (``0`` disables
             caching).  Performance-only.
         artifact_store: Optional
@@ -129,7 +128,6 @@ class SurfaceCodeDecoder:
     space_weight: float = 1.0
     time_weight: float = 1.0
     diagonal_weight: Optional[float] = None
-    exact_threshold: int = 40
     cache_size: int = DEFAULT_CACHE_SIZE
     artifact_store: Optional[object] = None
     stats: DecoderStats = field(default_factory=DecoderStats, init=False, repr=False)
@@ -146,11 +144,7 @@ class SurfaceCodeDecoder:
         )
         # The graph's counters so far belong to earlier decoders sharing it.
         self._graph_baseline = {name: getattr(self.graph, name) for name in _GRAPH_COUNTERS}
-        self._matcher = build_matcher(
-            self.graph,
-            method=self.method,
-            exact_threshold=self.exact_threshold,
-        )
+        self._matcher = build_matcher(self.graph, method=self.method)
         self._correction_cache: "OrderedDict[bytes, int]" = OrderedDict()
         if self.artifact_store is not None and self.cache_size > 0:
             stored = self.artifact_store.load_lru(self.graph, self._lru_identity())
@@ -257,17 +251,16 @@ class SurfaceCodeDecoder:
         """What the persisted LRU's corrections depend on, beyond the graph.
 
         Corrections differ between matching engines (greedy is approximate,
-        mwpm exact, union-find its own algorithm) and — for ``auto`` — on
-        the exact/greedy switchover size, so those join the identity (the
-        method by its canonical name from
-        :data:`~repro.decoder.matching.MATCHER_ALIASES`).  ``cache_size``
+        mwpm exact) and — for ``auto`` — on the exact/greedy switchover
+        size, so those join the identity (the method by its canonical name
+        from :data:`~repro.decoder.matching.MATCHER_ALIASES`).  ``cache_size``
         does *not*: corrections are bit-identical for any bound, so
         differently sized decoders share one persisted cache.
         """
         method = canonical_method(self.method)
         return {
             "method": method,
-            "exact_threshold": self.exact_threshold if method == "auto" else None,
+            "exact_threshold": AutoMatcher.EXACT_THRESHOLD if method == "auto" else None,
         }
 
     def _sync_artifact_stats(self) -> None:

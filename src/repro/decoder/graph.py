@@ -211,10 +211,8 @@ class DecodingGraph:
             (weights, (rows, cols)), shape=(size, size), dtype=np.float64
         )
         # Flat edge arrays (one entry per undirected edge, in construction
-        # order — order is load-bearing for Union-Find tie-breaking) power
-        # the vectorised consumers: the space-time table's frame and
-        # ambiguity propagation in ``repro.decoder.matching`` and the
-        # Union-Find decoder's edge setup.
+        # order) power the space-time table's frame and ambiguity
+        # propagation in ``repro.decoder.matching``.
         # Weights are taken from the (rows, cols, weights) triplets directly,
         # whose even positions list each edge once in insertion order.
         num_edges = len(self._edge_frames)
@@ -265,19 +263,14 @@ class DecodingGraph:
         """Drop the cached space-time table (and the reference's APSP cache).
 
         Long-lived processes that decode many distinct graph shapes can call
-        this to release the ~14 bytes per (check, node) the table holds (see
+        this to release the ~10 bytes per (check, node) the table holds (see
         ``repro.decoder.matching``) once a decoder is done.  When the rows
         came from an artifact store they are ``numpy.memmap`` views;
         dropping them here releases the underlying file handles, so the
         mapped store files can be deleted or replaced even on platforms that
         lock mapped files (Windows-style semantics).
         """
-        for attr in (
-            "_apsp_cache",
-            "_frame_parity_cache",
-            "_ambiguity_cache",
-            "_reference_apsp_cache",
-        ):
+        for attr in ("_space_time_table", "_reference_apsp_cache"):
             if hasattr(self, attr):
                 delattr(self, attr)
 

@@ -11,7 +11,8 @@ Three matchers are provided:
 * :class:`GreedyMatcher` — a fast approximate matcher that repeatedly pairs
   the closest remaining detectors (or sends a detector to the boundary),
   with option generation and sorting fully vectorised in numpy.
-* :class:`AutoMatcher` — exact below a syndrome-size threshold, greedy above.
+* :class:`AutoMatcher` — exact up to :attr:`AutoMatcher.EXACT_THRESHOLD`
+  detectors, greedy above.
 
 All matchers share one distance/path layer, the per-graph *space-time
 table* (:class:`_SpaceTimeTable`): ``C`` Dijkstra rows, one from each
@@ -42,10 +43,12 @@ symmetric (diagonal edges come in both orientations):
   edge weights.
 
 Corrections therefore stay bit-identical to
-:mod:`repro.decoder.reference` for every matcher.  The table costs 14
-bytes per (row, node) entry (8-byte distance, 4-byte predecessor, 1-byte
-frame, 1-byte mask), ``14 * C * (N + 1)`` bytes for ``N`` detectors: 2 MB
-at d=9 with 90 rounds, where all-pairs tables took 13 bytes per node pair.
+:mod:`repro.decoder.reference` for every matcher.  The table costs 10
+bytes per (row, node) entry (8-byte distance, 1-byte frame, 1-byte mask),
+``10 * C * (N + 1)`` bytes for ``N`` detectors: 1.5 MB at d=9 with 90
+rounds, where all-pairs tables took 13 bytes per node pair.  The Dijkstra
+predecessor rows are only an input to the frames and are dropped once
+:func:`_frame_parity_rows` has used them.
 """
 
 from __future__ import annotations
@@ -100,9 +103,7 @@ class _SpaceTimeTable(NamedTuple):
         return checks[:, None], cols
 
 
-def _frame_parity_rows(
-    graph: DecodingGraph, distances: np.ndarray, predecessors: np.ndarray
-) -> np.ndarray:
+def _frame_parity_rows(graph: DecodingGraph, predecessors: np.ndarray) -> np.ndarray:
     """XOR of edge frames from each row's source along its Dijkstra tree.
 
     Entry ``[row, node]`` is exactly the XOR the seed implementation
@@ -111,9 +112,9 @@ def _frame_parity_rows(
     an ancestor and the frame XOR up to it, and each round replaces the
     ancestor by the ancestor's ancestor (XOR-ing in its frame), so
     ``log2(tree depth)`` rounds reach every root.  Unreachable nodes read
-    ``False``; ``distances`` only fixes the shape.
+    ``False``.
     """
-    k, n = distances.shape
+    k, n = predecessors.shape
     nodes = np.broadcast_to(np.arange(n), (k, n))
     has_parent = predecessors >= 0
     ancestors = np.where(has_parent, predecessors, nodes)
@@ -181,9 +182,8 @@ def _ambiguity_rows(
 def _all_pairs(graph: DecodingGraph) -> _SpaceTimeTable:
     """The graph's space-time table, built (or loaded) once and cached.
 
-    The rows live on the graph as ``_apsp_cache`` (``(distances,
-    predecessors)``), ``_frame_parity_cache`` and ``_ambiguity_cache``;
-    ``DecodingGraph.clear_caches()`` drops all three.
+    The table lives on the graph as ``_space_time_table``;
+    ``DecodingGraph.clear_caches()`` drops it.
 
     With an artifact store attached (:mod:`repro.decoder.artifacts`) the
     rows are looked up there first: a hit installs memory-mapped views
@@ -192,21 +192,19 @@ def _all_pairs(graph: DecodingGraph) -> _SpaceTimeTable:
     the store hashes, so loaded and built tables are bit-identical.
     ``apsp_builds`` and ``frame_table_builds`` both count table builds.
     """
-    frames = getattr(graph, "_frame_parity_cache", None)
-    if frames is None:
-        frames = _install_table(graph)
-    return _SpaceTimeTable(
-        graph.num_checks, graph._apsp_cache[0], frames, graph._ambiguity_cache
-    )
+    table = getattr(graph, "_space_time_table", None)
+    if table is None:
+        table = _install_table(graph)
+    return table
 
 
-def _install_table(graph: DecodingGraph):
+def _install_table(graph: DecodingGraph) -> _SpaceTimeTable:
     """Load or build the table rows and cache them on ``graph``."""
     store = graph.artifact_store
     loaded = None if store is None else store.load_graph_tables(graph)
     if loaded is not None:
         graph.artifact_hits += 1
-        distances, predecessors, frames, ambiguous = loaded
+        distances, frames, ambiguous = loaded
     else:
         if store is not None:
             graph.artifact_misses += 1
@@ -216,16 +214,16 @@ def _install_table(graph: DecodingGraph):
             indices=np.arange(graph.num_checks),
             return_predecessors=True,
         )
-        frames = _frame_parity_rows(graph, distances, predecessors)
+        frames = _frame_parity_rows(graph, predecessors)
+        del predecessors
         ambiguous = _ambiguity_rows(graph, distances, frames)
         graph.apsp_builds += 1
         graph.frame_table_builds += 1
         if store is not None:
-            store.save_graph_tables(graph, distances, predecessors, frames, ambiguous)
-    graph._apsp_cache = (distances, predecessors)
-    graph._ambiguity_cache = ambiguous
-    graph._frame_parity_cache = frames
-    return frames
+            store.save_graph_tables(graph, distances, frames, ambiguous)
+    table = _SpaceTimeTable(graph.num_checks, distances, frames, ambiguous)
+    graph._space_time_table = table
+    return table
 
 
 def _frame_parity_table(graph: DecodingGraph) -> np.ndarray:
@@ -446,9 +444,11 @@ class GreedyMatcher(_BaseMatcher):
 class AutoMatcher(_BaseMatcher):
     """Exact matching for small syndromes, greedy beyond a size threshold."""
 
-    def __init__(self, graph: DecodingGraph, exact_threshold: int = 40):
+    #: Largest syndrome (in detectors) that still takes the exact matcher.
+    EXACT_THRESHOLD = 40
+
+    def __init__(self, graph: DecodingGraph):
         super().__init__(graph)
-        self.exact_threshold = exact_threshold
         self._exact = MwpmMatcher(graph)
         self._greedy = GreedyMatcher(graph)
         # Sub-matchers increment one shared counter dict.
@@ -459,7 +459,7 @@ class AutoMatcher(_BaseMatcher):
         nodes = np.asarray(nodes, dtype=np.int64)
         if nodes.size == 0:
             return 0
-        if nodes.size <= self.exact_threshold:
+        if nodes.size <= self.EXACT_THRESHOLD:
             return self._exact.decode_nodes(nodes)
         return self._greedy.decode_nodes(nodes)
 
@@ -474,9 +474,6 @@ MATCHER_ALIASES: Dict[str, str] = {
     "blossom": "mwpm",
     "greedy": "greedy",
     "auto": "auto",
-    "union-find": "union-find",
-    "unionfind": "union-find",
-    "uf": "union-find",
 }
 
 
@@ -491,21 +488,14 @@ def canonical_method(method: str) -> str:
     return key
 
 
-def build_matcher(graph: DecodingGraph, method: str = "auto", exact_threshold: int = 40):
+_MATCHERS = {"mwpm": MwpmMatcher, "greedy": GreedyMatcher, "auto": AutoMatcher}
+
+
+def build_matcher(graph: DecodingGraph, method: str = "auto"):
     """Construct a decoder engine by name.
 
     Accepted names (:data:`MATCHER_ALIASES`): ``mwpm``/``exact``/``blossom``
-    (exact matching), ``greedy``, ``auto`` (exact up to
-    ``exact_threshold`` detectors, greedy above), and
-    ``union-find``/``unionfind``/``uf`` (the Union-Find decoder).
+    (exact matching), ``greedy``, and ``auto`` (exact up to
+    :attr:`AutoMatcher.EXACT_THRESHOLD` detectors, greedy above).
     """
-    key = canonical_method(method)
-    if key == "mwpm":
-        return MwpmMatcher(graph)
-    if key == "greedy":
-        return GreedyMatcher(graph)
-    if key == "auto":
-        return AutoMatcher(graph, exact_threshold=exact_threshold)
-    from repro.decoder.union_find import UnionFindMatcher
-
-    return UnionFindMatcher(graph)
+    return _MATCHERS[canonical_method(method)](graph)

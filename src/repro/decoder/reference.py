@@ -207,11 +207,10 @@ class ReferenceGreedyMatcher(_ReferenceBaseMatcher):
 
 
 class ReferenceAutoMatcher(_ReferenceBaseMatcher):
-    """Seed auto matcher: exact below a size threshold, greedy above."""
+    """Seed auto matcher: exact up to 40 detectors, greedy above."""
 
-    def __init__(self, graph: DecodingGraph, exact_threshold: int = 40):
+    def __init__(self, graph: DecodingGraph):
         super().__init__(graph)
-        self.exact_threshold = exact_threshold
         self._exact = ReferenceMwpmMatcher(graph)
         self._greedy = ReferenceGreedyMatcher(graph)
 
@@ -219,7 +218,7 @@ class ReferenceAutoMatcher(_ReferenceBaseMatcher):
         nodes = np.asarray(nodes, dtype=np.int64)
         if nodes.size == 0:
             return 0
-        if nodes.size <= self.exact_threshold:
+        if nodes.size <= 40:
             return self._exact.decode_nodes(nodes)
         return self._greedy.decode_nodes(nodes)
 
@@ -227,9 +226,7 @@ class ReferenceAutoMatcher(_ReferenceBaseMatcher):
         raise NotImplementedError
 
 
-def build_reference_matcher(
-    graph: DecodingGraph, method: str = "auto", exact_threshold: int = 40
-):
+def build_reference_matcher(graph: DecodingGraph, method: str = "auto"):
     """Seed twin of :func:`repro.decoder.matching.build_matcher`."""
     key = method.strip().lower()
     if key in ("mwpm", "exact", "blossom"):
@@ -237,7 +234,7 @@ def build_reference_matcher(
     if key == "greedy":
         return ReferenceGreedyMatcher(graph)
     if key == "auto":
-        return ReferenceAutoMatcher(graph, exact_threshold=exact_threshold)
+        return ReferenceAutoMatcher(graph)
     raise ValueError(f"unknown reference matching method {method!r}")
 
 

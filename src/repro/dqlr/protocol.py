@@ -45,7 +45,6 @@ class DqlrBaselinePolicy(LrcPolicy):
     """
 
     name = "dqlr"
-    supports_batch = True
 
     def __init__(self) -> None:
         super().__init__()

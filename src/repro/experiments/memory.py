@@ -106,8 +106,7 @@ class MemoryExperiment:
         seed: Seed or generator for reproducibility.
         engine: ``"packed"`` (bit-packed word-parallel execution, 64 shots
             per uint64 word), ``"scalar"`` (the reference one-shot-at-a-time
-            loop), or ``"auto"`` (packed whenever the policy supports
-            vectorised decisions, else scalar).  The engines are
+            loop), or ``"auto"`` (packed).  The engines are
             statistically equivalent but draw random numbers in different
             orders, so per-shot outcomes differ bit-for-bit between them.
         batch_size: Shots simulated together per packed batch (default
@@ -147,7 +146,7 @@ class MemoryExperiment:
             raise ValueError("a scheduling policy is required")
         if isinstance(policy, str):
             # Resolve names ("eraser", "always-lrc", ...) here rather than
-            # crashing later on `policy.bind` / `policy.supports_batch`;
+            # crashing later on `policy.bind`;
             # resolve_policy raises a ValueError naming the valid policies.
             # Imported lazily: jobs imports this module at load time.
             from repro.experiments.jobs import resolve_policy
@@ -166,10 +165,6 @@ class MemoryExperiment:
         self.rng = make_rng(seed)
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-        if engine == "packed" and not policy.supports_batch:
-            raise ValueError(
-                f"policy {policy.name!r} does not support the {engine} engine"
-            )
         self.engine = engine
         if batch_size is not None and batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -406,12 +401,6 @@ class MemoryExperiment:
             logical_errors = int(np.count_nonzero(errors))
         return logical_errors, total_lrcs
 
-    def _resolve_engine(self) -> str:
-        """Resolve ``"auto"``: packed if the policy decides in batch, else scalar."""
-        if self.engine == "auto":
-            return "packed" if self.policy.supports_batch else "scalar"
-        return self.engine
-
     # ------------------------------------------------------------------
     # Aggregation
     # ------------------------------------------------------------------
@@ -419,7 +408,7 @@ class MemoryExperiment:
         """Run ``shots`` Monte-Carlo shots and aggregate the observations."""
         if shots < 1:
             raise ValueError("shots must be >= 1")
-        engine = self._resolve_engine()
+        engine = "scalar" if self.engine == "scalar" else "packed"
         lpr_total = np.zeros(self.rounds)
         lpr_data = np.zeros(self.rounds)
         lpr_parity = np.zeros(self.rounds)

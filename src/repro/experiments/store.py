@@ -230,21 +230,7 @@ class ResultStore:
             except OSError:
                 pass
             raise
-        self._fsync_dir(directory)
-
-    @staticmethod
-    def _fsync_dir(directory: Path) -> None:
-        """Make a rename itself durable (best-effort on exotic filesystems)."""
-        try:
-            dir_fd = os.open(directory, os.O_RDONLY)
-        except OSError:
-            return
-        try:
-            os.fsync(dir_fd)
-        except OSError:
-            pass
-        finally:
-            os.close(dir_fd)
+        _fsync_dir(directory)
 
     def save(
         self,
@@ -370,3 +356,17 @@ class InMemoryResultStore:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+
+def _fsync_dir(directory: Path) -> None:
+    """Make a rename itself durable (best-effort on exotic filesystems)."""
+    try:
+        dir_fd = os.open(directory, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(dir_fd)
+    except OSError:
+        pass
+    finally:
+        os.close(dir_fd)

@@ -45,6 +45,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from repro.experiments.store import _fsync_dir
+
 JOURNAL_FILE = "journal.ndjson"
 SERVE_PID_FILE = "serve.pid"
 
@@ -273,17 +275,3 @@ def release_pid_file(path, pid: Optional[int] = None) -> None:
         path.unlink()
     except OSError:
         pass
-
-
-def _fsync_dir(directory: Path) -> None:
-    """Make a rename itself durable (best-effort on exotic filesystems)."""
-    try:
-        dir_fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(dir_fd)
-    except OSError:
-        pass
-    finally:
-        os.close(dir_fd)

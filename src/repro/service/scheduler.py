@@ -69,7 +69,7 @@ from repro.experiments.jobs import SweepPlan
 from repro.experiments.metrics import MetricsRegistry
 from repro.experiments.results import MemoryExperimentResult
 from repro.experiments.store import ResultStore
-from repro.service.journal import SubmissionJournal
+from repro.service.journal import SubmissionJournal, pid_alive
 
 STATE_QUEUED = "queued"
 STATE_RUNNING = "running"
@@ -423,7 +423,8 @@ class SweepScheduler:
         rebind, and their executions reload persisted jobs from the result
         store plus spilled chunks from the chunk store — so already-finished
         work re-executes zero times and the resumed statistics are
-        bit-identical to an uninterrupted run.
+        bit-identical to an uninterrupted run.  A record whose plan no longer
+        parses is journaled as ``failed`` and counted in ``jobs_failed``.
         """
         assert self.journal is not None
         recovery = await asyncio.to_thread(self.journal.replay)
@@ -432,7 +433,21 @@ class SweepScheduler:
             self.metrics.counter("journal_torn_records_dropped").inc(recovery.dropped)
         self._ids = itertools.count(recovery.max_serial + 1)
         for submission_id, record in recovery.live.items():
-            plan = SweepPlan.from_wire(record["plan"])
+            try:
+                plan = SweepPlan.from_wire(record["plan"])
+            except (KeyError, TypeError, ValueError) as error:
+                # A plan this build cannot rebuild (e.g. one naming a retired
+                # decoder method) ends here instead of failing every restart.
+                self.journal.append(
+                    {
+                        "event": "failed",
+                        "id": submission_id,
+                        "ts": time.time(),
+                        "error": f"{type(error).__name__}: {error}",
+                    }
+                )
+                self.metrics.counter("jobs_failed").inc()
+                continue
             key = record.get("key") or None
             self.metrics.counter("submissions_recovered").inc()
             await self._admit(plan, submission_id, key)
@@ -675,7 +690,7 @@ class SweepScheduler:
                 mtime = os.path.getmtime(path)
             except (ValueError, OSError):
                 continue
-            if not _pid_alive(pid):
+            if not pid_alive(pid):
                 # The worker died without unwinding (SIGKILL/OOM); its last
                 # heartbeat outlives it, so reap the file and count the death.
                 try:
@@ -686,14 +701,3 @@ class SweepScheduler:
             elif mtime >= stale_before:
                 alive += 1
         self.metrics.gauge("workers_alive").set(alive)
-
-
-def _pid_alive(pid: int) -> bool:
-    """Whether a process with this PID still exists (signal-0 probe)."""
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True
-    return True

@@ -22,8 +22,7 @@ Two engines share that IR:
 
 The experiment harness (:class:`~repro.experiments.memory.MemoryExperiment`)
 selects between them via its ``engine`` argument (``"auto"`` uses the packed
-engine whenever the scheduling policy supports vectorised decisions, which
-all built-in policies do) and sizes the batches with ``batch_size``.  The
+engine) and sizes the batches with ``batch_size``.  The
 engines draw random numbers in different orders, so they are *statistically*
 — not bitwise — equivalent; noise-free circuits produce exactly equal output
 on both.  ``tests/test_engine_equivalence.py`` enforces this contract.

@@ -88,13 +88,21 @@ class TestMatching:
             assert exact.decode(detectors) in (0, 1)
             assert greedy.decode(detectors) in (0, 1)
 
-    def test_auto_matcher_dispatches(self, code):
-        graph = DecodingGraph(code, num_rounds=2)
-        auto = AutoMatcher(graph, exact_threshold=1)
-        detectors = np.zeros((graph.num_layers, graph.num_checks), dtype=bool)
-        detectors[0, 0] = True
-        detectors[1, 1] = True
-        assert auto.decode(detectors) in (0, 1)
+    def test_auto_matcher_dispatches(self):
+        # Exact up to and including EXACT_THRESHOLD = 40 detectors, greedy
+        # from 41 on.
+        graph = DecodingGraph(RotatedSurfaceCode(5), num_rounds=5)
+        auto = AutoMatcher(graph)
+        rng = np.random.default_rng(3)
+        for size, engine in ((40, "blossom"), (41, "greedy")):
+            before = dict(auto.stats)
+            detectors = np.zeros(graph.num_nodes, dtype=bool)
+            detectors[rng.choice(graph.num_nodes, size, replace=False)] = True
+            detectors = detectors.reshape(graph.num_layers, graph.num_checks)
+            assert auto.decode(detectors) in (0, 1)
+            for key in ("blossom", "greedy"):
+                grew = auto.stats.get(key, 0) - before.get(key, 0)
+                assert grew == (1 if key == engine else 0), (size, key)
 
 
 class _SplitGraph(DecodingGraph):

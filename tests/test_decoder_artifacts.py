@@ -73,14 +73,20 @@ class TestGraphTables:
         assert warm.frame_table_builds == 0
         assert warm.apsp_builds == 0
         assert warm.artifact_hits == 1
-        distances, predecessors = warm._apsp_cache
-        assert isinstance(distances, np.memmap)
-        assert isinstance(predecessors, np.memmap)
-        assert isinstance(table, np.memmap)
-        cold_distances, cold_predecessors = graph._apsp_cache
-        np.testing.assert_array_equal(distances, cold_distances)
-        np.testing.assert_array_equal(predecessors, cold_predecessors)
-        np.testing.assert_array_equal(table, graph._frame_parity_cache)
+        loaded = warm._space_time_table
+        built = graph._space_time_table
+        for name in ("distances", "frames", "ambiguous"):
+            assert isinstance(getattr(loaded, name), np.memmap)
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(built, name))
+        np.testing.assert_array_equal(table, built.frames)
+
+    def test_entry_holds_distances_and_masks_only(self, tmp_path):
+        store = DecoderArtifactStore(tmp_path)
+        graph = DecodingGraph(RotatedSurfaceCode(3), 4, artifact_store=store)
+        _frame_parity_table(graph)
+        marker = json.loads(store.graph_json_path(graph_key(graph)).read_text())
+        assert marker["format"] == 3
+        assert sorted(marker["members"]) == ["distances", "masks"]
 
     def test_identity_distinguishes_graphs(self):
         code = RotatedSurfaceCode(3)
@@ -123,7 +129,7 @@ class TestGraphTables:
         table = _frame_parity_table(torn)  # must fall back to a cold build
         assert torn.artifact_misses == 1
         assert torn.frame_table_builds == 1
-        np.testing.assert_array_equal(table, graph._frame_parity_cache)
+        np.testing.assert_array_equal(table, graph._space_time_table.frames)
 
     def test_corrupt_marker_reads_as_miss(self, tmp_path):
         store = DecoderArtifactStore(tmp_path)
@@ -191,7 +197,7 @@ class TestCrossProcess:
 class TestBitIdentity:
     """Corrections must be bit-identical with the store on vs off."""
 
-    @pytest.mark.parametrize("method", ["mwpm", "greedy", "auto", "union-find"])
+    @pytest.mark.parametrize("method", ["mwpm", "greedy", "auto"])
     def test_decode_batch_identical(self, tmp_path, method):
         code = RotatedSurfaceCode(3)
         rng = np.random.default_rng(17)

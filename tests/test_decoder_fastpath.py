@@ -29,7 +29,6 @@ from repro.decoder.reference import (
     build_reference_matcher,
     reference_decode_batch,
 )
-from repro.decoder.union_find import UnionFindMatcher
 
 
 def random_detectors(graph, rng, max_flips):
@@ -192,14 +191,11 @@ class TestDecoderFastPath:
         finals[-1] = 0
         return histories, finals
 
-    @pytest.mark.parametrize("method", ["mwpm", "greedy", "auto", "union-find"])
+    @pytest.mark.parametrize("method", ["mwpm", "greedy", "auto"])
     def test_decode_batch_matches_seed(self, code, method):
         rounds = 4
         decoder = SurfaceCodeDecoder(code, num_rounds=rounds, method=method)
-        if method == "union-find":
-            ref_matcher = UnionFindMatcher(decoder.graph)
-        else:
-            ref_matcher = build_reference_matcher(decoder.graph, method)
+        ref_matcher = build_reference_matcher(decoder.graph, method)
         rng = np.random.default_rng(11)
         for _ in range(4):
             histories, finals = self._random_shots(code, rng, 24, rounds)
@@ -274,27 +270,12 @@ class TestDecoderFastPath:
         histories, finals = self._random_shots(code, rng, 12, 3)
         first = decoder.decode_batch(histories, finals)
         decoder.clear_caches()
-        assert not hasattr(decoder.graph, "_apsp_cache")
-        assert not hasattr(decoder.graph, "_frame_parity_cache")
+        assert not hasattr(decoder.graph, "_space_time_table")
         assert len(decoder._correction_cache) == 0
         np.testing.assert_array_equal(decoder.decode_batch(histories, finals), first)
 
 
-class TestUnionFindEdgeOrder:
-    """Union-Find edge ids (peeling tie-breakers) must match the seed's
-    dict-iteration construction despite the vectorised setup."""
-
-    def test_edges_match_dict_order(self):
-        graph = DecodingGraph(RotatedSurfaceCode(3), num_rounds=3)
-        matcher = UnionFindMatcher(graph)
-        expected = [
-            (u, v, float(graph.adjacency[u, v]), frame)
-            for (u, v), frame in graph._edge_frames.items()
-        ]
-        assert matcher._edges == expected
-
-
-TABLE_ATTRS = ("_apsp_cache", "_frame_parity_cache", "_ambiguity_cache")
+TABLE_ATTRS = ("_space_time_table",)
 
 
 class TestTableLifetime:
@@ -333,7 +314,7 @@ class TestTableLifetime:
         build_matcher(graph, "mwpm").decode(detectors)
         distances, _ = graph._reference_apsp_cache
         assert distances.shape == (graph.num_nodes + 1, graph.num_nodes + 1)
-        assert graph._apsp_cache[0].shape == (graph.num_checks, graph.num_nodes + 1)
+        assert graph._space_time_table.distances.shape == (graph.num_checks, graph.num_nodes + 1)
 
 
 class TestFrameFallbacks:

@@ -115,16 +115,6 @@ class TestConstruction:
         experiment = make_experiment(code, policy="eraser", engine="auto")
         assert experiment.run(shots).metadata["engine"] == "packed"
 
-    def test_auto_engine_falls_back_to_scalar_without_batch_decisions(self, code):
-        policy = make_policy("no-lrc")
-        policy.supports_batch = False
-        experiment = MemoryExperiment(
-            code=code, policy=policy, cycles=1, seed=3, engine="auto"
-        )
-        assert experiment.run(2).metadata["engine"] == "scalar"
-        with pytest.raises(ValueError, match="does not support the packed engine"):
-            MemoryExperiment(code=code, policy=policy, cycles=1, engine="packed")
-
     @pytest.mark.parametrize("engine", ["batched", "nope"])
     def test_unknown_engine_rejected(self, code, engine):
         with pytest.raises(ValueError, match="unknown engine"):
@@ -329,7 +319,6 @@ class StubMaskPolicy(LrcPolicy):
     """
 
     name = "stub-masks"
-    supports_batch = True
 
     def __init__(self, cells):
         super().__init__()

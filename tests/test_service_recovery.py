@@ -236,6 +236,57 @@ class TestCrashRecovery:
 
         asyncio.run(body())
 
+    def test_unreplayable_record_fails_and_the_rest_recovers(self, tmp_path):
+        """A journaled plan that no longer parses (here: a decoder method
+        this build does not know) is failed once; the valid submission
+        beside it still recovers and finishes bit-identical."""
+        plan = make_plan(shots=200)
+        reference = SweepExecutor().run(make_plan(shots=200))
+        bad = make_plan(shots=200).to_wire()
+        bad["jobs"][0]["decoder_method"] = "tensor-network"
+        with SubmissionJournal(tmp_path / "journal") as journal:
+            for submission_id, wire in (("sweep-000003", bad), ("sweep-000004", plan.to_wire())):
+                journal.append(
+                    {
+                        "event": "accepted",
+                        "id": submission_id,
+                        "key": None,
+                        "ts": time.time(),
+                        "plan": wire,
+                    }
+                )
+
+        async def body():
+            first = make_scheduler(tmp_path)
+            await first.start()
+            try:
+                counters = first.metrics.snapshot()["counters"]
+                assert counters["jobs_failed"] == 1
+                assert counters["submissions_recovered"] == 1
+                with pytest.raises(KeyError):
+                    first.get("sweep-000003")
+                await first.wait("sweep-000004", 120)
+                assert first.status("sweep-000004")["state"] == "done"
+                results = first.results("sweep-000004")
+                assert len(results) == len(reference)
+                for ours, theirs in zip(results, reference):
+                    assert ours.statistically_equal(theirs)
+            finally:
+                await first.stop(drain=False)
+
+            with SubmissionJournal(tmp_path / "journal") as journal:
+                assert "sweep-000003" not in journal.replay().live
+            second = make_scheduler(tmp_path)
+            await second.start()
+            try:
+                counters = second.metrics.snapshot()["counters"]
+                assert counters.get("jobs_failed", 0) == 0
+                assert counters.get("submissions_recovered", 0) == 0
+            finally:
+                await second.stop(drain=False)
+
+        asyncio.run(body())
+
     def test_torn_journal_tail_drops_only_the_tail(self, tmp_path):
         async def body():
             first = make_scheduler(tmp_path)
