@@ -1,18 +1,59 @@
 """A small multi-qudit density-matrix simulator (Section 3.3 methodology).
 
-The state of ``n`` ququarts is stored as a ``4**n x 4**n`` complex density
-matrix.  Unitaries and Kraus channels on one or two qudits are applied by
-tensor contraction rather than by building full-size operators, which keeps
-the five-ququart stabilizer study fast.
+The state of ``n`` ququarts is a ``4**n x 4**n`` complex density matrix.  It
+is stored as one contiguous *block*: the ket and bra axes of the ``k`` qudits
+touched last lead, then the ket and then the bra axes of the other qudits,
+so the block reads as a ``(4**k, 4**k, rest)`` array.
+
+* An operator on the leading qudits (in any order) reuses the layout; an
+  operator on another qudit set first costs one axis permutation of the
+  block.  ``rho`` assembles the canonical ``(dim, dim)`` matrix from
+  whatever layout the block is in; ``populations`` and ``trace`` read the
+  diagonal in place.
+* A conjugation ``U rho U^dagger`` is one matrix product ``U @ block`` on the
+  ket side, then ``conj(U) @ block[a]`` for each leading ket index ``a`` on
+  the bra side.
+* An operator with exactly one entry 1 per row and zeros elsewhere (the
+  leakage transport and injection permutations) is detected from the matrix
+  and applied as a gather over the two leading axes instead: row ``(a, b)``
+  of the ``(4**k * 4**k, rest)`` view becomes row ``(cols[a], cols[b])``.
+* A probabilistic unitary is the mixture ``rho <- (1 - p) rho + p U rho
+  U^dagger``, without an identity Kraus branch.  The gather and the mixing
+  run a few rows at a time so each chunk stays in cache.
+
+The state and one spare buffer of the same size are the only full-size
+arrays an operator touches (``apply_kraus`` adds an accumulator).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.densitymatrix.ququart import LEVELS
+
+#: Complex entries per chunk of the gather-and-mix loop (512 KiB).
+_CHUNK_ELEMENTS = 1 << 15
+
+
+def _row_permutation(op: np.ndarray) -> Optional[np.ndarray]:
+    """``cols`` with ``op @ v == v[cols]`` if ``op`` is a 0/1 row selection."""
+    rows, cols = np.nonzero(op)
+    if len(rows) == op.shape[0] and np.array_equal(rows, np.arange(len(rows))):
+        if np.all(op[rows, cols] == 1):
+            return cols
+    return None
+
+
+def _checked_operator(matrix: np.ndarray, qudits: Sequence[int]) -> Tuple[np.ndarray, List[int]]:
+    """``matrix`` as an array and ``qudits`` as a list, after a shape check."""
+    matrix = np.asarray(matrix)
+    qudits = [int(q) for q in qudits]
+    expected = LEVELS ** len(qudits)
+    if matrix.shape != (expected, expected):
+        raise ValueError(f"operator shape {matrix.shape} does not match {len(qudits)} qudits")
+    return matrix, qudits
 
 
 class DensityMatrix:
@@ -38,76 +79,162 @@ class DensityMatrix:
             if not 0 <= level < LEVELS:
                 raise ValueError(f"invalid level {level}")
             index = index * LEVELS + level
-        self.rho = np.zeros((self.dim, self.dim), dtype=complex)
-        self.rho[index, index] = 1.0
+        # The flat state buffer and a spare of the same size; the layout is
+        # ``self._order`` with its first ``self._lead`` qudits leading.
+        self._data = np.zeros(self.dim * self.dim, dtype=complex)
+        self._data[index * (self.dim + 1)] = 1.0
+        self._spare = np.empty_like(self._data)
+        self._order = list(range(num_qudits))
+        self._lead = num_qudits
+
+    # ------------------------------------------------------------------
+    # Block layout
+    # ------------------------------------------------------------------
+    @property
+    def rho(self) -> np.ndarray:
+        """The canonical ``(dim, dim)`` density matrix (a copy)."""
+        n = self.num_qudits
+        position = {q: i for i, q in enumerate(self._order)}
+        axes = [self._axis(position[q], bra=False) for q in range(n)]
+        axes += [self._axis(position[q], bra=True) for q in range(n)]
+        tensor = self._data.reshape((LEVELS,) * (2 * n)).transpose(axes)
+        return tensor.copy(order="C").reshape(self.dim, self.dim)
+
+    def _axis(self, position: int, bra: bool) -> int:
+        """Axis of the block tensor holding the ket/bra of ``self._order[position]``."""
+        k, n = self._lead, self.num_qudits
+        if position < k:
+            return position + k * bra
+        return k + position + (n - k) * bra
+
+    def _swap_buffers(self) -> None:
+        self._data, self._spare = self._spare, self._data
+
+    def _bring_to_front(self, qudits: Sequence[int]) -> List[int]:
+        """Make the set ``qudits`` lead the block; return the leading order.
+
+        The state is permuted only when the leading qudits are a different
+        set; the remaining qudits keep their relative order.
+        """
+        qudits = [int(q) for q in qudits]
+        n = self.num_qudits
+        if len(set(qudits)) != len(qudits) or not all(0 <= q < n for q in qudits):
+            raise ValueError(f"invalid qudit list {qudits} for {n} qudits")
+        if sorted(qudits) != sorted(self._order[: self._lead]):
+            position = {q: i for i, q in enumerate(self._order)}
+            rest = [q for q in self._order if q not in qudits]
+            axes = [self._axis(position[q], bra=False) for q in qudits]
+            axes += [self._axis(position[q], bra=True) for q in qudits]
+            axes += [self._axis(position[q], bra=False) for q in rest]
+            axes += [self._axis(position[q], bra=True) for q in rest]
+            shape = (LEVELS,) * (2 * n)
+            np.copyto(self._spare.reshape(shape), self._data.reshape(shape).transpose(axes))
+            self._swap_buffers()
+            self._order, self._lead = qudits + rest, len(qudits)
+        return self._order[: self._lead]
+
+    def _front_operator(self, matrix: np.ndarray, qudits: Sequence[int]) -> np.ndarray:
+        """Bring ``qudits`` to the front and return ``matrix`` in the leading order.
+
+        An operator on the leading set in another order has its tensor
+        factors permuted instead of the state.
+        """
+        matrix, qudits = _checked_operator(matrix, qudits)
+        k = len(qudits)
+        front = self._bring_to_front(qudits)
+        if front == qudits:
+            return matrix
+        order = [qudits.index(q) for q in front]
+        tensor = matrix.reshape((LEVELS,) * (2 * k))
+        return tensor.transpose(order + [k + i for i in order]).reshape(matrix.shape)
 
     # ------------------------------------------------------------------
     # Operator application
     # ------------------------------------------------------------------
-    def _contract(self, matrix: np.ndarray, rho: np.ndarray, qudits: Sequence[int], bra: bool) -> np.ndarray:
-        """Contract ``matrix`` against the ket (or bra) axes of ``rho``."""
-        k = len(qudits)
-        n = self.num_qudits
-        op = matrix.reshape((LEVELS,) * (2 * k))
-        tensor = rho.reshape((LEVELS,) * (2 * n))
-        axes = [q + (n if bra else 0) for q in qudits]
-        contracted = np.tensordot(op, tensor, axes=(list(range(k, 2 * k)), axes))
-        # tensordot puts the operator's output axes first; move them back.
-        contracted = np.moveaxis(contracted, list(range(k)), axes)
-        return contracted.reshape(self.dim, self.dim)
+    def _conjugate_to_spare(self, op: np.ndarray, probability: float = 1.0) -> None:
+        """Write ``(1 - p) rho + p op rho op^dagger`` into the spare buffer.
+
+        ``op`` acts on the leading qudits; the state itself is left as is.
+        """
+        dq = op.shape[0]
+        cols = _row_permutation(op)
+        if cols is None:
+            np.matmul(op, self._data.reshape(dq, -1), out=self._spare.reshape(dq, -1))
+            bra_op = op.conj()
+            for ket_row in self._spare.reshape(dq, dq, -1):
+                np.matmul(bra_op, ket_row, out=ket_row)
+            if probability >= 1.0:
+                return
+        else:
+            index = (cols[:, None] * dq + cols[None, :]).ravel()
+        src = self._data.reshape(dq * dq, -1)
+        dst = self._spare.reshape(dq * dq, -1)
+        step = max(1, _CHUNK_ELEMENTS // src.shape[1])
+        for start in range(0, dq * dq, step):
+            rows = slice(start, start + step)
+            mixed = dst[rows]
+            if cols is not None:
+                np.take(src, index[rows], axis=0, out=mixed)
+            if probability < 1.0:
+                mixed -= src[rows]
+                mixed *= probability
+                mixed += src[rows]
 
     def apply_unitary(self, matrix: np.ndarray, qudits: Sequence[int]) -> None:
         """Apply a unitary acting on the given qudits: rho -> U rho U^dagger."""
-        qudits = list(qudits)
-        expected = LEVELS ** len(qudits)
-        if matrix.shape != (expected, expected):
-            raise ValueError(f"operator shape {matrix.shape} does not match {len(qudits)} qudits")
-        rho = self._contract(matrix, self.rho, qudits, bra=False)
-        rho = self._contract(matrix.conj(), rho, qudits, bra=True)
-        self.rho = rho
+        self._conjugate_to_spare(self._front_operator(matrix, qudits))
+        self._swap_buffers()
 
     def apply_kraus(self, kraus_operators: Iterable[np.ndarray], qudits: Sequence[int]) -> None:
         """Apply a channel given by Kraus operators on the given qudits."""
-        qudits = list(qudits)
-        total = np.zeros_like(self.rho)
-        for kraus in kraus_operators:
-            rho = self._contract(kraus, self.rho, qudits, bra=False)
-            rho = self._contract(kraus.conj(), rho, qudits, bra=True)
-            total += rho
-        self.rho = total
+        operators = list(kraus_operators)
+        if not operators:
+            raise ValueError("apply_kraus needs at least one Kraus operator")
+        operators = [self._front_operator(kraus, qudits) for kraus in operators]
+        total = np.zeros_like(self._data)
+        for kraus in operators:
+            self._conjugate_to_spare(kraus)
+            total += self._spare
+        self._data = total
 
     def apply_probabilistic_unitary(
         self, matrix: np.ndarray, qudits: Sequence[int], probability: float
     ) -> None:
-        """With the given probability apply the unitary, otherwise do nothing."""
+        """With the given probability apply the unitary, otherwise do nothing.
+
+        The channel is the mixture ``(1 - p) rho + p U rho U^dagger``.
+        """
         if probability <= 0.0:
+            _checked_operator(matrix, qudits)
             return
-        if probability >= 1.0:
-            self.apply_unitary(matrix, qudits)
-            return
-        kraus = [
-            np.sqrt(1.0 - probability) * np.eye(matrix.shape[0], dtype=complex),
-            np.sqrt(probability) * matrix,
-        ]
-        self.apply_kraus(kraus, qudits)
+        op = self._front_operator(matrix, qudits)
+        self._conjugate_to_spare(op, min(probability, 1.0))
+        self._swap_buffers()
 
     def reset(self, qudit: int) -> None:
         """Non-unitary reset of one qudit to |0> (removes leakage)."""
-        kraus: List[np.ndarray] = []
-        for level in range(LEVELS):
-            op = np.zeros((LEVELS, LEVELS), dtype=complex)
-            op[0, level] = 1.0
-            kraus.append(op)
-        self.apply_kraus(kraus, [qudit])
+        self._bring_to_front([qudit])
+        block = self._data.reshape(LEVELS, LEVELS, -1)
+        traced = np.trace(block)
+        block.fill(0.0)
+        block[0, 0] = traced
 
     # ------------------------------------------------------------------
     # Observables
     # ------------------------------------------------------------------
+    def _diagonal(self) -> np.ndarray:
+        """Real diagonal of rho with one axis per qudit, in ``self._order``."""
+        dq = LEVELS ** self._lead
+        dr = self.dim // dq
+        square = self._data.reshape(dq, dq, dr, dr)
+        diag = np.einsum("aabb->ab", square).real
+        return diag.reshape((LEVELS,) * self.num_qudits)
+
     def populations(self, qudit: int) -> np.ndarray:
         """Level populations (length-4 probability vector) of one qudit."""
-        diag = np.real(np.diag(self.rho)).reshape((LEVELS,) * self.num_qudits)
-        axes = tuple(i for i in range(self.num_qudits) if i != qudit)
-        pops = diag.sum(axis=axes)
+        axis = self._order.index(qudit)
+        axes = tuple(i for i in range(self.num_qudits) if i != axis)
+        pops = self._diagonal().sum(axis=axes)
         return np.clip(pops, 0.0, 1.0)
 
     def leak_probability(self, qudit: int) -> float:
@@ -121,8 +248,9 @@ class DensityMatrix:
 
     def trace(self) -> float:
         """Trace of the density matrix (should remain 1)."""
-        return float(np.real(np.trace(self.rho)))
+        return float(self._diagonal().sum())
 
     def purity(self) -> float:
         """Tr(rho^2); equals 1 for pure states."""
-        return float(np.real(np.trace(self.rho @ self.rho)))
+        rho = self.rho
+        return float(np.einsum("ij,ji->", rho, rho).real)

@@ -25,6 +25,7 @@ import numpy as np
 from repro.densitymatrix.dm import DensityMatrix
 from repro.densitymatrix.ququart import (
     cnot_with_leakage,
+    identity,
     leakage_injection_unitary,
     leakage_transport_unitary,
 )
@@ -91,14 +92,19 @@ class SingleStabilizerLeakageStudy:
         self.initially_leaked = initially_leaked
         self._cnot = cnot_with_leakage(rx_angle)
         self._transport = leakage_transport_unitary()
-        self._inject = leakage_injection_unitary()
+        # Injection on the first / second operand of a pair.
+        inject = leakage_injection_unitary()
+        self._inject_pair = (np.kron(inject, identity()), np.kron(identity(), inject))
 
     # ------------------------------------------------------------------
     def _apply_noisy_cnot(self, state: DensityMatrix, control: int, target: int) -> None:
-        state.apply_unitary(self._cnot, [control, target])
-        state.apply_probabilistic_unitary(self._transport, [control, target], self.p_transport)
-        state.apply_probabilistic_unitary(self._inject, [control], self.p_injection)
-        state.apply_probabilistic_unitary(self._inject, [target], self.p_injection)
+        # Every step acts on the same pair, so the state is re-laid-out at
+        # most once per noisy CNOT.
+        pair = [control, target]
+        state.apply_unitary(self._cnot, pair)
+        state.apply_probabilistic_unitary(self._transport, pair, self.p_transport)
+        for inject in self._inject_pair:
+            state.apply_probabilistic_unitary(inject, pair, self.p_injection)
 
     def _record(self, state: DensityMatrix, result: StabilizerStudyResult, label: str) -> None:
         leaks = np.array([state.leak_probability(q) for q in range(5)])
