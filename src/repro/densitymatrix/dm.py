@@ -93,12 +93,9 @@ class DensityMatrix:
     @property
     def rho(self) -> np.ndarray:
         """The canonical ``(dim, dim)`` density matrix (a copy)."""
-        n = self.num_qudits
-        position = {q: i for i, q in enumerate(self._order)}
-        axes = [self._axis(position[q], bra=False) for q in range(n)]
-        axes += [self._axis(position[q], bra=True) for q in range(n)]
-        tensor = self._data.reshape((LEVELS,) * (2 * n)).transpose(axes)
-        return tensor.copy(order="C").reshape(self.dim, self.dim)
+        out = np.empty_like(self._data)
+        self._relayout(list(range(self.num_qudits)), out)
+        return out.reshape(self.dim, self.dim)
 
     def _axis(self, position: int, bra: bool) -> int:
         """Axis of the block tensor holding the ket/bra of ``self._order[position]``."""
@@ -110,27 +107,35 @@ class DensityMatrix:
     def _swap_buffers(self) -> None:
         self._data, self._spare = self._spare, self._data
 
+    def _relayout(self, lead: List[int], out: np.ndarray) -> List[int]:
+        """Copy the state into ``out`` with ``lead`` leading; return its qudit order.
+
+        The other qudits keep their relative order.
+        """
+        position = {q: i for i, q in enumerate(self._order)}
+        order = lead + [q for q in self._order if q not in lead]
+        kets = [self._axis(position[q], bra=False) for q in order]
+        bras = [self._axis(position[q], bra=True) for q in order]
+        k = len(lead)
+        shape = (LEVELS,) * (2 * self.num_qudits)
+        tensor = self._data.reshape(shape).transpose(kets[:k] + bras[:k] + kets[k:] + bras[k:])
+        np.copyto(out.reshape(shape), tensor)
+        return order
+
     def _bring_to_front(self, qudits: Sequence[int]) -> List[int]:
         """Make the set ``qudits`` lead the block; return the leading order.
 
         The state is permuted only when the leading qudits are a different
-        set; the remaining qudits keep their relative order.
+        set.
         """
         qudits = [int(q) for q in qudits]
         n = self.num_qudits
         if len(set(qudits)) != len(qudits) or not all(0 <= q < n for q in qudits):
             raise ValueError(f"invalid qudit list {qudits} for {n} qudits")
         if sorted(qudits) != sorted(self._order[: self._lead]):
-            position = {q: i for i, q in enumerate(self._order)}
-            rest = [q for q in self._order if q not in qudits]
-            axes = [self._axis(position[q], bra=False) for q in qudits]
-            axes += [self._axis(position[q], bra=True) for q in qudits]
-            axes += [self._axis(position[q], bra=False) for q in rest]
-            axes += [self._axis(position[q], bra=True) for q in rest]
-            shape = (LEVELS,) * (2 * n)
-            np.copyto(self._spare.reshape(shape), self._data.reshape(shape).transpose(axes))
+            order = self._relayout(qudits, self._spare)
             self._swap_buffers()
-            self._order, self._lead = qudits + rest, len(qudits)
+            self._order, self._lead = order, len(qudits)
         return self._order[: self._lead]
 
     def _front_operator(self, matrix: np.ndarray, qudits: Sequence[int]) -> np.ndarray:
