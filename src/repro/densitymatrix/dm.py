@@ -40,9 +40,8 @@ _CHUNK_ELEMENTS = 1 << 15
 def _row_permutation(op: np.ndarray) -> Optional[np.ndarray]:
     """``cols`` with ``op @ v == v[cols]`` if ``op`` is a 0/1 row selection."""
     rows, cols = np.nonzero(op)
-    if len(rows) == op.shape[0] and np.array_equal(rows, np.arange(len(rows))):
-        if np.all(op[rows, cols] == 1):
-            return cols
+    if np.array_equal(rows, np.arange(op.shape[0])) and np.all(op[rows, cols] == 1):
+        return cols
     return None
 
 
