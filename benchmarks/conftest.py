@@ -21,8 +21,8 @@ same way; every sweep-shaped benchmark forwards these to the executor:
 * ``ERASER_REPRO_RESUME`` — set to 1 to reuse the default cache directory
   (resume interrupted benchmark runs without naming a cache explicitly).
 * ``ERASER_REPRO_DECODER_ARTIFACT_DIR`` — persistent decoder-artifact store
-  (:mod:`repro.decoder.artifacts`); decode benchmarks warm-start from the
-  mmap-shared decoding-graph tables saved there.
+  (:mod:`repro.decoder.artifacts`); decode benchmarks pre-warm their
+  syndrome->correction LRU from the snapshots saved there.
 """
 
 import os

@@ -145,11 +145,11 @@ def _add_orchestration_args(parser: argparse.ArgumentParser) -> None:
         "--decoder-artifact-dir",
         type=str,
         default=default_artifact_dir(),
-        help="Persistent decoder-artifact store: decoding-graph shortest-path "
-        "tables (and the syndrome->correction LRU) are saved here once and "
-        "mmap-loaded by every process, so repeat runs and pool workers start "
-        "warm.  Tuning knob only: corrections are bit-identical with or "
-        "without it.  Defaults to $ERASER_REPRO_DECODER_ARTIFACT_DIR.",
+        help="Persistent decoder-artifact store: each decoder's "
+        "syndrome->correction LRU is saved here and pre-warms the decoders "
+        "of later runs and pool workers.  Tuning knob only: corrections are "
+        "bit-identical with or without it.  Defaults to "
+        "$ERASER_REPRO_DECODER_ARTIFACT_DIR.",
     )
 
 

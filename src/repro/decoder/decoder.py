@@ -42,24 +42,21 @@ DEFAULT_CACHE_SIZE = 8192
 
 
 #: :class:`DecoderStats` fields that mirror the decoding graph's counters.
-_GRAPH_COUNTERS = ("artifact_hits", "artifact_misses", "apsp_builds", "frame_table_builds")
+_GRAPH_COUNTERS = ("apsp_builds", "frame_table_builds")
 
 
 @dataclass
 class DecoderStats:
     """Dispatch counters for the layered decode fast path (see module doc).
 
-    The ``artifact_*``/``*_builds`` counters mirror the decoding graph's
-    artifact-store bookkeeping (:mod:`repro.decoder.artifacts`): how often
-    the space-time table was loaded from the store versus built
-    (``apsp_builds`` and ``frame_table_builds`` both count table builds).
-    The graph is shared by every decoder of the same configuration in a
-    process, so each decoder reports only what happened since it was
-    constructed: summed over decoders, the counters equal the builds and
-    loads that actually ran.  After a warm start both build counters stay
-    ``0`` — the assertion the cross-process reuse tests and the CI smoke
-    job grep for.  ``lru_prewarmed`` counts the
-    syndrome->correction entries restored into the LRU at construction.
+    The ``*_builds`` counters mirror the decoding graph's: how often its
+    space-time table was built (``apsp_builds`` and ``frame_table_builds``
+    both count table builds).  The graph is shared by every decoder of the
+    same configuration in a process, so each decoder reports only what
+    happened since it was constructed: summed over decoders, the counters
+    equal the builds that actually ran.  ``lru_prewarmed`` counts the
+    syndrome->correction entries restored into the LRU at construction
+    from the artifact store (:mod:`repro.decoder.artifacts`).
     ``frame_fallbacks`` counts ambiguous frame queries (shortest paths of
     both observable parities tie) that the matcher answered with an exact
     per-source Dijkstra row instead of the table.
@@ -70,8 +67,6 @@ class DecoderStats:
     dedup_hits: int = 0
     cache_hits: int = 0
     matched: int = 0
-    artifact_hits: int = 0
-    artifact_misses: int = 0
     apsp_builds: int = 0
     frame_table_builds: int = 0
     lru_prewarmed: int = 0
@@ -84,8 +79,6 @@ class DecoderStats:
             "dedup_hits": self.dedup_hits,
             "cache_hits": self.cache_hits,
             "matched": self.matched,
-            "artifact_hits": self.artifact_hits,
-            "artifact_misses": self.artifact_misses,
             "apsp_builds": self.apsp_builds,
             "frame_table_builds": self.frame_table_builds,
             "lru_prewarmed": self.lru_prewarmed,
@@ -114,10 +107,8 @@ class SurfaceCodeDecoder:
             :class:`~repro.decoder.artifacts.DecoderArtifactStore` (or a
             directory's store from
             :func:`~repro.decoder.artifacts.get_artifact_store`).  When set,
-            the decoding graph loads its space-time table from the
-            store (memory-mapped — shared physical pages across processes)
-            and the LRU is pre-warmed from, and persisted to
-            (:meth:`save_artifacts`), the store.  Performance-only:
+            the syndrome->correction LRU is pre-warmed from, and persisted
+            to (:meth:`save_artifacts`), the store.  Performance-only:
             corrections are bit-identical with the store on or off.
     """
 
@@ -140,7 +131,6 @@ class SurfaceCodeDecoder:
             space_weight=self.space_weight,
             time_weight=self.time_weight,
             diagonal_weight=self.diagonal_weight,
-            artifact_store=self.artifact_store,
         )
         # The graph's counters so far belong to earlier decoders sharing it.
         self._graph_baseline = {name: getattr(self.graph, name) for name in _GRAPH_COUNTERS}
@@ -154,7 +144,7 @@ class SurfaceCodeDecoder:
                 while len(self._correction_cache) > self.cache_size:
                     self._correction_cache.popitem(last=False)
                 self.stats.lru_prewarmed = len(self._correction_cache)
-        self._sync_artifact_stats()
+        self._sync_graph_stats()
         # Static per-decoder lookups, built once instead of per decode call.
         checks = list(self.graph.checks)
         self._support_matrix = np.zeros(
@@ -263,8 +253,8 @@ class SurfaceCodeDecoder:
             "exact_threshold": AutoMatcher.EXACT_THRESHOLD if method == "auto" else None,
         }
 
-    def _sync_artifact_stats(self) -> None:
-        """Mirror the graph's artifact counters (since construction) and the
+    def _sync_graph_stats(self) -> None:
+        """Mirror the graph's build counters (since construction) and the
         matcher's fallback counter."""
         for name, baseline in self._graph_baseline.items():
             setattr(self.stats, name, getattr(self.graph, name) - baseline)
@@ -276,9 +266,7 @@ class SurfaceCodeDecoder:
 
         Merge-on-save: the store combines these entries with whatever an
         earlier run (or a concurrent worker) already persisted, bounded by
-        ``cache_size``.  A no-op without an artifact store.  The graph
-        tables themselves are persisted automatically the first time they
-        are built (see :mod:`repro.decoder.matching`).
+        ``cache_size``.  A no-op without an artifact store.
         """
         if self.artifact_store is None:
             return
@@ -294,11 +282,7 @@ class SurfaceCodeDecoder:
     # Decoding
     # ------------------------------------------------------------------
     def clear_caches(self) -> None:
-        """Drop the correction LRU and the graph's space-time table.
-
-        Also releases any artifact-store ``numpy.memmap`` handles held by
-        the graph, so mapped store files can be reclaimed.
-        """
+        """Drop the correction LRU and the graph's space-time table."""
         self._correction_cache.clear()
         self.graph.clear_caches()
 
@@ -347,7 +331,7 @@ class SurfaceCodeDecoder:
                 if len(cache) > self.cache_size:
                     cache.popitem(last=False)
         corrections[nonempty] = uniq_corrections[inverse]
-        self._sync_artifact_stats()
+        self._sync_graph_stats()
         return corrections
 
     def predict_corrections_batch(self, detectors: np.ndarray) -> np.ndarray:

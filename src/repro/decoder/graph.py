@@ -30,7 +30,7 @@ induces.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -56,13 +56,9 @@ class DecodingGraph:
             disables diagonal edges.  Every weight must be strictly
             positive (``ValueError`` otherwise): the space-time table of
             ``repro.decoder.matching`` relies on it.
-        artifact_store: Optional
-            :class:`~repro.decoder.artifacts.DecoderArtifactStore`.  When
-            set, the matching layer loads the graph's space-time table
-            from the store (memory-mapped, shared across processes)
-            instead of rebuilding it, and persists it after a cold build.  Performance-only: corrections are bit-identical either
-            way.  The ``artifact_hits``/``artifact_misses``/``apsp_builds``/
-            ``frame_table_builds`` counters record what actually happened.
+
+    The ``apsp_builds``/``frame_table_builds`` counters record how often
+    ``repro.decoder.matching`` built the graph's space-time table.
     """
 
     code: StabilizerCode
@@ -71,7 +67,6 @@ class DecodingGraph:
     space_weight: float = 1.0
     time_weight: float = 1.0
     diagonal_weight: float = None
-    artifact_store: Optional[object] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.num_rounds < 1:
@@ -80,10 +75,8 @@ class DecodingGraph:
             weight = getattr(self, name)
             if weight is not None and not weight > 0:
                 raise ValueError(f"{name} must be > 0, got {weight}")
-        #: Artifact-store dispatch counters, maintained by
-        #: ``repro.decoder.matching`` and surfaced through ``DecoderStats``.
-        self.artifact_hits = 0
-        self.artifact_misses = 0
+        #: Table-build counters, maintained by ``repro.decoder.matching`` and
+        #: surfaced through ``DecoderStats``.
         self.apsp_builds = 0
         self.frame_table_builds = 0
         self._stabs = [
@@ -264,11 +257,7 @@ class DecodingGraph:
 
         Long-lived processes that decode many distinct graph shapes can call
         this to release the ~10 bytes per (check, node) the table holds (see
-        ``repro.decoder.matching``) once a decoder is done.  When the rows
-        came from an artifact store they are ``numpy.memmap`` views;
-        dropping them here releases the underlying file handles, so the
-        mapped store files can be deleted or replaced even on platforms that
-        lock mapped files (Windows-style semantics).
+        ``repro.decoder.matching``) once a decoder is done.
         """
         for attr in ("_space_time_table", "_reference_apsp_cache"):
             if hasattr(self, attr):
@@ -296,8 +285,8 @@ class DecodingGraph:
 # In-process graph dedup
 # ----------------------------------------------------------------------
 #: Recently shared graphs, keyed by the construction parameters that pin the
-#: graph structure.  Bounded: evicted graphs drop their cached tables (and
-#: any mmap handles) so the memory/file handles are reclaimable.
+#: graph structure.  Bounded: evicted graphs drop their cached tables so the
+#: memory is reclaimable.
 _SHARED_GRAPHS: "OrderedDict[tuple, DecodingGraph]" = OrderedDict()
 
 #: How many distinct graph shapes stay shared at once.  A sweep touches one
@@ -313,7 +302,6 @@ def shared_decoding_graph(
     space_weight: float = 1.0,
     time_weight: float = 1.0,
     diagonal_weight: Optional[float] = None,
-    artifact_store: Optional[object] = None,
 ) -> DecodingGraph:
     """One :class:`DecodingGraph` per construction signature, per process.
 
@@ -333,9 +321,7 @@ def shared_decoding_graph(
             space_weight=space_weight,
             time_weight=time_weight,
             diagonal_weight=diagonal_weight,
-            artifact_store=artifact_store,
         )
-    store_key = None if artifact_store is None else str(getattr(artifact_store, "root", artifact_store))
     key = (
         family,
         int(code.distance),
@@ -344,7 +330,6 @@ def shared_decoding_graph(
         float(space_weight),
         float(time_weight),
         None if diagonal_weight is None else float(diagonal_weight),
-        store_key,
     )
     graph = _SHARED_GRAPHS.get(key)
     if graph is None:
@@ -355,7 +340,6 @@ def shared_decoding_graph(
             space_weight=space_weight,
             time_weight=time_weight,
             diagonal_weight=diagonal_weight,
-            artifact_store=artifact_store,
         )
         _SHARED_GRAPHS[key] = graph
         while len(_SHARED_GRAPHS) > _SHARED_GRAPH_LIMIT:
@@ -367,7 +351,7 @@ def shared_decoding_graph(
 
 
 def clear_shared_graphs() -> None:
-    """Drop every shared graph (and its cached tables / mmap handles)."""
+    """Drop every shared graph (and its cached tables)."""
     for graph in _SHARED_GRAPHS.values():
         graph.clear_caches()
     _SHARED_GRAPHS.clear()

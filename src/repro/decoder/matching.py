@@ -180,47 +180,26 @@ def _ambiguity_rows(
 
 
 def _all_pairs(graph: DecodingGraph) -> _SpaceTimeTable:
-    """The graph's space-time table, built (or loaded) once and cached.
+    """The graph's space-time table, built once and cached.
 
     The table lives on the graph as ``_space_time_table``;
-    ``DecodingGraph.clear_caches()`` drops it.
-
-    With an artifact store attached (:mod:`repro.decoder.artifacts`) the
-    rows are looked up there first: a hit installs memory-mapped views
-    instead of building, and a cold build is persisted for every later
-    process.  The rows are deterministic functions of the graph identity
-    the store hashes, so loaded and built tables are bit-identical.
-    ``apsp_builds`` and ``frame_table_builds`` both count table builds.
+    ``DecodingGraph.clear_caches()`` drops it.  ``apsp_builds`` and
+    ``frame_table_builds`` both count table builds.
     """
     table = getattr(graph, "_space_time_table", None)
-    if table is None:
-        table = _install_table(graph)
-    return table
-
-
-def _install_table(graph: DecodingGraph) -> _SpaceTimeTable:
-    """Load or build the table rows and cache them on ``graph``."""
-    store = graph.artifact_store
-    loaded = None if store is None else store.load_graph_tables(graph)
-    if loaded is not None:
-        graph.artifact_hits += 1
-        distances, frames, ambiguous = loaded
-    else:
-        if store is not None:
-            graph.artifact_misses += 1
-        distances, predecessors = dijkstra(
-            graph.adjacency,
-            directed=False,
-            indices=np.arange(graph.num_checks),
-            return_predecessors=True,
-        )
-        frames = _frame_parity_rows(graph, predecessors)
-        del predecessors
-        ambiguous = _ambiguity_rows(graph, distances, frames)
-        graph.apsp_builds += 1
-        graph.frame_table_builds += 1
-        if store is not None:
-            store.save_graph_tables(graph, distances, frames, ambiguous)
+    if table is not None:
+        return table
+    distances, predecessors = dijkstra(
+        graph.adjacency,
+        directed=False,
+        indices=np.arange(graph.num_checks),
+        return_predecessors=True,
+    )
+    frames = _frame_parity_rows(graph, predecessors)
+    del predecessors
+    ambiguous = _ambiguity_rows(graph, distances, frames)
+    graph.apsp_builds += 1
+    graph.frame_table_builds += 1
     table = _SpaceTimeTable(graph.num_checks, distances, frames, ambiguous)
     graph._space_time_table = table
     return table

@@ -56,7 +56,7 @@ def execute_chunk_with_stats(
 
     The sweep service uses this variant so its telemetry layer can merge
     every worker's :class:`~repro.decoder.decoder.DecoderStats` (cache/LRU
-    hits, artifact loads, table builds) into the shared
+    hits, LRU pre-warm, table builds) into the shared
     :class:`~repro.experiments.metrics.MetricsRegistry`.
     """
     shots = job.chunk_sizes()[index]
@@ -100,9 +100,6 @@ class SweepStats:
     jobs_run: int = 0
     chunks_run: int = 0
     elapsed_seconds: float = 0.0
-    #: Decoding-graph artifact entries built up-front before fan-out, or
-    #: ``None`` when no pending job used an artifact store.
-    artifacts_prebuilt: Optional[int] = None
     #: Chunks reused from the crash-recovery spill store instead of being
     #: re-executed (service restarts only; ``0`` everywhere else).
     chunks_recovered: int = 0
@@ -123,10 +120,6 @@ class SweepStats:
         self.chunks_recovered += other.chunks_recovered
         self.shots_saved += other.shots_saved
         self.jobs_stopped_early += other.jobs_stopped_early
-        if other.artifacts_prebuilt is not None:
-            self.artifacts_prebuilt = (
-                self.artifacts_prebuilt or 0
-            ) + other.artifacts_prebuilt
         return self
 
     def to_dict(self) -> Dict[str, object]:
@@ -137,7 +130,6 @@ class SweepStats:
             "jobs_run": self.jobs_run,
             "chunks_run": self.chunks_run,
             "elapsed_seconds": self.elapsed_seconds,
-            "artifacts_prebuilt": self.artifacts_prebuilt,
             "chunks_recovered": self.chunks_recovered,
             "shots_saved": self.shots_saved,
             "jobs_stopped_early": self.jobs_stopped_early,
@@ -146,14 +138,12 @@ class SweepStats:
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "SweepStats":
         """Rebuild stats from :meth:`to_dict` (the service wire format)."""
-        artifacts = payload.get("artifacts_prebuilt")
         return cls(
             jobs_total=int(payload.get("jobs_total", 0)),
             cache_hits=int(payload.get("cache_hits", 0)),
             jobs_run=int(payload.get("jobs_run", 0)),
             chunks_run=int(payload.get("chunks_run", 0)),
             elapsed_seconds=float(payload.get("elapsed_seconds", 0.0)),
-            artifacts_prebuilt=None if artifacts is None else int(artifacts),
             chunks_recovered=int(payload.get("chunks_recovered", 0)),
             shots_saved=int(payload.get("shots_saved", 0)),
             jobs_stopped_early=int(payload.get("jobs_stopped_early", 0)),
@@ -165,8 +155,6 @@ class SweepStats:
             f"{self.jobs_run} executed ({self.chunks_run} chunk(s)) "
             f"in {self.elapsed_seconds:.2f}s"
         )
-        if self.artifacts_prebuilt is not None:
-            text += f", {self.artifacts_prebuilt} decoder artifact(s) prebuilt"
         if self.chunks_recovered:
             text += f", {self.chunks_recovered} chunk(s) recovered"
         if self.jobs_stopped_early:
@@ -441,19 +429,6 @@ class PlanExecution:
         """Planned chunks not yet accounted for: the plan's unfinished backlog."""
         return self.plan.total_chunks - self.chunks_done
 
-    def prebuild_artifacts(self) -> None:
-        """Build each pending decode job's decoder artifacts once, up-front."""
-        artifact_jobs = [
-            self.plan.jobs[index]
-            for index in self.pending
-            if self.plan.jobs[index].decoder_artifact_dir and self.plan.jobs[index].decode
-        ]
-        if not artifact_jobs:
-            return
-        from repro.decoder.artifacts import prebuild_job_artifacts
-
-        self.stats.artifacts_prebuilt = prebuild_job_artifacts(artifact_jobs)
-
     def record_chunk(
         self,
         job_index: int,
@@ -632,10 +607,9 @@ class SweepExecutor:
         decoder_artifact_dir: Persistent decoder-artifact store directory
             (:mod:`repro.decoder.artifacts`).  When set, every decode job in
             the plan inherits it (jobs that already carry their own keep it),
-            and the executor pre-builds each unique decoding graph's
-            shortest-path table *once* before fan-out so worker processes
-            start artifact-warm instead of rebuilding it N times.
-            Perf-only: job cache identity is unchanged.
+            and its decoders pre-warm their syndrome->correction LRU from,
+            and persist it to, that directory.  Perf-only: job cache
+            identity is unchanged.
         metrics: Optional :class:`~repro.experiments.metrics.MetricsRegistry`
             counting chunk/cache traffic and per-chunk latency (the same
             registry the sweep service snapshots over its API).
@@ -685,10 +659,6 @@ class SweepExecutor:
         plan = apply_decoder_artifact_dir(plan, self.decoder_artifact_dir)
         plan = apply_adaptive(plan, self.adaptive)
         execution = PlanExecution(plan, store=self.store, metrics=self.metrics)
-        # Build each unique decoding graph's shortest-path table once, here, so
-        # the fan-out below (including every pool worker) loads them back as
-        # shared memory maps instead of recomputing per process.
-        execution.prebuild_artifacts()
 
         # The one dispatch loop: keep ``width`` chunks in flight, record each
         # result as it lands, refill from the frontier.  Serial is width 1

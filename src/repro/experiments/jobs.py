@@ -140,9 +140,9 @@ class SweepJob:
     chunk_shots: int = DEFAULT_CHUNK_SHOTS
     #: Persistent decoder-artifact store directory
     #: (``repro.decoder.artifacts``).  Deliberately *not* part of
-    #: :meth:`config_dict`: the store only changes where the decoding-graph
-    #: tables come from, never a single correction, so jobs with and without
-    #: it address the same cache entry.
+    #: :meth:`config_dict`: the store only pre-warms the decoder's
+    #: syndrome->correction LRU, never changes a single correction, so jobs
+    #: with and without it address the same cache entry.
     decoder_artifact_dir: Optional[str] = None
     #: Sequential stopping rule (``repro.experiments.adaptive``): stop
     #: dispatching chunks once the Wilson interval on the job's LER is

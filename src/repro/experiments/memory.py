@@ -98,11 +98,10 @@ class MemoryExperiment:
         decode: Whether to decode shots (disable for LPR-only studies).
         decoder_method: Matching engine passed to the decoder.
         decoder_artifact_dir: Directory of a persistent decoder-artifact
-            store (:mod:`repro.decoder.artifacts`).  The decoder loads its
-            decoding-graph tables from there (memory-mapped, shared across
-            processes) instead of rebuilding them, and persists its
-            syndrome->correction cache at the end of :meth:`run`.
-            Performance-only: corrections are bit-identical either way.
+            store (:mod:`repro.decoder.artifacts`).  The decoder pre-warms
+            its syndrome->correction cache from there and persists it at
+            the end of :meth:`run`.  Performance-only: corrections are
+            bit-identical either way.
         seed: Seed or generator for reproducibility.
         engine: ``"packed"`` (bit-packed word-parallel execution, 64 shots
             per uint64 word), ``"scalar"`` (the reference one-shot-at-a-time
@@ -178,8 +177,7 @@ class MemoryExperiment:
         if decode:
             artifact_store = None
             if decoder_artifact_dir:
-                # One shared store instance per resolved path, so every
-                # experiment in this process maps the same entries.
+                # One shared store instance per resolved path, per process.
                 from repro.decoder.artifacts import get_artifact_store
 
                 artifact_store = get_artifact_store(decoder_artifact_dir)

@@ -35,11 +35,12 @@ A runner takes everything its plan builder takes, plus the executor options:
 * ``resume`` — reuse the default cache directory so an interrupted sweep
   continues from the configurations already finished,
 * ``decoder_artifact_dir`` — persistent decoder-artifact store, stamped on
-  every job (also when ``executor`` is given),
+  every job,
 * ``adaptive`` — an :class:`~repro.experiments.adaptive.AdaptiveConfig`
-  stopping rule for every decode job,
+  stopping rule, stamped on every decode job,
 * ``executor`` — a ready :class:`SweepExecutor` to run the plan on instead;
-  ``jobs``, ``cache_dir``, ``resume`` and ``adaptive`` are then ignored.
+  ``jobs``, ``cache_dir`` and ``resume`` are then ignored, while the two
+  stamped options above still apply.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.experiments.adaptive import AdaptiveConfig
+from repro.experiments.adaptive import AdaptiveConfig, apply_adaptive
 from repro.experiments.executor import (
     SweepExecutor,
     apply_decoder_artifact_dir,
@@ -77,21 +78,15 @@ def _run(
     """Build the plan ``build(*grid, seed=seed, **fields)`` and execute it.
 
     The executor options are described in the module docstring.
-    ``decoder_artifact_dir`` is stamped on the plan itself, so a caller's
-    ``executor`` receives it too; ``adaptive`` only configures the executor
-    built here.
+    ``decoder_artifact_dir`` and ``adaptive`` are stamped on the plan
+    itself, so a caller's ``executor`` receives them too.
     """
     plan = build(*grid, seed=seed, **fields)
     plan = apply_decoder_artifact_dir(plan, decoder_artifact_dir)
+    plan = apply_adaptive(plan, adaptive)
     if executor is None:
         warn_unseeded_cache(seed, cache_dir, resume)
-        executor = SweepExecutor(
-            jobs=jobs,
-            cache_dir=cache_dir,
-            resume=resume,
-            decoder_artifact_dir=decoder_artifact_dir,
-            adaptive=adaptive,
-        )
+        executor = SweepExecutor(jobs=jobs, cache_dir=cache_dir, resume=resume)
     return executor.run(plan)
 
 

@@ -72,8 +72,8 @@ class ReportBuilder:
         jobs / cache_dir / resume: Passed to :class:`SweepExecutor` — the
             same orchestration knobs every sweep command shares.
         decoder_artifact_dir: Persistent decoder-artifact store passed to the
-            executor; decode sweeps then load their decoding-graph tables via
-            mmap instead of rebuilding them per process.
+            executor; decode sweeps then pre-warm their syndrome->correction
+            LRU from it.
         figures: Attempt PNG rendering (skipped gracefully without
             matplotlib).
         executor: Pre-built executor (overrides jobs/cache_dir/resume).

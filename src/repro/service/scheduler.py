@@ -214,8 +214,9 @@ class SweepScheduler:
             worker death and the chunk's re-dispatch.
         heartbeat_interval: Worker heartbeat period (seconds); the
             supervisor scans at the same cadence.
-        decoder_artifact_dir: Persistent decoder-artifact store inherited by
-            every submitted job (perf-only, like the executor's knob).
+        decoder_artifact_dir: Persistent syndrome->correction LRU store
+            inherited by every submitted job (perf-only, like the
+            executor's knob).
         journal: Durable submission journal
             (:class:`~repro.service.journal.SubmissionJournal`).  When set,
             every acceptance is logged before admission, terminal states are
@@ -407,7 +408,6 @@ class SweepScheduler:
             submission.state = STATE_RUNNING
             submission.started = time.time()
             self._journal_event("started", submission)
-            await asyncio.to_thread(execution.prebuild_artifacts)
             # Claim enough chunks to saturate the pool; _run_chunk refills
             # one claim per recorded chunk.
             for job_index, chunk in execution.claim_tasks(self.workers):

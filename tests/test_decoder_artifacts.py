@@ -1,5 +1,6 @@
-"""Tests for the persistent mmap-shared decoder-artifact store."""
+"""Tests for the persistent decoder-artifact store (syndrome LRU snapshots)."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,15 +9,11 @@ import sys
 import numpy as np
 import pytest
 
-from repro.codes import make_code
 from repro.codes.rotated_surface import RotatedSurfaceCode
 from repro.decoder.artifacts import (
-    DecoderArtifactStore,
     get_artifact_store,
     graph_identity,
     graph_key,
-    mmap_npz,
-    prebuild_job_artifacts,
 )
 from repro.decoder.decoder import SurfaceCodeDecoder
 from repro.decoder.graph import (
@@ -24,13 +21,13 @@ from repro.decoder.graph import (
     clear_shared_graphs,
     shared_decoding_graph,
 )
-from repro.decoder.matching import _frame_parity_table
-from repro.experiments.executor import SweepExecutor, execute_chunk_with_stats
+from repro.experiments.executor import execute_chunk_with_stats
 from repro.experiments.jobs import SweepJob
 from repro.experiments.memory import MemoryExperiment
 from repro.experiments.metrics import MetricsRegistry
 from repro.experiments.sweep import compare_policies_plan
 from repro.core.policies import make_policy
+from repro.noise.profiles import NoiseProfile
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
@@ -58,35 +55,7 @@ def _fresh_shared_graphs():
 
 
 class TestGraphTables:
-    """Round-trip, identity, and corruption semantics of the graph tables."""
-
-    def test_round_trip_is_memory_mapped(self, tmp_path):
-        store = DecoderArtifactStore(tmp_path)
-        code = RotatedSurfaceCode(3)
-        graph = DecodingGraph(code, 4, artifact_store=store)
-        _frame_parity_table(graph)  # cold build, persists to the store
-        assert store.contains_graph(graph)
-        assert graph.frame_table_builds == 1
-
-        warm = DecodingGraph(code, 4, artifact_store=store)
-        table = _frame_parity_table(warm)
-        assert warm.frame_table_builds == 0
-        assert warm.apsp_builds == 0
-        assert warm.artifact_hits == 1
-        loaded = warm._space_time_table
-        built = graph._space_time_table
-        for name in ("distances", "frames", "ambiguous"):
-            assert isinstance(getattr(loaded, name), np.memmap)
-            np.testing.assert_array_equal(getattr(loaded, name), getattr(built, name))
-        np.testing.assert_array_equal(table, built.frames)
-
-    def test_entry_holds_distances_and_masks_only(self, tmp_path):
-        store = DecoderArtifactStore(tmp_path)
-        graph = DecodingGraph(RotatedSurfaceCode(3), 4, artifact_store=store)
-        _frame_parity_table(graph)
-        marker = json.loads(store.graph_json_path(graph_key(graph)).read_text())
-        assert marker["format"] == 3
-        assert sorted(marker["members"]) == ["distances", "masks"]
+    """Content addressing of a decoding graph's store entries."""
 
     def test_identity_distinguishes_graphs(self):
         code = RotatedSurfaceCode(3)
@@ -115,83 +84,6 @@ class TestGraphTables:
             check=True,
         )
         assert output.stdout.strip() == parent_key
-
-    def test_truncated_npz_reads_as_miss(self, tmp_path):
-        store = DecoderArtifactStore(tmp_path)
-        code = RotatedSurfaceCode(3)
-        graph = DecodingGraph(code, 4, artifact_store=store)
-        _frame_parity_table(graph)
-        npz_path = store.graph_npz_path(graph_key(graph))
-        data = npz_path.read_bytes()
-        npz_path.write_bytes(data[: len(data) // 2])  # torn write
-
-        torn = DecodingGraph(code, 4, artifact_store=store)
-        table = _frame_parity_table(torn)  # must fall back to a cold build
-        assert torn.artifact_misses == 1
-        assert torn.frame_table_builds == 1
-        np.testing.assert_array_equal(table, graph._space_time_table.frames)
-
-    def test_corrupt_marker_reads_as_miss(self, tmp_path):
-        store = DecoderArtifactStore(tmp_path)
-        code = RotatedSurfaceCode(3)
-        graph = DecodingGraph(code, 4, artifact_store=store)
-        _frame_parity_table(graph)
-        store.graph_json_path(graph_key(graph)).write_text("{not json")
-        assert store.load_graph_tables(graph) is None
-
-    def test_missing_marker_is_miss_despite_npz(self, tmp_path):
-        store = DecoderArtifactStore(tmp_path)
-        code = RotatedSurfaceCode(3)
-        graph = DecodingGraph(code, 4, artifact_store=store)
-        _frame_parity_table(graph)
-        store.graph_json_path(graph_key(graph)).unlink()
-        assert store.load_graph_tables(graph) is None
-
-    def test_mmap_npz_rejects_compressed(self, tmp_path):
-        path = tmp_path / "compressed.npz"
-        np.savez_compressed(path, a=np.arange(10))
-        with pytest.raises(ValueError):
-            mmap_npz(path)
-
-
-class TestCrossProcess:
-    """A warm process must load the tables without rebuilding anything."""
-
-    def test_child_process_builds_nothing(self, tmp_path):
-        store = DecoderArtifactStore(tmp_path)
-        code = RotatedSurfaceCode(3)
-        graph = DecodingGraph(code, 4, artifact_store=store)
-        _frame_parity_table(graph)
-
-        child = (
-            "import json, sys\n"
-            "import numpy as np\n"
-            "from repro.codes.rotated_surface import RotatedSurfaceCode\n"
-            "from repro.decoder.artifacts import get_artifact_store\n"
-            "from repro.decoder.decoder import SurfaceCodeDecoder\n"
-            "store = get_artifact_store(sys.argv[1])\n"
-            "code = RotatedSurfaceCode(3)\n"
-            "decoder = SurfaceCodeDecoder(code, num_rounds=4, artifact_store=store)\n"
-            "rng = np.random.default_rng(3)\n"
-            "histories = (rng.random((30, 4, code.num_stabilizers)) < 0.04)"
-            ".astype(np.uint8)\n"
-            "finals = (rng.random((30, code.num_data_qubits)) < 0.04)"
-            ".astype(np.uint8)\n"
-            "decoder.decode_batch(histories, finals)\n"
-            "print(json.dumps(decoder.stats.as_dict()))\n"
-        )
-        output = subprocess.run(
-            [sys.executable, "-c", child, str(tmp_path)],
-            env=_child_env(),
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        stats = json.loads(output.stdout)
-        assert stats["frame_table_builds"] == 0
-        assert stats["apsp_builds"] == 0
-        assert stats["artifact_hits"] >= 1
-        assert stats["artifact_misses"] == 0
 
 
 class TestBitIdentity:
@@ -250,6 +142,28 @@ class TestBitIdentity:
             clear_shared_graphs()
 
 
+def _truncate(path):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+def _stale_format(path):
+    marker = json.loads(path.read_text())
+    marker["format"] = 2
+    path.write_text(json.dumps(marker))
+
+
+#: Ways an LRU entry can be torn or stale: ``(npz path, marker path) -> None``.
+TEARS = {
+    "truncated-npz": lambda npz, marker: _truncate(npz),
+    "empty-npz": lambda npz, marker: npz.write_bytes(b""),
+    "missing-npz": lambda npz, marker: npz.unlink(),
+    "corrupt-marker": lambda npz, marker: marker.write_text("{not json"),
+    "missing-marker": lambda npz, marker: marker.unlink(),
+    "stale-format": lambda npz, marker: _stale_format(marker),
+}
+
+
 class TestLruPersistence:
     """The syndrome->correction LRU round-trips through the store."""
 
@@ -295,7 +209,7 @@ class TestLruPersistence:
     def test_merge_respects_bound(self, tmp_path):
         code = RotatedSurfaceCode(3)
         store = get_artifact_store(tmp_path)
-        graph = shared_decoding_graph(code, 4, artifact_store=store)
+        graph = shared_decoding_graph(code, 4)
         identity = {"method": "mwpm", "exact_threshold": None}
         from collections import OrderedDict
 
@@ -309,6 +223,69 @@ class TestLruPersistence:
         assert len(merged) == 4
         # Newest entries win the size bound.
         assert set(merged.values()) == {10, 11, 12, 13}
+
+    @pytest.mark.parametrize("tear", sorted(TEARS))
+    def test_torn_entry_reads_as_miss(self, tmp_path, tear):
+        code = RotatedSurfaceCode(3)
+        store = get_artifact_store(tmp_path)
+        histories, finals = _random_shots(code, np.random.default_rng(5), 50, 4)
+        expected = SurfaceCodeDecoder(code, num_rounds=4).decode_batch(histories, finals)
+        writer = SurfaceCodeDecoder(code, num_rounds=4, artifact_store=store)
+        writer.decode_batch(histories, finals)
+        writer.save_artifacts()
+        (npz_path,) = tmp_path.glob("*.lru-*.npz")
+        TEARS[tear](npz_path, npz_path.with_suffix(".json"))
+        clear_shared_graphs()
+
+        reader = SurfaceCodeDecoder(code, num_rounds=4, artifact_store=store)
+        assert reader.stats.lru_prewarmed == 0
+        np.testing.assert_array_equal(reader.decode_batch(histories, finals), expected)
+
+
+class TestCrossProcess:
+    """A second process pre-warms its LRU from what the first one saved."""
+
+    def test_child_process_prewarms_lru(self, tmp_path):
+        code = RotatedSurfaceCode(3)
+        histories, finals = _random_shots(code, np.random.default_rng(3), 30, 4)
+        parent = SurfaceCodeDecoder(
+            code, num_rounds=4, artifact_store=get_artifact_store(tmp_path)
+        )
+        expected = parent.decode_batch(histories, finals)
+        parent.save_artifacts()
+
+        child = (
+            "import json, sys\n"
+            "import numpy as np\n"
+            "from repro.codes.rotated_surface import RotatedSurfaceCode\n"
+            "from repro.decoder.artifacts import get_artifact_store\n"
+            "from repro.decoder.decoder import SurfaceCodeDecoder\n"
+            "code = RotatedSurfaceCode(3)\n"
+            "decoder = SurfaceCodeDecoder(\n"
+            "    code, num_rounds=4, artifact_store=get_artifact_store(sys.argv[1])\n"
+            ")\n"
+            "rng = np.random.default_rng(3)\n"
+            "histories = (rng.random((30, 4, code.num_stabilizers)) < 0.04)"
+            ".astype(np.uint8)\n"
+            "finals = (rng.random((30, code.num_data_qubits)) < 0.04)"
+            ".astype(np.uint8)\n"
+            "corrections = decoder.decode_batch(histories, finals)\n"
+            "print(json.dumps([decoder.stats.as_dict(), corrections.tolist()]))\n"
+        )
+        output = subprocess.run(
+            [sys.executable, "-c", child, str(tmp_path)],
+            env=_child_env(),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        stats, corrections = json.loads(output.stdout)
+        assert stats["lru_prewarmed"] == len(parent._correction_cache) > 0
+        # Every non-empty syndrome hits the pre-warmed LRU, so the child
+        # never matches and never even builds the space-time table.
+        assert stats["matched"] == 0
+        assert stats["apsp_builds"] == 0
+        assert corrections == expected.tolist()
 
 
 class TestSharedGraphs:
@@ -330,13 +307,14 @@ class TestSharedGraphs:
         assert a.graph is not b.graph
 
     def test_store_distinguishes_registry_key(self, tmp_path):
+        """The store no longer splits the registry: a bare and a stored
+        decoder of one shape share one graph and one table build."""
         code = RotatedSurfaceCode(3)
-        bare = shared_decoding_graph(code, 4)
-        stored = shared_decoding_graph(
-            code, 4, artifact_store=get_artifact_store(tmp_path)
+        bare = SurfaceCodeDecoder(code, num_rounds=4)
+        stored = SurfaceCodeDecoder(
+            code, num_rounds=4, artifact_store=get_artifact_store(tmp_path)
         )
-        assert bare is not stored
-
+        assert bare.graph is stored.graph
 
     def test_chunk_stats_count_one_build_per_shared_graph(self):
         """Decoders sharing a graph report per-decoder deltas, so merging
@@ -374,8 +352,7 @@ class TestExperimentWiring:
         expected = baseline.run(40)
         assert result.logical_errors == expected.logical_errors
         names = os.listdir(art)
-        assert any(name.endswith(".npz") for name in names)
-        assert any(".lru-" in name for name in names)
+        assert names and all(".lru-" in name for name in names)
 
         clear_shared_graphs()
         warm = MemoryExperiment(
@@ -390,50 +367,60 @@ class TestExperimentWiring:
         assert warm.decoder.stats.frame_table_builds == 0
         assert warm.decoder.stats.lru_prewarmed > 0
 
-    def test_executor_prebuilds_unique_graphs(self, tmp_path):
-        art = str(tmp_path / "artifacts")
-        plan = compare_policies_plan(
-            distances=[3], policies=["eraser", "always-lrc"], shots=10,
-            cycles=2, seed=3,
-        )
-        executor = SweepExecutor(jobs=1, decoder_artifact_dir=art)
-        executor.run(plan)
-        # Two jobs, one unique (family, distance, rounds) graph.
-        assert executor.last_stats.artifacts_prebuilt == 1
-        store = get_artifact_store(art)
-        graph = shared_decoding_graph(make_code("rotated-surface", 3), 6)
-        assert store.contains_graph(graph)
-
-        warm = SweepExecutor(jobs=1, decoder_artifact_dir=art)
-        warm.run(plan)
-        assert warm.last_stats.artifacts_prebuilt == 0
-
     def test_artifact_dir_excluded_from_job_identity(self, tmp_path):
-        plain = compare_policies_plan(
-            distances=[3], policies=["eraser"], shots=10, cycles=2, seed=3
-        ).jobs[0]
+        """Every ``SweepJob`` field is either identity or perf-only.
+
+        Changing an identity field moves ``cache_key()``; changing a
+        perf-only field (the artifact directory among them) leaves it
+        alone.  A new field fails here until it is classified.
+        """
         routed = compare_policies_plan(
             distances=[3], policies=["eraser"], shots=10, cycles=2, seed=3,
             decoder_artifact_dir=str(tmp_path),
         ).jobs[0]
         assert routed.decoder_artifact_dir == str(tmp_path)
-        assert plain.config_dict() == routed.config_dict()
-        assert plain.cache_key() == routed.cache_key()
+        base = dataclasses.replace(routed, decoder_artifact_dir=None)
+        names = {f.name for f in dataclasses.fields(SweepJob)}
+        assert names == set(IDENTITY_CHANGES) | set(PERF_ONLY_CHANGES)
+        assert len(IDENTITY_CHANGES) == 18
+        assert not names & {"decoder_dp_threshold", "decoder_cache_size"}  # retired
+        for name, value in IDENTITY_CHANGES.items():
+            assert getattr(base, name) != value, name
+            assert dataclasses.replace(base, **{name: value}).cache_key() != base.cache_key(), name
+        for name, value in PERF_ONLY_CHANGES.items():
+            assert getattr(base, name) != value, name
+            assert dataclasses.replace(base, **{name: value}).cache_key() == base.cache_key(), name
 
-    def test_prebuild_dedups_and_skips_non_decode(self, tmp_path):
-        art = str(tmp_path / "artifacts")
-        jobs = (
-            compare_policies_plan(
-                distances=[3], policies=["eraser", "optimal"], shots=10,
-                cycles=2, seed=3, decoder_artifact_dir=art,
-            ).jobs
-            + compare_policies_plan(
-                distances=[3], policies=["eraser"], shots=10, cycles=2,
-                seed=3, decode=False, decoder_artifact_dir=art,
-            ).jobs
-        )
-        assert prebuild_job_artifacts(jobs) == 1
-        assert prebuild_job_artifacts(jobs) == 0  # idempotent
+
+#: A changed value for every ``SweepJob`` field that joins the cache identity.
+IDENTITY_CHANGES = {
+    "distance": 5,
+    "policy": "always-lrc",
+    "shots": 11,
+    "rounds": 7,
+    "p": 2e-3,
+    "code_family": "repetition",
+    "noise_profile": NoiseProfile.biased(10.0).canonical_json(),
+    "leakage_enabled": False,
+    "transport_model": "exchange",
+    "protocol": "dqlr",
+    "decode": False,
+    "decoder_method": "mwpm",
+    "engine": "scalar",
+    "batch_size": 64,
+    "policy_kwargs": (("speculation", False),),
+    "seed_entropy": 1,
+    "spawn_key": (9,),
+    "chunk_shots": 3,
+}
+
+#: A changed value for every perf-only ``SweepJob`` field.
+PERF_ONLY_CHANGES = {
+    "decoder_artifact_dir": "elsewhere",
+    "target_ci_halfwidth": 0.1,
+    "target_rel_halfwidth": 0.5,
+    "adaptive_min_chunks": 4,
+}
 
 
 class TestIdentityPayload:

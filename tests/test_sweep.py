@@ -7,6 +7,7 @@ import pytest
 
 from repro.dqlr.protocol import run_dqlr_comparison
 from repro.experiments import EXPERIMENTS
+from repro.experiments.adaptive import AdaptiveConfig
 from repro.experiments.executor import SweepExecutor
 from repro.experiments.sweep import (
     compare_policies,
@@ -150,3 +151,16 @@ class TestHelperKeywords:
         RUNNERS[name](**kwargs)
         assert executor.jobs
         assert {job.decoder_artifact_dir for job in executor.jobs} == {str(tmp_path)}
+
+    def test_adaptive_reaches_a_caller_executor(self):
+        """``adaptive`` is stamped even when ``executor=`` is given."""
+        config = AdaptiveConfig(target_ci_halfwidth=0.2, min_chunks=2)
+        kwargs = dict(cycles=1, shots=400, chunk_shots=40, seed=1)
+        caller = SweepExecutor()
+        stamped = compare_policies([3], ["eraser"], adaptive=config, executor=caller, **kwargs)
+        configured = SweepExecutor(adaptive=config)
+        expected = compare_policies([3], ["eraser"], executor=configured, **kwargs)
+        assert configured.last_stats.chunks_run == 2
+        assert caller.last_stats.chunks_run == 2
+        assert stamped.results[0].shots == expected.results[0].shots == 80
+        assert stamped.results[0].logical_errors == expected.results[0].logical_errors

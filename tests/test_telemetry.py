@@ -193,11 +193,13 @@ class TestSweepStatsWire:
             jobs_run=3,
             chunks_run=9,
             elapsed_seconds=1.25,
-            artifacts_prebuilt=2,
+            chunks_recovered=2,
         )
         assert SweepStats.from_dict(stats.to_dict()) == stats
 
     def test_from_dict_tolerates_missing_optional(self):
         stats = SweepStats.from_dict({"jobs_total": 1})
         assert stats.jobs_total == 1
-        assert stats.artifacts_prebuilt is None
+        assert stats.chunks_recovered == 0
+        # Unknown keys (fields an older service still sends) are ignored.
+        assert SweepStats.from_dict({"jobs_total": 1, "retired_field": 2}) == stats
