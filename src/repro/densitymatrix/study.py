@@ -18,7 +18,7 @@ injection channel with probability ``0.1 p``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -55,6 +55,27 @@ class StabilizerStudyResult:
         return (
             np.asarray(self.leak_probabilities),
             np.asarray(self.correct_measurement_probability),
+        )
+
+    def to_state(self) -> Dict[str, list]:
+        """Plain-list form for a JSON record (float64 round-trips exactly)."""
+        return {
+            "labels": list(self.labels),
+            "leak_probabilities": [[float(v) for v in leaks] for leaks in self.leak_probabilities],
+            "correct_measurement_probability": [
+                float(v) for v in self.correct_measurement_probability
+            ],
+        }
+
+    @classmethod
+    def from_state(cls, state: Dict[str, list]) -> "StabilizerStudyResult":
+        """Inverse of :meth:`to_state`."""
+        return cls(
+            labels=list(state["labels"]),
+            leak_probabilities=[
+                np.asarray(leaks, dtype=float) for leaks in state["leak_probabilities"]
+            ],
+            correct_measurement_probability=list(state["correct_measurement_probability"]),
         )
 
     @property
@@ -95,6 +116,26 @@ class SingleStabilizerLeakageStudy:
         # Injection on the first / second operand of a pair.
         inject = leakage_injection_unitary()
         self._inject_pair = (np.kron(inject, identity()), np.kron(identity(), inject))
+
+    def config_dict(self) -> Dict[str, object]:
+        """Everything that determines :meth:`run`'s output: its cache identity.
+
+        Salted with :data:`~repro.experiments.jobs.RESULT_SEMANTICS_VERSION`
+        like every Monte-Carlo job, so a semantics bump retires stored
+        studies too.
+        """
+        # Imported here, not at module level: the density-matrix package
+        # does not otherwise depend on the sweep machinery.
+        from repro.experiments import jobs
+
+        return {
+            "study": "single-stabilizer-leakage",
+            "rx_angle": float(self.rx_angle),
+            "p_transport": float(self.p_transport),
+            "p_injection": float(self.p_injection),
+            "initially_leaked": int(self.initially_leaked),
+            "semantics": jobs.RESULT_SEMANTICS_VERSION,
+        }
 
     # ------------------------------------------------------------------
     def _apply_noisy_cnot(self, state: DensityMatrix, control: int, target: int) -> None:

@@ -52,8 +52,9 @@ DEFAULT_CHUNK_SHOTS = 256
 
 #: Version of what a cached result *means*.  Folded into every job's
 #: :meth:`SweepJob.config_dict` (and so into its cache key, its chunk-spill
-#: keys and its adaptive prefix keys); bump it whenever a change alters the
-#: statistics an unchanged job configuration produces, so a warm cache never
+#: keys and its adaptive prefix keys) and into the key of the report's
+#: density-matrix study record; bump it whenever a change alters the
+#: statistics an unchanged configuration produces, so a warm cache never
 #: serves a stale answer.  Version 1: ``engine="auto"`` resolves to the
 #: packed engine at every shot count.
 RESULT_SEMANTICS_VERSION = 1

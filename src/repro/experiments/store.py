@@ -30,6 +30,19 @@ treats missing, torn, or corrupt entries as cache misses, which is what makes
 interrupted sweeps safely resumable — rerunning the sweep recomputes exactly
 the incomplete entries.
 
+Records (non-Monte-Carlo results)
+---------------------------------
+Results that are not a :class:`MemoryExperimentResult` — the report's Fig. 8
+density-matrix study — are kept as *records*: one JSON document per key at
+``<root>/records/<key>.json``, written with the same atomic publish and
+carrying ``format`` and ``key`` next to the caller's payload.
+:meth:`ResultStore.load_record` reads a missing, truncated, empty or
+non-JSON file, a stale ``format`` or a ``key`` that does not match the file
+name as a miss, so the caller recomputes and rewrites it.  The ``records/``
+directory is outside every path :meth:`~ResultStore.keys`, ``len()`` and
+:meth:`~ResultStore.migrate_flat_entries` walk: records are neither listed
+as entries nor moved into shards.
+
 Sharding (the sweep-service layout)
 -----------------------------------
 A store created with ``shards=N > 1`` partitions entries into ``N`` shard
@@ -67,6 +80,9 @@ DEFAULT_CACHE_DIR = ".eraser-repro-cache"
 
 #: Layout marker recording the shard count (hidden: never globbed as an entry).
 STORE_META_FILE = ".store-meta.json"
+
+#: Subdirectory of the store root holding keyed JSON records.
+RECORDS_DIR = "records"
 
 #: Shard count the sweep service uses for its shared store.
 DEFAULT_SERVICE_SHARDS = 16
@@ -294,6 +310,32 @@ class ResultStore:
                 except FileNotFoundError:
                     pass
 
+    def record_path(self, key: str) -> Path:
+        return self.root / RECORDS_DIR / f"{key}.json"
+
+    def save_record(self, key: str, payload: Dict[str, object]) -> None:
+        """Persist a JSON-serialisable ``payload`` as the record ``key``."""
+        document = {"format": STORE_FORMAT_VERSION, "key": key, "payload": payload}
+        self._atomic_write(
+            self.record_path(key), json.dumps(document, sort_keys=True).encode("utf-8")
+        )
+
+    def load_record(self, key: str) -> Optional[Dict[str, object]]:
+        """Return the record's payload, or ``None`` for a missing/torn/stale one."""
+        try:
+            with open(self.record_path(key), "rb") as handle:
+                document = json.load(handle)
+        except (OSError, ValueError):
+            return None
+        if (
+            not isinstance(document, dict)
+            or document.get("format") != STORE_FORMAT_VERSION
+            or document.get("key") != key
+            or not isinstance(document.get("payload"), dict)
+        ):
+            return None
+        return document["payload"]
+
     # ------------------------------------------------------------------
     # Migration
     # ------------------------------------------------------------------
@@ -336,6 +378,7 @@ class InMemoryResultStore:
 
     def __init__(self) -> None:
         self._entries: Dict[str, MemoryExperimentResult] = {}
+        self._records: Dict[str, Dict[str, object]] = {}
 
     def save(
         self,
@@ -347,6 +390,12 @@ class InMemoryResultStore:
 
     def load(self, key: str) -> Optional[MemoryExperimentResult]:
         return self._entries.get(key)
+
+    def save_record(self, key: str, payload: Dict[str, object]) -> None:
+        self._records[key] = payload
+
+    def load_record(self, key: str) -> Optional[Dict[str, object]]:
+        return self._records.get(key)
 
     def contains(self, key: str) -> bool:
         return key in self._entries

@@ -25,9 +25,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
+from repro.densitymatrix.study import SingleStabilizerLeakageStudy, StabilizerStudyResult
 from repro.experiments.executor import SweepExecutor, SweepStats
 from repro.experiments.jobs import SweepPlan
 from repro.experiments.results import MemoryExperimentResult
+from repro.experiments.store import config_hash
 
 #: Fixed default seed of the report pipeline.  A *fixed* integer (rather than
 #: fresh OS entropy) is what makes report runs cache-addressable: rerunning
@@ -147,7 +149,9 @@ class RenderContext:
     ad-hoc grids such as the ablation study), which routes all simulation
     through one :class:`SweepExecutor` — cached, parallel, resumable — and
     records per-experiment :class:`SweepStats` so the report can prove how
-    much Monte-Carlo work it actually performed.
+    much Monte-Carlo work it actually performed.  Density-matrix renderers
+    call :meth:`run_study`, which records in :attr:`studies` whether each
+    study was served from the store (``"hit"``) or ``"computed"``.
     """
 
     executor: SweepExecutor
@@ -158,6 +162,7 @@ class RenderContext:
     chunk_shots: Optional[int] = None
     figures_enabled: bool = True
     stats: Dict[str, SweepStats] = field(default_factory=dict)
+    studies: Dict[str, str] = field(default_factory=dict)
 
     def run_plan(self, experiment_id: str, plan: SweepPlan) -> List[MemoryExperimentResult]:
         """Execute ``plan`` through the shared executor, recording its stats."""
@@ -174,6 +179,28 @@ class RenderContext:
             chunk_shots=self.chunk_shots,
         )
         return self.run_plan(spec.experiment_id, plan)
+
+    def run_study(
+        self, experiment_id: str, study: SingleStabilizerLeakageStudy
+    ) -> StabilizerStudyResult:
+        """Load ``study``'s result from the executor's store, or run and save it.
+
+        The record is addressed by the hash of :meth:`study.config_dict()
+        <SingleStabilizerLeakageStudy.config_dict>`.  An executor without a
+        local store (a :class:`~repro.service.client.ServiceExecutor`) always
+        computes.
+        """
+        store = getattr(self.executor, "store", None)
+        key = config_hash(study.config_dict())
+        payload = store.load_record(key) if store is not None else None
+        if payload is not None:
+            self.studies[experiment_id] = "hit"
+            return StabilizerStudyResult.from_state(payload)
+        result = study.run()
+        if store is not None:
+            store.save_record(key, result.to_state())
+        self.studies[experiment_id] = "computed"
+        return result
 
     def total_stats(self) -> SweepStats:
         """Aggregate executor statistics across every rendered experiment."""

@@ -9,13 +9,16 @@ result tree::
       <id>.csv         # machine-readable data behind each figure/table
       <id>.png         # rendered figures (only with matplotlib installed)
       run_stats.json   # executor statistics (cache hits, chunks simulated)
+                       # and whether each density-matrix study was a store hit
 
 All Monte-Carlo data flows through one cached
-:class:`~repro.experiments.executor.SweepExecutor`: pointed at a cache
-directory, a second build of the same report performs **zero** simulation and
-reproduces ``index.md`` and every CSV byte for byte (``run_stats.json`` is the
-only file that records run-varying facts, which is why those numbers are kept
-out of the index).
+:class:`~repro.experiments.executor.SweepExecutor`, and the Fig. 8
+density-matrix study is kept as a record in the same result store.  Pointed
+at a cache directory, a second build of the same report performs **zero**
+simulation — no Monte-Carlo chunk and no density-matrix run — and reproduces
+``index.md`` and every CSV byte for byte (``run_stats.json`` is the only file
+that records run-varying facts, which is why those numbers are kept out of
+the index).
 """
 
 from __future__ import annotations
@@ -181,6 +184,7 @@ class ReportBuilder:
         stats_payload = {
             "total": total.to_dict(),
             "experiments": {key: value.to_dict() for key, value in context.stats.items()},
+            "studies": dict(context.studies),
         }
         (self.output_dir / "run_stats.json").write_text(
             json.dumps(stats_payload, indent=1, sort_keys=True), encoding="utf-8"

@@ -557,7 +557,7 @@ def render_fpga_table(spec, ctx: RenderContext) -> ExperimentArtifact:
 
 def render_density_study(spec, ctx: RenderContext) -> ExperimentArtifact:
     """Figure 8: density-matrix study of leakage spread across one stabilizer."""
-    result = SingleStabilizerLeakageStudy().run()
+    result = ctx.run_study(spec.experiment_id, SingleStabilizerLeakageStudy())
     rows = []
     for step, (label, leaks, correct) in enumerate(
         zip(result.labels, result.leak_probabilities, result.correct_measurement_probability)

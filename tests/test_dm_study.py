@@ -9,6 +9,8 @@ from repro.densitymatrix.study import (
     SingleStabilizerLeakageStudy,
     StabilizerStudyResult,
 )
+from repro.experiments import jobs as jobs_module
+from repro.experiments.store import InMemoryResultStore, ResultStore, config_hash
 
 
 # Fig. 8 golden series: the per-step leak probabilities (q0..q3, P) and the
@@ -187,3 +189,51 @@ class TestFig8Golden:
         leaks, correct = SingleStabilizerLeakageStudy(**params).run().as_arrays()
         np.testing.assert_allclose(leaks, leaks_expected, rtol=0, atol=1e-12)
         np.testing.assert_allclose(correct, correct_expected, rtol=0, atol=1e-12)
+
+
+def study_key(**params) -> str:
+    return config_hash(SingleStabilizerLeakageStudy(**params).config_dict())
+
+
+class TestStudyRecord:
+    """The study's cache identity and its result-store record."""
+
+    def test_default_key_is_pinned(self):
+        assert study_key() == (
+            "3b3689f60517aea2943debc4752eb2d282daf1c37bb20a6276e4088c2712e2b2"
+        )
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            dict(rx_angle=1.0),
+            dict(p_transport=0.2),
+            dict(p_injection=1e-3),
+            dict(initially_leaked=1),
+        ],
+        ids=["rx_angle", "p_transport", "p_injection", "initially_leaked"],
+    )
+    def test_each_parameter_moves_the_key(self, params):
+        assert study_key(**params) != study_key()
+
+    def test_semantics_version_moves_the_key(self, monkeypatch):
+        default = study_key()
+        monkeypatch.setattr(
+            jobs_module, "RESULT_SEMANTICS_VERSION", jobs_module.RESULT_SEMANTICS_VERSION + 1
+        )
+        assert study_key() != default
+
+    @pytest.mark.parametrize("kind", ["disk", "memory"])
+    def test_record_round_trip_is_exact(self, tmp_path, kind):
+        result = SingleStabilizerLeakageStudy().run()
+        store = ResultStore(tmp_path) if kind == "disk" else InMemoryResultStore()
+        store.save_record(study_key(), result.to_state())
+        loaded = StabilizerStudyResult.from_state(store.load_record(study_key()))
+
+        assert loaded.labels == result.labels
+        leaks, correct = result.as_arrays()
+        loaded_leaks, loaded_correct = loaded.as_arrays()
+        np.testing.assert_allclose(loaded_leaks, leaks, rtol=0, atol=0)
+        np.testing.assert_allclose(loaded_correct, correct, rtol=0, atol=0)
+        np.testing.assert_allclose(loaded_leaks, DEFAULT_LEAKS, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(loaded_correct, DEFAULT_CORRECT, rtol=0, atol=1e-12)

@@ -5,15 +5,20 @@ Covers the three guarantees the report layer makes:
 * registry-complete rendering — every experiment id produces its artifact,
   even at tiny shot counts and without matplotlib;
 * cache discipline — a rerun against a warm cache executes zero Monte-Carlo
-  chunks and reproduces ``index.md`` and every CSV byte for byte;
+  chunks, serves the Fig. 8 density-matrix study from its store record (a
+  torn record is recomputed and rewritten), and reproduces ``index.md`` and
+  every CSV byte for byte;
 * determinism — CSV output under a fixed seed is stable across builds.
 """
 
 import json
+import shutil
 
 import pytest
 
+from repro.densitymatrix.study import SingleStabilizerLeakageStudy
 from repro.experiments.registry import EXPERIMENTS
+from repro.experiments.store import ResultStore, config_hash
 from repro.report import ReportBuilder, matplotlib_available
 from repro.report.artifacts import ExperimentArtifact, TableResult
 
@@ -73,10 +78,13 @@ class TestRegistryCompleteRender:
         assert "Eq. (1)" in text
 
     def test_run_stats_written(self, full_reports):
-        cold, _ = full_reports
+        cold, warm = full_reports
         stats = json.loads((cold.output_dir / "run_stats.json").read_text())
         assert stats["total"]["jobs_total"] > 0
         assert set(stats["experiments"]) <= set(EXPERIMENTS)
+        assert stats["studies"] == {"fig8": "computed"}
+        warm_stats = json.loads((warm.output_dir / "run_stats.json").read_text())
+        assert warm_stats["studies"] == {"fig8": "hit"}
 
 
 class TestCachedRerun:
@@ -101,6 +109,93 @@ class TestCachedRerun:
         table4 = cold.stats["table4"]
         assert table4.cache_hits == table4.jobs_total
         assert table4.chunks_run == 0
+
+
+def _study_record_path(cache_dir):
+    key = config_hash(SingleStabilizerLeakageStudy().config_dict())
+    return ResultStore(cache_dir).record_path(key)
+
+
+@pytest.fixture(scope="module")
+def clean_fig8(tmp_path_factory):
+    """A cold fig8-only build: its cache directory and its CSV bytes."""
+    tmp_path = tmp_path_factory.mktemp("fig8")
+    cold = _build(tmp_path, "cold", ids=["fig8"])
+    return tmp_path / "cache", (cold.output_dir / "fig8.csv").read_bytes()
+
+
+def _corrupt_truncated(path):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def _corrupt_empty(path):
+    path.write_bytes(b"")
+
+
+def _corrupt_not_json(path):
+    path.write_bytes(b"\x89PNG\r\n not a JSON document")
+
+
+def _corrupt_stale_format(path):
+    document = json.loads(path.read_text())
+    document["format"] = 999
+    path.write_text(json.dumps(document))
+
+
+def _corrupt_wrong_key(path):
+    document = json.loads(path.read_text())
+    document["key"] = "0" * 64
+    path.write_text(json.dumps(document))
+
+
+class TestStudyRecord:
+    """The Fig. 8 density-matrix study is a result-store record."""
+
+    def test_warm_rebuild_never_runs_the_study(self, clean_fig8, tmp_path, monkeypatch):
+        cache_dir, clean_csv = clean_fig8
+        shutil.copytree(cache_dir, tmp_path / "cache")
+
+        def refuse(self):
+            raise AssertionError("a warm build must not run the density-matrix study")
+
+        monkeypatch.setattr(SingleStabilizerLeakageStudy, "run", refuse)
+        warm = _build(tmp_path, "warm", ids=["fig8"])
+        assert (warm.output_dir / "fig8.csv").read_bytes() == clean_csv
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            _corrupt_truncated,
+            _corrupt_empty,
+            _corrupt_not_json,
+            _corrupt_stale_format,
+            _corrupt_wrong_key,
+        ],
+        ids=["truncated", "empty", "not-json", "stale-format", "wrong-key"],
+    )
+    def test_torn_record_is_recomputed_and_rewritten(
+        self, clean_fig8, tmp_path, monkeypatch, corrupt
+    ):
+        cache_dir, clean_csv = clean_fig8
+        clean_record = _study_record_path(cache_dir).read_bytes()
+        shutil.copytree(cache_dir, tmp_path / "cache")
+        record = _study_record_path(tmp_path / "cache")
+        corrupt(record)
+
+        runs = []
+        original_run = SingleStabilizerLeakageStudy.run
+
+        def counting_run(self):
+            runs.append(self)
+            return original_run(self)
+
+        monkeypatch.setattr(SingleStabilizerLeakageStudy, "run", counting_run)
+        rebuilt = _build(tmp_path, "rebuilt", ids=["fig8"])
+        assert len(runs) == 1
+        stats = json.loads((rebuilt.output_dir / "run_stats.json").read_text())
+        assert stats["studies"] == {"fig8": "computed"}
+        assert (rebuilt.output_dir / "fig8.csv").read_bytes() == clean_csv
+        assert record.read_bytes() == clean_record
 
 
 class TestDeterminism:

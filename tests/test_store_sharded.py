@@ -29,6 +29,7 @@ from repro.experiments.results import MemoryExperimentResult
 from repro.experiments.store import (
     DEFAULT_SERVICE_SHARDS,
     STORE_META_FILE,
+    InMemoryResultStore,
     ResultStore,
 )
 
@@ -152,6 +153,46 @@ class TestMigration:
         sharded.remove(fake_key(2))
         sharded.remove(fake_key(3))
         assert list(sharded.keys()) == []
+
+
+class TestRecords:
+    """Keyed JSON records live in ``records/``, apart from the entries."""
+
+    PAYLOAD = {"labels": ["initial"], "series": [[1.0, 0.1, 1e-300]]}
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_records_are_not_entries(self, tmp_path, shards):
+        store = ResultStore(tmp_path, shards=shards)
+        store.save(fake_key(1), make_result())
+        store.save_record(fake_key(2), self.PAYLOAD)
+        assert list(store.keys()) == [fake_key(1)]
+        assert len(store) == 1
+        assert store.migrate_flat_entries() == 0
+        assert store.load_record(fake_key(2)) == self.PAYLOAD
+
+    def test_migration_leaves_records_in_place(self, tmp_path):
+        root = tmp_path / "cache"
+        flat = ResultStore(root)
+        flat.save(fake_key(1), make_result())
+        flat.save_record(fake_key(2), self.PAYLOAD)
+        record = flat.record_path(fake_key(2))
+
+        sharded = ResultStore(root, shards=4)
+        assert sharded.migrate_flat_entries() == 1
+        assert list(sharded.keys()) == [fake_key(1)]
+        assert len(sharded) == 1
+        assert sharded.record_path(fake_key(2)) == record
+        assert sharded.load_record(fake_key(2)) == self.PAYLOAD
+
+    def test_missing_record_is_a_miss(self, tmp_path):
+        assert ResultStore(tmp_path).load_record(fake_key(3)) is None
+        assert InMemoryResultStore().load_record(fake_key(3)) is None
+
+    def test_in_memory_round_trip(self):
+        store = InMemoryResultStore()
+        store.save_record(fake_key(2), self.PAYLOAD)
+        assert store.load_record(fake_key(2)) == self.PAYLOAD
+        assert len(store) == 0
 
 
 class TestTornEntries:
