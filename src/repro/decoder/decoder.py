@@ -41,20 +41,15 @@ from repro.decoder.matching import AutoMatcher, build_matcher, canonical_method
 DEFAULT_CACHE_SIZE = 8192
 
 
-#: :class:`DecoderStats` fields that mirror the decoding graph's counters.
-_GRAPH_COUNTERS = ("apsp_builds", "frame_table_builds")
-
-
 @dataclass
 class DecoderStats:
     """Dispatch counters for the layered decode fast path (see module doc).
 
-    The ``*_builds`` counters mirror the decoding graph's: how often its
-    space-time table was built (``apsp_builds`` and ``frame_table_builds``
-    both count table builds).  The graph is shared by every decoder of the
-    same configuration in a process, so each decoder reports only what
-    happened since it was constructed: summed over decoders, the counters
-    equal the builds that actually ran.  ``lru_prewarmed`` counts the
+    ``frame_table_builds`` mirrors the decoding graph's counter: how often
+    its space-time table was built.  The graph is shared by every decoder
+    of the same configuration in a process, so each decoder reports only
+    what happened since it was constructed: summed over decoders, the
+    counter equals the builds that actually ran.  ``lru_prewarmed`` counts the
     syndrome->correction entries restored into the LRU at construction
     from the artifact store (:mod:`repro.decoder.artifacts`).
     ``frame_fallbacks`` counts ambiguous frame queries (shortest paths of
@@ -67,7 +62,6 @@ class DecoderStats:
     dedup_hits: int = 0
     cache_hits: int = 0
     matched: int = 0
-    apsp_builds: int = 0
     frame_table_builds: int = 0
     lru_prewarmed: int = 0
     frame_fallbacks: int = 0
@@ -79,7 +73,6 @@ class DecoderStats:
             "dedup_hits": self.dedup_hits,
             "cache_hits": self.cache_hits,
             "matched": self.matched,
-            "apsp_builds": self.apsp_builds,
             "frame_table_builds": self.frame_table_builds,
             "lru_prewarmed": self.lru_prewarmed,
             "frame_fallbacks": self.frame_fallbacks,
@@ -133,7 +126,7 @@ class SurfaceCodeDecoder:
             diagonal_weight=self.diagonal_weight,
         )
         # The graph's counters so far belong to earlier decoders sharing it.
-        self._graph_baseline = {name: getattr(self.graph, name) for name in _GRAPH_COUNTERS}
+        self._graph_baseline = self.graph.frame_table_builds
         self._matcher = build_matcher(self.graph, method=self.method)
         self._correction_cache: "OrderedDict[bytes, int]" = OrderedDict()
         if self.artifact_store is not None and self.cache_size > 0:
@@ -254,10 +247,9 @@ class SurfaceCodeDecoder:
         }
 
     def _sync_graph_stats(self) -> None:
-        """Mirror the graph's build counters (since construction) and the
+        """Mirror the graph's build counter (since construction) and the
         matcher's fallback counter."""
-        for name, baseline in self._graph_baseline.items():
-            setattr(self.stats, name, getattr(self.graph, name) - baseline)
+        self.stats.frame_table_builds = self.graph.frame_table_builds - self._graph_baseline
         matcher_stats = getattr(self._matcher, "stats", None) or {}
         self.stats.frame_fallbacks = matcher_stats.get("frame_fallbacks", 0)
 

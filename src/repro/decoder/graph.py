@@ -57,7 +57,7 @@ class DecodingGraph:
             positive (``ValueError`` otherwise): the space-time table of
             ``repro.decoder.matching`` relies on it.
 
-    The ``apsp_builds``/``frame_table_builds`` counters record how often
+    The ``frame_table_builds`` counter records how often
     ``repro.decoder.matching`` built the graph's space-time table.
     """
 
@@ -75,9 +75,8 @@ class DecodingGraph:
             weight = getattr(self, name)
             if weight is not None and not weight > 0:
                 raise ValueError(f"{name} must be > 0, got {weight}")
-        #: Table-build counters, maintained by ``repro.decoder.matching`` and
+        #: Table-build counter, maintained by ``repro.decoder.matching`` and
         #: surfaced through ``DecoderStats``.
-        self.apsp_builds = 0
         self.frame_table_builds = 0
         self._stabs = [
             s for s in self.code.stabilizers if s.stype is self.stabilizer_type

@@ -183,8 +183,8 @@ def _all_pairs(graph: DecodingGraph) -> _SpaceTimeTable:
     """The graph's space-time table, built once and cached.
 
     The table lives on the graph as ``_space_time_table``;
-    ``DecodingGraph.clear_caches()`` drops it.  ``apsp_builds`` and
-    ``frame_table_builds`` both count table builds.
+    ``DecodingGraph.clear_caches()`` drops it.  ``frame_table_builds``
+    counts table builds.
     """
     table = getattr(graph, "_space_time_table", None)
     if table is not None:
@@ -198,7 +198,6 @@ def _all_pairs(graph: DecodingGraph) -> _SpaceTimeTable:
     frames = _frame_parity_rows(graph, predecessors)
     del predecessors
     ambiguous = _ambiguity_rows(graph, distances, frames)
-    graph.apsp_builds += 1
     graph.frame_table_builds += 1
     table = _SpaceTimeTable(graph.num_checks, distances, frames, ambiguous)
     graph._space_time_table = table

@@ -20,7 +20,7 @@ from __future__ import annotations
 import time
 import warnings
 from concurrent.futures import FIRST_COMPLETED, Executor, Future, ProcessPoolExecutor, wait
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -91,62 +91,81 @@ def warn_unseeded_cache(seed, cache_dir, resume: bool) -> None:
         )
 
 
+#: :class:`SweepStats` counters whose metrics-registry name differs from
+#: the field name (every other counter is published under its field name).
+REGISTRY_NAMES = {
+    "cache_hits": "sweep_jobs_cached",
+    "chunks_run": "chunks_executed",
+    "jobs_completed": "sweep_jobs_completed",
+}
+
+
+def _counter():
+    """A :class:`SweepStats` field counted through :meth:`PlanExecution._count`."""
+    return field(default=0, metadata={"counter": True})
+
+
 @dataclass
 class SweepStats:
-    """What the last :meth:`SweepExecutor.run` actually did."""
+    """What the last :meth:`SweepExecutor.run` actually did.
+
+    The execution's only counter record; an attached metrics registry
+    mirrors every counter field (:meth:`counter_names`).  Counters only grow.
+    """
 
     jobs_total: int = 0
-    cache_hits: int = 0
+    #: Jobs served from the result store (a warm adaptive prefix included).
+    cache_hits: int = _counter()
     jobs_run: int = 0
-    chunks_run: int = 0
+    #: Chunks executed, stragglers past a stop point included.
+    chunks_run: int = _counter()
     elapsed_seconds: float = 0.0
     #: Chunks reused from the crash-recovery spill store instead of being
     #: re-executed (service restarts only; ``0`` everywhere else).
-    chunks_recovered: int = 0
+    chunks_recovered: int = _counter()
     #: Shots the sequential stopping rule skipped: the difference between
     #: each adaptively-stopped job's planned budget and the shots it
     #: actually needed to hit its Wilson-interval target.
-    shots_saved: int = 0
+    shots_saved: int = _counter()
     #: Jobs the stopping rule finalised before their full shot budget ran.
-    jobs_stopped_early: int = 0
+    jobs_stopped_early: int = _counter()
+    #: Chunks of cached jobs (or of a cached adaptive prefix).
+    chunks_cached: int = _counter()
+    #: Chunks past an adaptive stop point, counted when the job stops.
+    chunks_skipped: int = _counter()
+    #: Executed or recovered chunks past a stop point, dropped unmerged.
+    chunks_discarded: int = _counter()
+    #: Jobs merged and persisted by this execution (cache hits excluded).
+    jobs_completed: int = _counter()
+
+    @classmethod
+    def counter_names(cls) -> Dict[str, str]:
+        """Each counter field mapped to its metrics-registry name."""
+        return {
+            item.name: REGISTRY_NAMES.get(item.name, item.name)
+            for item in fields(cls)
+            if item.metadata.get("counter")
+        }
 
     def merge(self, other: "SweepStats") -> "SweepStats":
         """Accumulate another run's statistics into this one (returns self)."""
-        self.jobs_total += other.jobs_total
-        self.cache_hits += other.cache_hits
-        self.jobs_run += other.jobs_run
-        self.chunks_run += other.chunks_run
-        self.elapsed_seconds += other.elapsed_seconds
-        self.chunks_recovered += other.chunks_recovered
-        self.shots_saved += other.shots_saved
-        self.jobs_stopped_early += other.jobs_stopped_early
+        for item in fields(self):
+            setattr(self, item.name, getattr(self, item.name) + getattr(other, item.name))
         return self
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-serialisable form (used by the report's ``run_stats.json``)."""
-        return {
-            "jobs_total": self.jobs_total,
-            "cache_hits": self.cache_hits,
-            "jobs_run": self.jobs_run,
-            "chunks_run": self.chunks_run,
-            "elapsed_seconds": self.elapsed_seconds,
-            "chunks_recovered": self.chunks_recovered,
-            "shots_saved": self.shots_saved,
-            "jobs_stopped_early": self.jobs_stopped_early,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "SweepStats":
-        """Rebuild stats from :meth:`to_dict` (the service wire format)."""
+        """Rebuild stats from :meth:`to_dict` (the service wire format);
+        missing keys read as defaults, unknown keys are ignored."""
         return cls(
-            jobs_total=int(payload.get("jobs_total", 0)),
-            cache_hits=int(payload.get("cache_hits", 0)),
-            jobs_run=int(payload.get("jobs_run", 0)),
-            chunks_run=int(payload.get("chunks_run", 0)),
-            elapsed_seconds=float(payload.get("elapsed_seconds", 0.0)),
-            chunks_recovered=int(payload.get("chunks_recovered", 0)),
-            shots_saved=int(payload.get("shots_saved", 0)),
-            jobs_stopped_early=int(payload.get("jobs_stopped_early", 0)),
+            **{
+                item.name: type(item.default)(payload.get(item.name, item.default))
+                for item in fields(cls)
+            }
         )
 
     def summary(self) -> str:
@@ -196,12 +215,16 @@ class PlanExecution:
     merged statistics are bit-identical no matter which backend, worker
     interleaving, or crash/retry history produced the chunks.
 
-    When a :class:`~repro.experiments.metrics.MetricsRegistry` is supplied,
-    cache and execution traffic is counted into it (``chunks_executed``,
-    ``chunks_cached``, ``chunks_recovered``, ``sweep_jobs_completed``,
-    ``sweep_jobs_cached``) so that a live telemetry snapshot reconciles
-    exactly with :attr:`stats`: chunks executed plus chunks cached plus
-    chunks recovered equals the plan's total chunk count.
+    :attr:`stats` is the execution's only counter record.  Every count goes
+    through :meth:`_count`, which also mirrors it into a supplied
+    :class:`~repro.experiments.metrics.MetricsRegistry` under the field's
+    registry name (:data:`REGISTRY_NAMES`), so a live telemetry snapshot
+    reconciles exactly with :attr:`stats`.  Counters only grow, and
+    :attr:`chunks_done` is ``chunks_run + chunks_cached + chunks_recovered
+    + chunks_skipped - chunks_discarded``, which reaches the plan's total
+    chunk count when the plan finishes: a job stopped early counts every
+    chunk past its stop point as skipped, and a straggler chunk that lands
+    past it counts as executed (or recovered) *and* discarded.
 
     When a ``chunk_store`` is supplied (the sweep service's journal-backed
     crash-recovery mode), every executed chunk except a job's last is also
@@ -251,9 +274,6 @@ class PlanExecution:
         self.pending: List[int] = []
         self._chunk_results: Dict[Tuple[int, int], MemoryExperimentResult] = {}
         self._remaining: Dict[int, int] = {}
-        self._cached_chunks = 0
-        self._recovered_chunks = 0
-        self._skipped_chunks = 0
         self._adaptive: Dict[int, AdaptiveConfig] = {}
         self._merge_base: Dict[int, MemoryExperimentResult] = {}
         self._base_chunks: Dict[int, int] = {}
@@ -266,11 +286,8 @@ class PlanExecution:
             cached = store.load(job.cache_key()) if store is not None else None
             if cached is not None:
                 self.results[index] = cached
-                self.stats.cache_hits += 1
-                self._cached_chunks += job.num_chunks
-                if metrics is not None:
-                    metrics.counter("chunks_cached").inc(job.num_chunks)
-                    metrics.counter("sweep_jobs_cached").inc()
+                self._count("cache_hits")
+                self._count("chunks_cached", job.num_chunks)
                 continue
             if config is not None and store is not None:
                 prefix, length = self._probe_adaptive_prefix(job)
@@ -283,14 +300,10 @@ class PlanExecution:
                     # ``length`` chunks and its interval still meets the
                     # target: a warm rerun is a pure cache hit.
                     self.results[index] = prefix
-                    self.stats.cache_hits += 1
-                    self.stats.shots_saved += job.shots - prefix.shots
-                    self._cached_chunks += length
-                    self._skipped_chunks += job.num_chunks - length
-                    if metrics is not None:
-                        metrics.counter("chunks_cached").inc(length)
-                        metrics.counter("chunks_skipped").inc(job.num_chunks - length)
-                        metrics.counter("sweep_jobs_cached").inc()
+                    self._count("cache_hits")
+                    self._count("shots_saved", job.shots - prefix.shots)
+                    self._count("chunks_cached", length)
+                    self._count("chunks_skipped", job.num_chunks - length)
                     continue
                 if prefix is not None:
                     # Cached prefix exists but no longer meets the (tighter)
@@ -300,9 +313,7 @@ class PlanExecution:
                     # final-rounding only.
                     self._merge_base[index] = prefix
                     self._base_chunks[index] = length
-                    self._cached_chunks += length
-                    if metrics is not None:
-                        metrics.counter("chunks_cached").inc(length)
+                    self._count("chunks_cached", length)
                     self.pending.append(index)
                     self._remaining[index] = job.num_chunks - length
                     self._next_chunk[index] = length
@@ -312,6 +323,13 @@ class PlanExecution:
         self.stats.jobs_run = len(self.pending)
         if chunk_store is not None:
             self._recover_spilled_chunks()
+
+    def _count(self, name: str, amount: int = 1) -> None:
+        """Add ``amount`` to the :attr:`stats` counter ``name`` and its
+        registry mirror."""
+        setattr(self.stats, name, getattr(self.stats, name) + amount)
+        if self.metrics is not None:
+            self.metrics.counter(REGISTRY_NAMES.get(name, name)).inc(amount)
 
     def _probe_adaptive_prefix(
         self, job: SweepJob
@@ -416,12 +434,16 @@ class PlanExecution:
 
         Chunks the stopping rule skipped count as done — an early-stopped
         job is finished, and progress displays should reach 100%.
+        Discarded stragglers are subtracted: their slots already count as
+        skipped.
         """
+        stats = self.stats
         return (
-            self.stats.chunks_run
-            + self._cached_chunks
-            + self._recovered_chunks
-            + self._skipped_chunks
+            stats.chunks_run
+            + stats.chunks_cached
+            + stats.chunks_recovered
+            + stats.chunks_skipped
+            - stats.chunks_discarded
         )
 
     @property
@@ -454,44 +476,24 @@ class PlanExecution:
         *every* chunk — the stop point isn't known in advance, so any chunk
         may turn out to be the last.)
 
-        A chunk arriving after its job already finalised early (an
-        in-flight straggler past the stop point) is counted as executed
-        but otherwise discarded — the stopping rule's result depends only
-        on the prefix.
+        A chunk arriving after its job already finalised (an in-flight
+        straggler past an early stop point) is counted as executed (or
+        recovered) and as discarded — the stopping rule's result depends
+        only on the prefix.
         """
         if self.results[job_index] is not None or job_index not in self._remaining:
-            # Job already finalised (adaptive early stop); straggler chunk.
-            # Its slot was counted as skipped at finalise time — move it to
-            # the executed/recovered column so chunks_done stays exact.
-            self._skipped_chunks = max(0, self._skipped_chunks - 1)
-            if recovered:
-                self._recovered_chunks += 1
-                self.stats.chunks_recovered += 1
-                if self.metrics is not None:
-                    self.metrics.counter("chunks_recovered").inc()
-            else:
-                self.stats.chunks_run += 1
-                if self.metrics is not None:
-                    self.metrics.counter("chunks_executed").inc()
-                    self.metrics.counter("chunks_discarded").inc()
+            self._count("chunks_recovered" if recovered else "chunks_run")
+            self._count("chunks_discarded")
             return False
         duplicate = (job_index, chunk) in self._chunk_results
         self._chunk_results[(job_index, chunk)] = result
         if duplicate:
             return False
-        if recovered:
-            self._recovered_chunks += 1
-            self.stats.chunks_recovered += 1
-            if self.metrics is not None:
-                self.metrics.counter("chunks_recovered").inc()
-        else:
-            self.stats.chunks_run += 1
-            if self.metrics is not None:
-                self.metrics.counter("chunks_executed").inc()
-            if self.chunk_store is not None and (
-                self._remaining[job_index] > 1 or job_index in self._adaptive
-            ):
-                self.chunk_store.save(self._chunk_key(job_index, chunk), result)
+        self._count("chunks_recovered" if recovered else "chunks_run")
+        if not recovered and self.chunk_store is not None and (
+            self._remaining[job_index] > 1 or job_index in self._adaptive
+        ):
+            self.chunk_store.save(self._chunk_key(job_index, chunk), result)
         self._remaining[job_index] -= 1
         if job_index in self._adaptive and self._maybe_finalize_early(job_index):
             return True
@@ -525,26 +527,20 @@ class PlanExecution:
             self.store.save(saved.cache_key(), merged, config=saved.config_dict())
         self.results[job_index] = merged
         del self._remaining[job_index]
-        if self.metrics is not None:
-            self.metrics.counter("sweep_jobs_completed").inc()
+        self._count("jobs_completed")
         if early:
-            # Chunks past the stop point count as skipped, except stragglers
-            # already executed out of order, whose slots are in the executed
-            # column; their results are dropped here.
-            skipped = sum(
-                self._chunk_results.pop((job_index, chunk), None) is None
-                for chunk in range(length, job.num_chunks)
+            # Every chunk past the stop point counts as skipped; those
+            # already executed out of order are dropped here as discarded.
+            self._count("chunks_skipped", job.num_chunks - length)
+            self._count(
+                "chunks_discarded",
+                sum(
+                    self._chunk_results.pop((job_index, chunk), None) is not None
+                    for chunk in range(length, job.num_chunks)
+                ),
             )
-            self._skipped_chunks += skipped
-            self.stats.shots_saved += job.shots - saved.shots
-            self.stats.jobs_stopped_early += 1
-            if self.metrics is not None:
-                self.metrics.counter("jobs_stopped_early").inc()
-                self.metrics.counter("shots_saved").inc(job.shots - saved.shots)
-                self.metrics.counter("chunks_skipped").inc(skipped)
-                self.metrics.gauge(f"ler_ci_halfwidth_job{job_index}").set(
-                    self._adaptive[job_index].halfwidth(merged.logical_errors, merged.shots)
-                )
+            self._count("shots_saved", job.shots - saved.shots)
+            self._count("jobs_stopped_early")
         if self.chunk_store is not None:
             for spilled_chunk in range(job.num_chunks):
                 self.chunk_store.remove(self._chunk_key(job_index, spilled_chunk))
@@ -567,21 +563,22 @@ class PlanExecution:
         cum_errors = max(base.logical_errors, 0) if base is not None else 0
         cum_shots = base.shots if base is not None else 0
         length = self._base_chunks.get(job_index, 0)
-        while (job_index, length) in self._chunk_results:
+        stop = False
+        while not stop and (job_index, length) in self._chunk_results:
             part = self._chunk_results[(job_index, length)]
             cum_errors += max(part.logical_errors, 0)
             cum_shots += part.shots
             length += 1
             if length >= job.num_chunks:
                 break  # full job: the normal completion merge handles it
-            if length >= config.min_chunks and config.satisfied(cum_errors, cum_shots):
-                self._finalize(job_index, length)
-                return True
+            stop = length >= config.min_chunks and config.satisfied(cum_errors, cum_shots)
         if self.metrics is not None and cum_shots > 0:
             self.metrics.gauge(f"ler_ci_halfwidth_job{job_index}").set(
                 config.halfwidth(cum_errors, cum_shots)
             )
-        return False
+        if stop:
+            self._finalize(job_index, length)
+        return stop
 
     def finish(self, elapsed_seconds: float) -> SweepStats:
         """Stamp the elapsed time and return the final statistics."""
@@ -611,8 +608,9 @@ class SweepExecutor:
             and persist it to, that directory.  Perf-only: job cache
             identity is unchanged.
         metrics: Optional :class:`~repro.experiments.metrics.MetricsRegistry`
-            counting chunk/cache traffic and per-chunk latency (the same
-            registry the sweep service snapshots over its API).
+            mirroring every :class:`SweepStats` counter (chunk, cache and
+            stopping-rule traffic).  Per-chunk latency is observed only by
+            the sweep service's scheduler, not here.
         adaptive: Optional :class:`~repro.experiments.adaptive.AdaptiveConfig`
             applied to every decode job in the plan (jobs carrying their own
             targets keep them).  Enables the sequential stopping rule: each

@@ -1,18 +1,21 @@
 """Telemetry correctness: counters reconcile exactly with sweep statistics.
 
-Covers the service's live-metrics layer (satellite of the sweep-service PR):
-Counter/Gauge/Histogram semantics, canonical snapshot serialisation that
-round-trips byte-stable, NDJSON stream lines, and — the load-bearing check —
-that after any mix of cold and warm sweeps the registry reconciles exactly
-with :class:`~repro.experiments.executor.SweepStats`:
-``chunks_executed + chunks_cached == total plan chunks``.
+Covers the service's live-metrics layer: Counter/Gauge/Histogram semantics,
+canonical snapshot serialisation that round-trips byte-stable, NDJSON stream
+lines, and — the load-bearing check — that after any mix of cold, warm and
+adaptive sweeps every registry counter equals its
+:class:`~repro.experiments.executor.SweepStats` field, and that
+``chunks_executed + chunks_cached + chunks_recovered + chunks_skipped -
+chunks_discarded`` equals the plan's chunk total, stragglers past an early
+stop point included.
 """
 
 import json
+from dataclasses import fields, replace
 
 import pytest
 
-from repro.experiments.executor import SweepExecutor, SweepStats
+from repro.experiments.executor import PlanExecution, SweepExecutor, SweepStats
 from repro.experiments.jobs import SweepJob, SweepPlan
 from repro.experiments.metrics import (
     DEFAULT_LATENCY_BUCKETS,
@@ -23,7 +26,7 @@ from repro.experiments.store import ResultStore
 from repro.service.wire import metrics_ndjson_line, parse_metrics_ndjson
 
 
-def make_plan(shots=120, chunk_shots=40, policies=("eraser", "always-lrc")):
+def make_plan(shots=120, chunk_shots=40, policies=("eraser", "always-lrc"), **overrides):
     jobs = [
         SweepJob(
             distance=3,
@@ -34,10 +37,46 @@ def make_plan(shots=120, chunk_shots=40, policies=("eraser", "always-lrc")):
             chunk_shots=chunk_shots,
             seed_entropy=99,
             spawn_key=(index,),
+            **overrides,
         )
         for index, policy in enumerate(policies)
     ]
     return SweepPlan(jobs)
+
+
+def adaptive_plan(shots=120):
+    """One eraser job of 20-shot chunks whose loose target stops it at 2."""
+    return make_plan(
+        shots=shots,
+        chunk_shots=20,
+        policies=("eraser",),
+        target_ci_halfwidth=0.5,
+        adaptive_min_chunks=2,
+    )
+
+
+def chunk_identity(counts, names=None):
+    """``chunks_done`` rebuilt from ``SweepStats.to_dict()`` or, with
+    ``names`` mapping fields to registry names, from registry counters."""
+    names = names or {}
+    run, cached, recovered, skipped, discarded = (
+        counts.get(names.get(field, field), 0)
+        for field in (
+            "chunks_run", "chunks_cached", "chunks_recovered", "chunks_skipped", "chunks_discarded"
+        )
+    )
+    return run + cached + recovered + skipped - discarded
+
+
+#: Reconciliation runs: (plan, plan run beforehand without a registry, shards).
+RUNS = {
+    "cold": (make_plan, None, 1),
+    "warm": (make_plan, make_plan, 1),
+    "mixed": (make_plan, lambda: SweepPlan(make_plan().jobs[:1]), 1),
+    "adaptive-cold": (adaptive_plan, None, 1),
+    "adaptive-warm": (adaptive_plan, adaptive_plan, 1),
+    "sharded": (make_plan, lambda: SweepPlan(make_plan().jobs[:1]), 4),
+}
 
 
 class TestPrimitives:
@@ -128,7 +167,46 @@ class TestRegistry:
 
 
 class TestReconciliation:
-    """chunks_executed + chunks_cached must equal the plan's chunk total."""
+    """Every registry counter mirrors its stats field; chunks add up."""
+
+    @pytest.mark.parametrize("run", list(RUNS))
+    def test_every_counter_matches_its_stats_field(self, tmp_path, run):
+        make, warm, shards = RUNS[run]
+        store = ResultStore(tmp_path / "cache", shards=shards)
+        if warm is not None:
+            SweepExecutor(store=store).run(warm())
+        registry = MetricsRegistry()
+        executor = SweepExecutor(store=store, metrics=registry)
+        plan = make()
+        executor.run(plan)
+        counters = registry.snapshot()["counters"]
+        stats = executor.last_stats
+        for field, name in SweepStats.counter_names().items():
+            assert counters.get(name, 0) == getattr(stats, field), field
+        assert chunk_identity(stats.to_dict()) == plan.total_chunks
+
+    def test_stragglers_past_the_stop_point_are_discarded(self):
+        plan = adaptive_plan(shots=80)
+        job = plan.jobs[0]
+        registry = MetricsRegistry()
+        execution = PlanExecution(plan, metrics=registry)
+        assert execution.claim_tasks(4) == [(0, chunk) for chunk in range(4)]
+        chunks = [job.run_chunk(chunk) for chunk in range(4)]
+        assert not execution.record_chunk(0, 0, chunks[0])
+        assert execution.record_chunk(0, 1, chunks[1])  # stops at L=2
+        assert not execution.record_chunk(0, 2, chunks[2])
+        assert not execution.record_chunk(0, 3, chunks[3])
+        stats = execution.stats
+        assert stats.jobs_stopped_early == 1
+        assert stats.chunks_skipped == 2
+        assert stats.chunks_discarded == 2
+        assert execution.chunks_done == plan.total_chunks
+        assert chunk_identity(stats.to_dict()) == plan.total_chunks
+        counters = registry.snapshot()["counters"]
+        names = SweepStats.counter_names()
+        assert chunk_identity(counters, names) == plan.total_chunks
+        fixed = SweepExecutor().run_job(replace(job, shots=2 * job.chunk_shots))
+        assert execution.results[0].statistically_equal(fixed)
 
     def test_cold_run_counts_every_chunk_as_executed(self, tmp_path):
         registry = MetricsRegistry()
@@ -187,15 +265,19 @@ class TestReconciliation:
 
 class TestSweepStatsWire:
     def test_from_dict_round_trip(self):
+        # Every field distinct and non-default: a field dropped from the
+        # wire cannot round-trip by accident.
         stats = SweepStats(
-            jobs_total=4,
-            cache_hits=1,
-            jobs_run=3,
-            chunks_run=9,
-            elapsed_seconds=1.25,
-            chunks_recovered=2,
+            **{
+                item.name: type(item.default)(index + 1)
+                for index, item in enumerate(fields(SweepStats))
+            }
         )
-        assert SweepStats.from_dict(stats.to_dict()) == stats
+        assert SweepStats.from_dict(json.loads(json.dumps(stats.to_dict()))) == stats
+        # A payload from an older service lacks the newer counters.
+        newer = ("chunks_cached", "chunks_skipped", "chunks_discarded", "jobs_completed")
+        older = {key: value for key, value in stats.to_dict().items() if key not in newer}
+        assert SweepStats.from_dict(older) == replace(stats, **dict.fromkeys(newer, 0))
 
     def test_from_dict_tolerates_missing_optional(self):
         stats = SweepStats.from_dict({"jobs_total": 1})
