@@ -42,6 +42,7 @@ KEY_FINAL_DATA = "final_data"
 #: LRC protocols supported by the schedule generator.
 PROTOCOL_SWAP = "swap"
 PROTOCOL_DQLR = "dqlr"
+PROTOCOLS = (PROTOCOL_SWAP, PROTOCOL_DQLR)
 
 
 @dataclass
@@ -92,8 +93,8 @@ class QecScheduleGenerator:
         protocol: str = PROTOCOL_SWAP,
         adaptive_multilevel: bool = False,
     ):
-        if protocol not in (PROTOCOL_SWAP, PROTOCOL_DQLR):
-            raise ValueError(f"unknown protocol {protocol!r}")
+        if protocol not in PROTOCOLS:
+            raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
         self.code = code
         self.protocol = protocol
         self.adaptive_multilevel = adaptive_multilevel

@@ -25,7 +25,7 @@ enforces property-style.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Optional
 
 import numpy as np
@@ -67,16 +67,7 @@ class DecoderStats:
     frame_fallbacks: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "shots": self.shots,
-            "empty": self.empty,
-            "dedup_hits": self.dedup_hits,
-            "cache_hits": self.cache_hits,
-            "matched": self.matched,
-            "frame_table_builds": self.frame_table_builds,
-            "lru_prewarmed": self.lru_prewarmed,
-            "frame_fallbacks": self.frame_fallbacks,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -178,10 +169,6 @@ class SurfaceCodeDecoder:
                 f"({self.num_rounds}, {self.code.num_stabilizers})"
             )
         return self.build_detectors_batch(history[None], np.asarray(final_data_bits)[None])[0]
-
-    def _check_support_matrix(self) -> np.ndarray:
-        """``(num_checks, num_data_qubits)`` incidence matrix of the checks."""
-        return self._support_matrix
 
     def build_detectors_batch(
         self,

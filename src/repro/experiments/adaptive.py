@@ -44,18 +44,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.codes import DEFAULT_CODE_FAMILY, make_code
 from repro.codes.layout import StabilizerType
-from repro.core.qsg import KEY_FINAL_DATA, QecScheduleGenerator
 from repro.experiments.jobs import SweepJob, SweepPlan
 from repro.experiments.metrics import wilson_halfwidth, wilson_interval
-from repro.noise.leakage import LeakageModel
-from repro.noise.model import NoiseParams
-from repro.sim.frame_simulator import LeakageFrameSimulator
 from repro.sim.packed_bits import sample_cells, sample_distinct
 
 #: Chunks the stopping rule must observe before it may stop a job.  Two is
@@ -295,7 +291,6 @@ class RareEventSampler:
             stabilizer_type=StabilizerType.Z,
             method=decoder_method,
         )
-        self._qsg = QecScheduleGenerator(self.code)
         self._build_signature_table()
 
     # -- signature table ------------------------------------------------
@@ -314,47 +309,24 @@ class RareEventSampler:
         """
         return (self.distance + 1) // 2
 
-    def _noiseless_run(
-        self, faults: Sequence[Tuple[int, int]]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Syndrome history + final bits with X frames injected at ``faults``.
-
-        ``faults`` holds ``(round, data_qubit)`` pairs; each X frame is
-        flipped just before its round executes, mirroring
-        :class:`~repro.decoder.fault_injection.FaultInjector`.
-        """
-        sim = LeakageFrameSimulator(
-            self.code.num_qubits, NoiseParams.noiseless(), LeakageModel.disabled(), rng=0
-        )
-        by_round: Dict[int, List[int]] = {}
-        for round_index, qubit in faults:
-            by_round.setdefault(int(round_index), []).append(int(qubit))
-        history = np.zeros((self.rounds, self.code.num_stabilizers), dtype=np.uint8)
-        for round_index in range(self.rounds):
-            for qubit in by_round.get(round_index, ()):
-                sim.x[qubit] ^= True
-            ops, layout = self._qsg.build_round({})
-            records = sim.run(ops)
-            bits, _, _ = self._qsg.assemble_syndrome(records, layout)
-            history[round_index] = bits
-        records = sim.run(self._qsg.build_final_data_measurement())
-        return history, records[KEY_FINAL_DATA].bits
-
     def _build_signature_table(self) -> None:
-        """One noiseless run per (round, qubit) cell -> detector/observable XOR basis."""
+        """One noiseless :class:`~repro.decoder.fault_injection.FaultInjector`
+        run per (round, qubit) cell -> detector/observable XOR basis."""
+        from repro.decoder.fault_injection import FaultInjector
+
+        injector = FaultInjector(self.code, self.rounds)
         self._data_qubits = list(self.code.data_indices)
-        layers = self.rounds + 1
         checks = self.decoder.graph.num_checks
-        cells = self.num_cells
-        self._det_table = np.zeros((cells, layers * checks), dtype=np.uint8)
-        self._obs_table = np.zeros(cells, dtype=np.uint8)
+        position = {check: index for index, check in enumerate(self.decoder.graph.checks)}
+        self._det_table = np.zeros((self.num_cells, (self.rounds + 1) * checks), dtype=np.uint8)
+        self._obs_table = np.zeros(self.num_cells, dtype=np.uint8)
         for round_index in range(self.rounds):
             for qubit_pos, qubit in enumerate(self._data_qubits):
                 cell = round_index * len(self._data_qubits) + qubit_pos
-                history, final_bits = self._noiseless_run([(round_index, qubit)])
-                detectors = self.decoder.build_detectors(history, final_bits)
-                self._det_table[cell] = detectors.reshape(-1).astype(np.uint8)
-                self._obs_table[cell] = self.decoder.observed_logical_flip(final_bits)
+                signature = injector.data_pauli(round_index, qubit, "X")
+                for layer, check in signature.flipped_detectors:
+                    self._det_table[cell, layer * checks + position[check]] = 1
+                self._obs_table[cell] = signature.observable_flip
 
     # -- failure evaluation ---------------------------------------------
     def failures_for_cells(

@@ -29,7 +29,7 @@ from repro.experiments.adaptive import AdaptiveConfig, apply_adaptive, job_adapt
 from repro.experiments.jobs import SweepJob, SweepPlan, merge_chunk_results
 from repro.experiments.metrics import MetricsRegistry
 from repro.experiments.results import MemoryExperimentResult
-from repro.experiments.store import ResultStore, default_cache_dir
+from repro.experiments.store import ResultStore, config_hash, default_cache_dir
 
 
 def _execute_chunk(job: SweepJob, index: int) -> MemoryExperimentResult:
@@ -337,14 +337,17 @@ class PlanExecution:
         """Longest cached *prefix* of an adaptive job (result, chunk count).
 
         An earlier adaptive run that stopped ``job`` at ``L`` chunks saved
-        its merged result under ``replace(job, shots=L * chunk_shots)`` —
-        the same content address a fixed run of that many shots would use.
+        its merged result under the key of the fixed job of
+        ``L * chunk_shots`` shots (see :meth:`_finalize`).  That key's config
+        differs from the job's own only in ``shots``, so every candidate key
+        comes from one :meth:`SweepJob.config_dict`.
         Returns ``(None, 0)`` when no prefix is cached.
         """
         assert self.store is not None
+        config = job.config_dict()
         for length in range(job.num_chunks - 1, 0, -1):
-            prefix_job = replace(job, shots=length * job.chunk_shots)
-            cached = self.store.load(prefix_job.cache_key())
+            config["shots"] = length * job.chunk_shots
+            cached = self.store.load(config_hash(config))
             if cached is not None:
                 return cached, length
         return None, 0
@@ -358,8 +361,6 @@ class PlanExecution:
         index, so a spilled chunk can only ever be recovered by the exact
         chunk of the exact job that produced it.
         """
-        from repro.experiments.store import config_hash
-
         return config_hash(
             {"chunk": chunk, "chunk_of": self.plan.jobs[job_index].config_dict()}
         )

@@ -27,7 +27,8 @@ instead of serialising the sweep behind a single worker.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,7 +36,7 @@ import numpy as np
 from repro.codes import DEFAULT_CODE_FAMILY, canonical_code_family, make_code
 from repro.core.policies import make_policy
 from repro.core.policies.base import LrcPolicy
-from repro.core.qsg import PROTOCOL_SWAP
+from repro.core.qsg import PROTOCOL_SWAP, PROTOCOLS
 from repro.decoder.matching import canonical_method
 from repro.experiments.memory import ENGINES, MemoryExperiment
 from repro.experiments.results import MemoryExperimentResult
@@ -66,6 +67,18 @@ RESULT_SEMANTICS_VERSION = 1
 #: them leaves every cache key unchanged.
 _RETIRED_WIRE_FIELDS = frozenset({"decoder_dp_threshold", "decoder_cache_size"})
 
+#: :class:`SweepJob` field metadata key declaring the field's role in the
+#: cache identity.  A field without it always joins
+#: :meth:`SweepJob.config_dict`, so a field nobody classified moves cache
+#: keys instead of letting a warm cache serve a stale answer.
+_ROLE = "identity"
+#: Never part of the identity: the field changes how fast the job runs, or
+#: how many of its position-keyed chunks run, never what any chunk computes.
+_PERF_ONLY = {_ROLE: "perf-only"}
+#: Part of the identity only when it differs from its default, so cache
+#: entries written before the field existed keep their addresses.
+_UNLESS_DEFAULT = {_ROLE: "unless-default"}
+
 
 def resolve_policy(name: str, **kwargs) -> LrcPolicy:
     """Instantiate any schedulable policy, including the DQLR baseline."""
@@ -78,6 +91,7 @@ def resolve_policy(name: str, **kwargs) -> LrcPolicy:
     return make_policy(name, **kwargs)
 
 
+@lru_cache(maxsize=256)
 def canonical_policy_name(name: str) -> str:
     """The canonical name a policy reports in results (resolves aliases)."""
     return resolve_policy(name).name
@@ -94,17 +108,32 @@ def canonical_noise_profile(profile) -> Optional[str]:
     """
     if profile is None:
         return None
+    if isinstance(profile, str):
+        return _canonical_profile_text(profile)
     if isinstance(profile, dict):
         profile = NoiseProfile.from_config(profile)
-    elif isinstance(profile, str):
-        text = profile.strip()
-        profile = (
-            NoiseProfile.from_json(text)
-            if text.startswith("{")
-            else NoiseProfile.parse(text)
-        )
     profile.validate()
     return None if profile.is_uniform else profile.canonical_json()
+
+
+@lru_cache(maxsize=256)
+def _canonical_profile_text(text: str) -> Optional[str]:
+    """:func:`canonical_noise_profile` of a JSON or CLI-spec string."""
+    text = text.strip()
+    return canonical_noise_profile(
+        NoiseProfile.from_json(text) if text.startswith("{") else NoiseProfile.parse(text)
+    )
+
+
+def canonical_transport_model(model) -> str:
+    """The value of a :class:`LeakageTransportModel` given as member or name."""
+    try:
+        return LeakageTransportModel(model).value
+    except ValueError:
+        names = tuple(member.value for member in LeakageTransportModel)
+        raise ValueError(
+            f"unknown transport model {model!r}; expected one of {names}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -116,6 +145,14 @@ class SweepJob:
     and ``spawn_key`` pin the job's random stream (see the module docstring);
     ``chunk_shots`` is part of the identity because it determines how the
     shots split across child streams.
+
+    Construction is the one place a job is normalised: names resolve to their
+    canonical spelling (policy and code-family aliases, any noise-profile
+    form, transport members, decoder-method aliases), ``policy_kwargs`` is
+    sorted and ``spawn_key`` becomes a tuple, and an unknown name raises
+    ``ValueError``.  Plan builders, :meth:`from_wire` and ``replace()``
+    therefore all yield the same record and the same :meth:`cache_key`.
+    Each field's role in the identity is declared on the field itself.
     """
 
     distance: int
@@ -124,10 +161,10 @@ class SweepJob:
     rounds: int
     p: float = 1e-3
     #: Code family the experiment runs on (see :func:`repro.codes.make_code`).
-    code_family: str = DEFAULT_CODE_FAMILY
+    code_family: str = field(default=DEFAULT_CODE_FAMILY, metadata=_UNLESS_DEFAULT)
     #: Canonical JSON of a non-uniform :class:`~repro.noise.profiles.NoiseProfile`
     #: (``None`` = the paper's uniform model).
-    noise_profile: Optional[str] = None
+    noise_profile: Optional[str] = field(default=None, metadata=_UNLESS_DEFAULT)
     leakage_enabled: bool = True
     transport_model: str = LeakageTransportModel.REMAIN.value
     protocol: str = PROTOCOL_SWAP
@@ -140,27 +177,24 @@ class SweepJob:
     spawn_key: Tuple[int, ...] = ()
     chunk_shots: int = DEFAULT_CHUNK_SHOTS
     #: Persistent decoder-artifact store directory
-    #: (``repro.decoder.artifacts``).  Deliberately *not* part of
-    #: :meth:`config_dict`: the store only pre-warms the decoder's
-    #: syndrome->correction LRU, never changes a single correction, so jobs
-    #: with and without it address the same cache entry.
-    decoder_artifact_dir: Optional[str] = None
+    #: (``repro.decoder.artifacts``).  Perf-only: the store only pre-warms
+    #: the decoder's syndrome->correction LRU, never changes a single
+    #: correction, so jobs with and without it address the same cache entry.
+    decoder_artifact_dir: Optional[str] = field(default=None, metadata=_PERF_ONLY)
     #: Sequential stopping rule (``repro.experiments.adaptive``): stop
     #: dispatching chunks once the Wilson interval on the job's LER is
-    #: tighter than this absolute half-width.  Excluded from
-    #: :meth:`config_dict`: adaptivity only decides *how many* of the job's
-    #: position-keyed chunks run, never the content of any chunk, so a
-    #: truncated run is bit-identical to the prefix of a fixed run and is
-    #: cached under that prefix job's address.
-    target_ci_halfwidth: Optional[float] = None
+    #: tighter than this absolute half-width.  Perf-only: adaptivity only
+    #: decides *how many* of the job's position-keyed chunks run, never the
+    #: content of any chunk, so a truncated run is bit-identical to the
+    #: prefix of a fixed run and is cached under that prefix job's address.
+    target_ci_halfwidth: Optional[float] = field(default=None, metadata=_PERF_ONLY)
     #: Relative variant of the stopping target: stop once the Wilson
     #: half-width falls below ``target_rel_halfwidth * LER-hat`` (only
-    #: meaningful once at least one failure was observed).  Perf-only,
-    #: excluded from identity like :attr:`target_ci_halfwidth`.
-    target_rel_halfwidth: Optional[float] = None
+    #: meaningful once at least one failure was observed).  Perf-only.
+    target_rel_halfwidth: Optional[float] = field(default=None, metadata=_PERF_ONLY)
     #: Minimum chunks the stopping rule must observe before it may stop
-    #: (``None`` = the module default).  Perf-only, excluded from identity.
-    adaptive_min_chunks: Optional[int] = None
+    #: (``None`` = the module default).  Perf-only.
+    adaptive_min_chunks: Optional[int] = field(default=None, metadata=_PERF_ONLY)
 
     def __post_init__(self) -> None:
         if self.shots < 1:
@@ -170,48 +204,50 @@ class SweepJob:
             )
         if self.chunk_shots < 1:
             raise ValueError(f"chunk_shots must be >= 1, got {self.chunk_shots}")
-        # Checked here, not only by MemoryExperiment, so a bad engine or
-        # decoder is rejected when a plan is built or a submission is decoded
-        # instead of failing the whole sweep later inside a worker.
+        # Checked here, not only by MemoryExperiment, so a bad name is
+        # rejected when a plan is built or a submission is decoded instead
+        # of failing the whole sweep later inside a worker.
         if self.engine not in ENGINES:
             raise ValueError(
                 f"unknown engine {self.engine!r}; expected one of {ENGINES}"
             )
-        canonical_method(self.decoder_method)
+        if self.protocol not in PROTOCOLS:
+            raise ValueError(
+                f"unknown protocol {self.protocol!r}; expected one of {PROTOCOLS}"
+            )
+        canonical = {
+            "policy": canonical_policy_name(str(self.policy)),
+            "code_family": canonical_code_family(str(self.code_family)),
+            "noise_profile": canonical_noise_profile(self.noise_profile),
+            "transport_model": canonical_transport_model(self.transport_model),
+            "decoder_method": canonical_method(self.decoder_method),
+            "policy_kwargs": tuple(
+                sorted((str(key), value) for key, value in dict(self.policy_kwargs).items())
+            ),
+            "spawn_key": tuple(int(value) for value in self.spawn_key),
+        }
+        for name, value in canonical.items():
+            object.__setattr__(self, name, value)  # frozen dataclass
 
     # ------------------------------------------------------------------
     # Identity
     # ------------------------------------------------------------------
     def config_dict(self) -> Dict[str, object]:
-        """JSON-serialisable form of every identity-relevant field.
+        """JSON-serialisable form of every identity field (see :data:`_ROLE`).
 
-        ``code_family`` and ``noise_profile`` join the identity only when
-        they deviate from the degenerate defaults (rotated surface code,
-        uniform noise).  :data:`RESULT_SEMANTICS_VERSION` is always present.
+        Fields marked identity-unless-default join only when they deviate
+        from the degenerate defaults (rotated surface code, uniform noise).
+        :data:`RESULT_SEMANTICS_VERSION` is always present.
         """
         config: Dict[str, object] = {"semantics": RESULT_SEMANTICS_VERSION}
-        if self.code_family != DEFAULT_CODE_FAMILY:
-            config["code_family"] = self.code_family
-        if self.noise_profile is not None:
-            config["noise_profile"] = self.noise_profile
-        config.update({
-            "distance": self.distance,
-            "policy": self.policy,
-            "shots": self.shots,
-            "rounds": self.rounds,
-            "p": self.p,
-            "leakage_enabled": self.leakage_enabled,
-            "transport_model": self.transport_model,
-            "protocol": self.protocol,
-            "decode": self.decode,
-            "decoder_method": self.decoder_method,
-            "engine": self.engine,
-            "batch_size": self.batch_size,
-            "policy_kwargs": {key: value for key, value in self.policy_kwargs},
-            "seed_entropy": self.seed_entropy,
-            "spawn_key": list(self.spawn_key),
-            "chunk_shots": self.chunk_shots,
-        })
+        for name, default in _IDENTITY_UNLESS_DEFAULT:
+            value = getattr(self, name)
+            if value != default:
+                config[name] = value
+        for name in _IDENTITY_FIELDS:
+            config[name] = getattr(self, name)
+        config["policy_kwargs"] = dict(self.policy_kwargs)
+        config["spawn_key"] = list(self.spawn_key)
         return config
 
     def cache_key(self) -> str:
@@ -224,34 +260,14 @@ class SweepJob:
     def to_wire(self) -> Dict[str, object]:
         """Every field as JSON primitives — the sweep-service submit body.
 
-        Unlike :meth:`config_dict` this is *lossless* (perf-only knobs such
-        as the decoder tuning fields ride along) so a service-side job is
-        exactly the job the client built, including its cache identity.
+        Unlike :meth:`config_dict` this is *lossless* (perf-only knobs ride
+        along) so a service-side job is exactly the job the client built,
+        including its cache identity.
         """
-        return {
-            "distance": self.distance,
-            "policy": self.policy,
-            "shots": self.shots,
-            "rounds": self.rounds,
-            "p": self.p,
-            "code_family": self.code_family,
-            "noise_profile": self.noise_profile,
-            "leakage_enabled": self.leakage_enabled,
-            "transport_model": self.transport_model,
-            "protocol": self.protocol,
-            "decode": self.decode,
-            "decoder_method": self.decoder_method,
-            "engine": self.engine,
-            "batch_size": self.batch_size,
-            "policy_kwargs": [[key, value] for key, value in self.policy_kwargs],
-            "seed_entropy": self.seed_entropy,
-            "spawn_key": list(self.spawn_key),
-            "chunk_shots": self.chunk_shots,
-            "decoder_artifact_dir": self.decoder_artifact_dir,
-            "target_ci_halfwidth": self.target_ci_halfwidth,
-            "target_rel_halfwidth": self.target_rel_halfwidth,
-            "adaptive_min_chunks": self.adaptive_min_chunks,
-        }
+        wire = {name: getattr(self, name) for name in _WIRE_FIELDS}
+        wire["policy_kwargs"] = [list(item) for item in self.policy_kwargs]
+        wire["spawn_key"] = list(self.spawn_key)
+        return wire
 
     @classmethod
     def from_wire(cls, payload: Dict[str, object]) -> "SweepJob":
@@ -259,16 +275,13 @@ class SweepJob:
 
         Keys in :data:`_RETIRED_WIRE_FIELDS` are dropped whatever their value,
         so journals and submissions written before a knob was removed still
-        decode; any other unknown key raises ``TypeError``.
+        decode; any other unknown key raises ``TypeError``.  Construction
+        normalises the rest, so a non-canonical spelling decodes to the job
+        (and cache key) a plan builder would have produced.
         """
-        fields = {
+        return cls(**{
             key: value for key, value in payload.items() if key not in _RETIRED_WIRE_FIELDS
-        }
-        fields["policy_kwargs"] = tuple(
-            (str(key), value) for key, value in fields.get("policy_kwargs", [])
-        )
-        fields["spawn_key"] = tuple(int(v) for v in fields.get("spawn_key", []))
-        return cls(**fields)
+        })
 
     # ------------------------------------------------------------------
     # Seeds and chunks
@@ -343,6 +356,20 @@ class SweepJob:
         return merge_chunk_results(
             [self.run_chunk(index) for index in range(self.num_chunks)]
         )
+
+
+#: Every :class:`SweepJob` field, in declaration order (the wire form).
+_WIRE_FIELDS = tuple(spec.name for spec in fields(SweepJob))
+#: Identity fields that always join :meth:`SweepJob.config_dict`.
+_IDENTITY_FIELDS = tuple(
+    spec.name for spec in fields(SweepJob) if _ROLE not in spec.metadata
+)
+#: ``(name, default)`` of the identity fields that join only when non-default.
+_IDENTITY_UNLESS_DEFAULT = tuple(
+    (spec.name, spec.default)
+    for spec in fields(SweepJob)
+    if spec.metadata == _UNLESS_DEFAULT
+)
 
 
 def merge_chunk_results(
@@ -437,32 +464,16 @@ class SweepPlan:
         """
         entropy = root_entropy(seed)
         chunk = DEFAULT_CHUNK_SHOTS if chunk_shots is None else int(chunk_shots)
-        if chunk < 1:
-            raise ValueError("chunk_shots must be >= 1")
         jobs = []
         for index, config in enumerate(configs):
             config = dict(config)
             distance = int(config.pop("distance"))
             cycles = config.pop("cycles", None)
             rounds = resolve_rounds(distance, cycles, config.pop("rounds", None))
-            transport = config.pop("transport_model", LeakageTransportModel.REMAIN)
-            if isinstance(transport, LeakageTransportModel):
-                transport = transport.value
-            policy_kwargs = config.pop("policy_kwargs", None) or {}
-            policy = canonical_policy_name(str(config.pop("policy")))
-            code_family = canonical_code_family(
-                str(config.pop("code_family", None) or DEFAULT_CODE_FAMILY)
-            )
-            noise_profile = canonical_noise_profile(config.pop("noise_profile", None))
             jobs.append(
                 SweepJob(
                     distance=distance,
-                    policy=policy,
                     rounds=rounds,
-                    code_family=code_family,
-                    noise_profile=noise_profile,
-                    transport_model=str(transport),
-                    policy_kwargs=tuple(sorted(policy_kwargs.items())),
                     seed_entropy=entropy,
                     spawn_key=(index,),
                     chunk_shots=chunk,

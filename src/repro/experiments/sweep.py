@@ -23,8 +23,8 @@ A plan builder declares only its grid: the distance(s), the policies (or
 ``chunk_shots``.  Every other keyword is a :class:`SweepJob` field
 (``leakage_enabled``, ``transport_model``, ``engine``, ``code_family``,
 ``rounds``, ...) and is stamped on every job of the grid;
-:meth:`SweepPlan.build` normalises it and an unknown name raises
-``TypeError``.  Arguments after the grid are keyword-only.
+the job normalises its value at construction, and an unknown keyword
+raises ``TypeError``.  Arguments after the grid are keyword-only.
 
 A runner takes everything its plan builder takes, plus the executor options:
 

@@ -298,6 +298,23 @@ class TestSignatureLinearity:
         assert set(combined.flipped_detectors) == expected_detectors
         assert combined.observable_flip == expected_flip
 
+    def test_sampler_table_matches_injector(self):
+        # Each row of the rare-event signature table is the single-fault
+        # signature of its (round, data qubit) cell.
+        sampler = RareEventSampler(distance=3, rounds=2, p=0.01)
+        injector = FaultInjector(sampler.code, num_rounds=2)
+        checks = list(sampler.decoder.graph.checks)
+        cells = [(r, q) for r in range(2) for q in sampler.code.data_indices]
+        assert len(cells) == sampler.num_cells
+        for cell, (round_index, qubit) in enumerate(cells):
+            signature = injector.data_pauli(round_index, qubit, "X")
+            row = sampler._det_table[cell].reshape(3, len(checks))
+            flipped = tuple(
+                (int(layer), checks[int(local)]) for layer, local in zip(*np.nonzero(row))
+            )
+            assert flipped == signature.flipped_detectors
+            assert bool(sampler._obs_table[cell]) == signature.observable_flip
+
 
 class TestBinomialHelpers:
     @given(data=st.data())

@@ -561,6 +561,21 @@ class TestAdmissionControl:
             tmp_path, "decoder_method", "nope", "unknown matching method 'nope'"
         )
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("policy", "bogus", "unknown policy 'bogus'"),
+            ("code_family", "nope", "unknown code family 'nope'"),
+            ("transport_model", "sideways", "unknown transport model 'sideways'"),
+            ("protocol", "zzz", "unknown protocol 'zzz'"),
+            ("noise_profile", "garbage", "unknown noise profile kind 'garbage'"),
+        ],
+    )
+    def test_unknown_name_is_400_and_never_journaled(self, tmp_path, field, value, message):
+        """Every name a job carries is checked when the submission is
+        decoded, not first inside a worker."""
+        assert_rejected_and_never_journaled(tmp_path, field, value, message)
+
     def test_healthz_walks_ok_degraded_draining(self, tmp_path):
         async def body():
             scheduler = make_scheduler(tmp_path, retry_after=0.25)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.decoder.matching import canonical_method
+from repro.experiments import EXPERIMENTS
 from repro.experiments import jobs as jobs_module
 from repro.experiments.executor import PlanExecution, SweepExecutor
 from repro.experiments.jobs import (
@@ -14,6 +16,7 @@ from repro.experiments.jobs import (
     resolve_policy,
     resolve_rounds,
 )
+from repro.noise.profiles import NoiseProfile
 
 
 def make_job(**overrides):
@@ -359,13 +362,56 @@ class TestDecoderMethodValidation:
 
     @pytest.mark.parametrize("method", ["auto", "mwpm", "exact", "blossom", "greedy"])
     def test_every_alias_accepted(self, method):
-        assert make_job(decoder_method=method).decoder_method == method
+        job = make_job(decoder_method=method)
+        assert job.decoder_method == canonical_method(method)
+        assert job.cache_key() == make_job(decoder_method=canonical_method(method)).cache_key()
 
     def test_wire_plan_with_unknown_decoder_method_rejected(self):
         wire = SweepPlan([make_job()]).to_wire()
         wire["jobs"][0]["decoder_method"] = "nope"
         with pytest.raises(ValueError, match="unknown matching method 'nope'"):
             SweepPlan.from_wire(wire)
+
+
+class TestCanonicalJob:
+    """Every construction path yields one canonical job and one cache key."""
+
+    def plan_job(self):
+        return SweepPlan.build(
+            [dict(
+                distance=3, policy="eraser", shots=8, cycles=1,
+                code_family="rotated-surface",
+                noise_profile=NoiseProfile.biased(4.0),
+                policy_kwargs={"num_backups": 2, "use_multilevel_readout": False},
+                decoder_method="mwpm",
+            )],
+            seed=5,
+        ).jobs[0]
+
+    def test_wire_spellings_decode_to_the_plan_job(self):
+        job = self.plan_job()
+        wire = dict(
+            job.to_wire(),
+            policy="ERASER",
+            code_family="surface",
+            noise_profile="biased:eta=4",
+            policy_kwargs=[["use_multilevel_readout", False], ["num_backups", 2]],
+            decoder_method="exact",
+        )
+        restored = SweepJob.from_wire(wire)
+        assert restored == job
+        assert restored.cache_key() == job.cache_key()
+
+    def test_registry_jobs_round_trip_the_wire(self):
+        jobs = [
+            job
+            for spec in EXPERIMENTS.values()
+            if spec.has_plan
+            for job in spec.make_plan(shots=64, max_distance=5, seed=3, chunk_shots=16)
+        ]
+        assert len(jobs) == 107
+        for job in jobs:
+            assert SweepJob.from_wire(job.to_wire()) == job
 
 
 class TestWireCompatibility:
