@@ -13,8 +13,18 @@ Decoding is batch-aware and layered (fastest layer first):
 3. *cross-batch LRU* — a bounded syndrome -> correction cache carries
    repeated syndromes across batches (and across `decode_shot` calls), so
    duplicates within a sweep job are free;
-4. *matching engine* — only distinct, uncached syndromes reach the engine
-   (native blossom / greedy; see :mod:`repro.decoder.matching`).
+4. *small-syndrome enumeration* (``mwpm`` and ``auto``) — the batch's
+   uncached syndromes with at most ten matched nodes (detectors, plus the
+   boundary when odd) are decided together, one numpy pass per detector
+   count, by pricing every perfect matching
+   (:func:`~repro.decoder.matching.enumerate_small_syndromes`); a syndrome
+   whose near-optimal matchings disagree on parity or touch a
+   route-dependent frame falls through.  At p=1e-4 this serves ~93% of
+   matched syndromes.  Ten nodes (945 matchings) measured fastest: eight
+   sends too many syndromes on to blossom, twelve (10395 matchings) costs
+   more per syndrome than blossom does;
+5. *matching engine* — the rest reach the engine one at a time (native
+   blossom / greedy; see :mod:`repro.decoder.matching`).
 
 Every layer is exact: corrections are bit-identical to matching each shot
 individually with the seed implementation
@@ -33,7 +43,12 @@ import numpy as np
 from repro.codes.layout import StabilizerType
 from repro.codes.base import StabilizerCode
 from repro.decoder.graph import DecodingGraph, shared_decoding_graph
-from repro.decoder.matching import AutoMatcher, build_matcher, canonical_method
+from repro.decoder.matching import (
+    AutoMatcher,
+    build_matcher,
+    canonical_method,
+    enumerate_small_syndromes,
+)
 
 #: Default bound on the per-decoder syndrome->correction LRU cache.  Keys are
 #: packed detector bitmaps (~num_nodes/8 bytes each: 77 bytes at d=5, 50
@@ -54,7 +69,10 @@ class DecoderStats:
     from the artifact store (:mod:`repro.decoder.artifacts`).
     ``frame_fallbacks`` counts ambiguous frame queries (shortest paths of
     both observable parities tie) that the matcher answered with an exact
-    per-source Dijkstra row instead of the table.
+    per-source Dijkstra row instead of the table.  Every matched syndrome
+    took exactly one path: ``matched == enumerated + blossom + greedy``,
+    where ``enumerated`` counts the small-syndrome enumeration and
+    ``blossom``/``greedy`` mirror the matcher's own counters.
     """
 
     shots: int = 0
@@ -65,6 +83,9 @@ class DecoderStats:
     frame_table_builds: int = 0
     lru_prewarmed: int = 0
     frame_fallbacks: int = 0
+    enumerated: int = 0
+    blossom: int = 0
+    greedy: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return asdict(self)
@@ -119,6 +140,7 @@ class SurfaceCodeDecoder:
         # The graph's counters so far belong to earlier decoders sharing it.
         self._graph_baseline = self.graph.frame_table_builds
         self._matcher = build_matcher(self.graph, method=self.method)
+        self._enumerates = canonical_method(self.method) != "greedy"
         self._correction_cache: "OrderedDict[bytes, int]" = OrderedDict()
         if self.artifact_store is not None and self.cache_size > 0:
             stored = self.artifact_store.load_lru(self.graph, self._lru_identity())
@@ -235,10 +257,12 @@ class SurfaceCodeDecoder:
 
     def _sync_graph_stats(self) -> None:
         """Mirror the graph's build counter (since construction) and the
-        matcher's fallback counter."""
+        matcher's fallback and engine counters."""
         self.stats.frame_table_builds = self.graph.frame_table_builds - self._graph_baseline
         matcher_stats = getattr(self._matcher, "stats", None) or {}
         self.stats.frame_fallbacks = matcher_stats.get("frame_fallbacks", 0)
+        self.stats.blossom = matcher_stats.get("blossom", 0)
+        self.stats.greedy = matcher_stats.get("greedy", 0)
 
     def save_artifacts(self) -> None:
         """Persist the syndrome->correction LRU to the artifact store.
@@ -274,6 +298,13 @@ class SurfaceCodeDecoder:
         of the detector set, so matching one representative per distinct
         syndrome (or replaying a cached correction) is observationally
         identical to matching every shot.
+
+        The LRU is consulted in syndrome order, and each miss takes its slot
+        (a ``None`` placeholder) at once, before anything is matched: hits,
+        insertions and evictions happen in the order a one-at-a-time loop
+        would give them, so the cache's contents do not depend on the
+        enumeration layer.  Placeholders still unfilled when matching
+        raises are removed.
         """
         shots = detectors.shape[0]
         corrections = np.zeros(shots, dtype=np.int64)
@@ -284,14 +315,17 @@ class SurfaceCodeDecoder:
         if not nonempty.size:
             return corrections
         packed = np.packbits(flat[nonempty], axis=1)
-        uniq, first, inverse = np.unique(
-            packed, axis=0, return_index=True, return_inverse=True
-        )
-        inverse = np.asarray(inverse).ravel()  # numpy 2.x may add an axis
+        # One opaque bytes value per row: unique sorts it bytewise, the
+        # order np.unique(axis=0) gives, without a field per byte (~70x
+        # faster at 200 bytes per row).
+        rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+        uniq = packed[first]
         self.stats.dedup_hits += nonempty.size - uniq.shape[0]
         uniq_corrections = np.empty(uniq.shape[0], dtype=np.int64)
         cache = self._correction_cache
         caching = self.cache_size > 0
+        misses = []
         for pos in range(uniq.shape[0]):
             key = uniq[pos].tobytes()
             if caching:
@@ -301,17 +335,46 @@ class SurfaceCodeDecoder:
                     self.stats.cache_hits += 1
                     uniq_corrections[pos] = cached
                     continue
-            nodes = self.graph.detector_nodes(detectors[nonempty[first[pos]]])
-            correction = int(self._matcher.decode_nodes(nodes))
-            self.stats.matched += 1
-            uniq_corrections[pos] = correction
-            if caching:
-                cache[key] = correction
+                cache[key] = None
                 if len(cache) > self.cache_size:
                     cache.popitem(last=False)
+            misses.append((pos, key))
+        if misses:
+            try:
+                self._match(detectors, nonempty[first], misses, uniq_corrections)
+            finally:
+                if caching:
+                    for pos, key in misses:
+                        if key in cache:
+                            correction = uniq_corrections[pos]
+                            if correction >= 0:
+                                cache[key] = int(correction)
+                            else:
+                                del cache[key]
         corrections[nonempty] = uniq_corrections[inverse]
         self._sync_graph_stats()
         return corrections
+
+    def _match(self, detectors, shot_of, misses, uniq_corrections) -> None:
+        """Fill ``uniq_corrections`` for the uncached syndromes ``misses``.
+
+        ``shot_of[pos]`` is a shot holding distinct syndrome ``pos``.  Small
+        syndromes go through the enumeration layer together; the rest, in
+        order, through the matcher.  Entries not yet matched read ``-1``.
+        """
+        positions = np.fromiter((pos for pos, _ in misses), dtype=np.int64, count=len(misses))
+        uniq_corrections[positions] = -1
+        if self._enumerates:
+            rows = detectors[shot_of[positions]].reshape(positions.size, -1)
+            decided, enumerated = enumerate_small_syndromes(self.graph, rows)
+            uniq_corrections[positions[decided]] = enumerated[decided]
+            self.stats.enumerated += int(decided.sum())
+            self.stats.matched += int(decided.sum())
+            positions = positions[~decided]
+        for pos in positions.tolist():
+            nodes = self.graph.detector_nodes(detectors[shot_of[pos]])
+            uniq_corrections[pos] = int(self._matcher.decode_nodes(nodes))
+            self.stats.matched += 1
 
     def predict_corrections_batch(self, detectors: np.ndarray) -> np.ndarray:
         """Predicted corrections for a ``(shots, layers, checks)`` batch.

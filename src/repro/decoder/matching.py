@@ -3,16 +3,21 @@
 Three matchers are provided:
 
 * :class:`MwpmMatcher` — exact minimum-weight perfect matching, the gold
-  standard used in the paper.  Every syndrome takes one path: its
-  distances and frames come from the space-time table below, and the
-  native blossom port (:mod:`repro.decoder.blossom`) pairs the detectors,
-  so corrections stay bit-identical to the seed implementation
-  (:mod:`repro.decoder.reference`).
+  standard used in the paper.  Its distances and frames come from the
+  space-time table below, and the native blossom port
+  (:mod:`repro.decoder.blossom`) pairs the detectors, so corrections stay
+  bit-identical to the seed implementation (:mod:`repro.decoder.reference`).
 * :class:`GreedyMatcher` — a fast approximate matcher that repeatedly pairs
   the closest remaining detectors (or sends a detector to the boundary),
   with option generation and sorting fully vectorised in numpy.
 * :class:`AutoMatcher` — exact up to :attr:`AutoMatcher.EXACT_THRESHOLD`
   detectors, greedy above.
+
+Ahead of the exact matchers, :func:`enumerate_small_syndromes` decides
+whole blocks of small syndromes at once by enumerating every perfect
+matching in numpy, and hands back the few whose answer a tie could change
+(see its docstring for why the corrections it does give are the ones
+blossom would).
 
 All matchers share one distance/path layer, the per-graph *space-time
 table* (:class:`_SpaceTimeTable`): ``C`` Dijkstra rows, one from each
@@ -262,6 +267,137 @@ class _ShortestPaths:
         return frame
 
 
+#: Largest matched node count ``n = k + (k odd)`` that
+#: :func:`enumerate_small_syndromes` decides: ``(n - 1)!!`` matchings, 945
+#: at ``n = 10``.  Chosen by measurement (see the module docstring of
+#: :mod:`repro.decoder.decoder`); corrections do not depend on it.
+_ENUMERATION_MAX_NODES = 10
+
+#: Bound on the ``(syndromes, matchings)`` temporaries of one enumeration
+#: pass, in elements; larger blocks are split.
+_ENUMERATION_BLOCK = 1 << 19
+
+#: Relative weight slack under which a matching counts as near-optimal: far
+#: above float rounding in a sum of a few path weights, far below any real
+#: weight difference.
+_NEAR_OPTIMAL_RTOL = 1e-9
+
+#: Offset of the ambiguity flag in a pair's packed (frame, ambiguous) code;
+#: above the largest frame sum of one matching (``n / 2`` pairs).
+_AMBIGUOUS_CODE = 16
+
+#: Read-only matching tables of :func:`_perfect_matchings`, one per even
+#: ``n`` up to :data:`_ENUMERATION_MAX_NODES`.
+_PERFECT_MATCHINGS: Dict[int, np.ndarray] = {}
+
+
+def _perfect_matchings(n: int) -> np.ndarray:
+    """Every perfect matching of ``n`` nodes, built once per ``n``.
+
+    Row ``m`` lists matching ``m``'s ``n / 2`` pairs as indices into
+    ``np.triu_indices(n, 1)``, so ``weights[:, table].sum(-1)`` prices every
+    matching of a block of syndromes at once.
+    """
+    table = _PERFECT_MATCHINGS.get(n)
+    if table is None:
+        pair_id = np.zeros((n, n), dtype=np.intp)
+        pair_id[np.triu_indices(n, 1)] = np.arange(n * (n - 1) // 2)
+        rows: List[List[int]] = []
+
+        def extend(free: List[int], chosen: List[int]) -> None:
+            if not free:
+                rows.append(chosen)
+                return
+            first, rest = free[0], free[1:]
+            for pos, partner in enumerate(rest):
+                extend(rest[:pos] + rest[pos + 1 :], chosen + [pair_id[first, partner]])
+
+        extend(list(range(n)), [])
+        table = np.asarray(rows, dtype=np.intp).reshape(len(rows), n // 2)
+        table.setflags(write=False)
+        _PERFECT_MATCHINGS[n] = table
+    return table
+
+
+def _enumerate_block(
+    table: _SpaceTimeTable, boundary: int, nodes: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`enumerate_small_syndromes` for ``(B, k)`` detector nodes."""
+    k = nodes.shape[1]
+    n = k + k % 2
+    layers, checks = np.divmod(nodes, table.num_checks)
+    iu, ju = np.triu_indices(n, 1)
+    # Pair (i, j) with j == k (odd k) is detector i's boundary edge.
+    virtual = ju == k
+    jc = np.minimum(ju, k - 1)
+    gap = np.abs(layers[:, iu] - layers[:, jc]) * table.num_checks
+    rows = checks[:, iu]
+    cols = np.where(virtual, boundary, gap + checks[:, jc])
+    back_rows = np.where(virtual, rows, checks[:, jc])
+    back_cols = np.where(virtual, boundary, gap + rows)
+    weights = table.distances[rows, cols]
+    codes = table.frames[rows, cols].astype(np.uint8)
+    codes[table.ambiguous[rows, cols] | table.ambiguous[back_rows, back_cols]] += (
+        _AMBIGUOUS_CODE
+    )
+    matchings = _perfect_matchings(n)
+    totals = weights[:, matchings[:, 0]]
+    summed = codes[:, matchings[:, 0]]
+    for column in range(1, n // 2):
+        totals += weights[:, matchings[:, column]]
+        summed += codes[:, matchings[:, column]]
+    best = totals.min(axis=1)
+    near = totals <= (best + _NEAR_OPTIMAL_RTOL * np.maximum(1.0, np.abs(best)))[:, None]
+    odd_parity = (summed & 1).astype(bool)
+    any_ambiguous = (near & (summed >= _AMBIGUOUS_CODE)).any(axis=1)
+    any_odd = (near & odd_parity).any(axis=1)
+    any_even = (near & ~odd_parity).any(axis=1)
+    decided = np.isfinite(weights).all(axis=1) & ~any_ambiguous & ~(any_odd & any_even)
+    return decided, any_odd.astype(np.int64)
+
+
+def enumerate_small_syndromes(
+    graph: DecodingGraph, detector_rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact corrections of small syndromes, decided in batched numpy passes.
+
+    ``detector_rows`` is a ``(B, num_nodes)`` boolean block of flattened
+    detector matrices.  Syndromes with ``n = k + (k odd)`` at most
+    :data:`_ENUMERATION_MAX_NODES` are grouped by detector count ``k`` and
+    priced over every perfect matching of their ``n`` nodes at once (for
+    odd ``k`` the boundary column plays the virtual node).  A syndrome is
+    *decided* when every entry is finite, no near-optimal matching (weight
+    within :data:`_NEAR_OPTIMAL_RTOL` of the minimum) uses a pair that is
+    ambiguous in either orientation, and all near-optimal matchings have
+    one frame parity.  Blossom's matching is optimal, so it is among them,
+    and each of its frame queries reads the route-independent table frame:
+    the parity is the correction :class:`MwpmMatcher` gives.  Every other
+    syndrome is left to the matcher, which keeps blossom's tie choice, the
+    exact frame fallback and the disconnected-detector error.
+
+    Returns ``(decided, corrections)``, both length ``B``;
+    ``corrections`` is 0 where not decided.
+    """
+    rows = np.asarray(detector_rows, dtype=bool)
+    decided = np.zeros(rows.shape[0], dtype=bool)
+    corrections = np.zeros(rows.shape[0], dtype=np.int64)
+    sizes = rows.sum(axis=1)
+    small = np.flatnonzero((sizes > 0) & (sizes + sizes % 2 <= _ENUMERATION_MAX_NODES))
+    if not small.size:
+        return decided, corrections
+    table = _all_pairs(graph)
+    for k in np.unique(sizes[small]).tolist():
+        members = small[sizes[small] == k]
+        step = max(1, _ENUMERATION_BLOCK // len(_perfect_matchings(k + k % 2)))
+        for start in range(0, members.size, step):
+            block = members[start : start + step]
+            nodes = np.nonzero(rows[block])[1].reshape(block.size, k)
+            decided[block], corrections[block] = _enumerate_block(
+                table, graph.boundary_node, nodes
+            )
+    return decided, corrections
+
+
 class _BaseMatcher:
     """Shared decode logic: compute paths, delegate pairing, accumulate frames."""
 
@@ -315,7 +451,7 @@ class MwpmMatcher(_BaseMatcher):
     every detector with a zero-weight boundary copy, while handing the
     matcher half the nodes and a quarter of the edges.
 
-    Every syndrome runs the native blossom port
+    Every syndrome that reaches it runs the native blossom port
     (:mod:`repro.decoder.blossom`) on the complete detector graph.  A
     syndrome with a detector pair (or, for odd ``k``, a detector and the
     boundary) that the decoding graph does not connect raises

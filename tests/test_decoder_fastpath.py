@@ -1,13 +1,16 @@
 """Exact-equivalence property tests for the decoder fast path.
 
-The fast path layers (the space-time table, syndrome dedup + LRU, the native
-blossom port, the vectorised greedy matcher) must all be
-*performance-only*: for every input, corrections are bit-identical to the
-seed implementation preserved in :mod:`repro.decoder.reference`.  These
-tests enforce that property on randomized detector matrices — including
-dense, tie-heavy syndromes far outside the realistic distribution — so any
-divergence in tie-breaking or frame accumulation fails loudly.
+The fast path layers (the space-time table, syndrome dedup + LRU, the
+small-syndrome enumeration, the native blossom port, the vectorised greedy
+matcher) must all be *performance-only*: for every input, corrections are
+bit-identical to the seed implementation preserved in
+:mod:`repro.decoder.reference`.  These tests enforce that property on
+randomized detector matrices — including dense, tie-heavy syndromes far
+outside the realistic distribution — so any divergence in tie-breaking or
+frame accumulation fails loudly.
 """
+
+from collections import OrderedDict
 
 import numpy as np
 import networkx as nx
@@ -19,6 +22,7 @@ from repro.codes.rotated_surface import RotatedSurfaceCode
 from repro.decoder.blossom import min_weight_matching_complete
 from repro.decoder.decoder import SurfaceCodeDecoder
 from repro.decoder import graph as graph_module
+from repro.decoder import matching as matching_module
 from repro.decoder.graph import (
     DecodingGraph,
     clear_shared_graphs,
@@ -29,6 +33,7 @@ from repro.decoder.reference import (
     build_reference_matcher,
     reference_decode_batch,
 )
+from test_decoder import _SplitGraph
 
 
 def random_detectors(graph, rng, max_flips):
@@ -351,3 +356,155 @@ class TestAboveAllPairsLimit:
         for _ in range(20):
             detectors = random_detectors(graph, rng, max_flips=14)
             assert fast.decode(detectors) == ref.decode(detectors)
+
+
+def _syndromes_of_sizes(graph, rng, sizes):
+    """One ``(layers, checks)`` detector matrix per entry of ``sizes``."""
+    detectors = np.zeros((len(sizes), graph.num_nodes), dtype=bool)
+    for row, k in enumerate(sizes):
+        detectors[row, rng.choice(graph.num_nodes, k, replace=False)] = True
+    return detectors.reshape(len(sizes), graph.num_layers, graph.num_checks)
+
+
+class TestSmallSyndromeTier:
+    """The batched enumeration layer vs blossom, the reference and the
+    one-syndrome-at-a-time LRU."""
+
+    LIMIT = matching_module._ENUMERATION_MAX_NODES
+
+    @pytest.mark.parametrize("method", ["mwpm", "auto"])
+    @pytest.mark.parametrize("shape", GRAPH_SHAPES)
+    def test_bit_identical_across_sizes(self, method, shape):
+        d, rounds, space, time = shape
+        decoder = SurfaceCodeDecoder(
+            RotatedSurfaceCode(d),
+            num_rounds=rounds,
+            method=method,
+            space_weight=space,
+            time_weight=time,
+        )
+        graph = decoder.graph
+        rng = np.random.default_rng(d * 100 + rounds + len(method))
+        sizes = np.tile(np.arange(1, self.LIMIT + 3), 12)
+        detectors = _syndromes_of_sizes(graph, rng, sizes)
+        got = decoder.predict_corrections_batch(detectors)
+        matcher = build_matcher(graph, method)
+        reference = build_reference_matcher(graph, method)
+        for row, matrix in enumerate(detectors):
+            expected = matcher.decode_nodes(graph.detector_nodes(matrix))
+            assert got[row] == expected == reference.decode(matrix), (row, sizes[row])
+        stats = decoder.stats
+        assert stats.enumerated > 0 and stats.blossom > 0
+        assert stats.matched == stats.enumerated + stats.blossom + stats.greedy
+
+    def test_decode_batch_matches_reference(self):
+        code = RotatedSurfaceCode(3)
+        decoder = SurfaceCodeDecoder(code, num_rounds=4, method="mwpm")
+        rng = np.random.default_rng(20)
+        histories = (rng.random((200, 4, code.num_stabilizers)) < 0.06).astype(np.uint8)
+        finals = (rng.random((200, code.num_data_qubits)) < 0.06).astype(np.uint8)
+        detectors = decoder.build_detectors_batch(histories, finals)
+        observed = finals[:, decoder._logical_support()].sum(axis=1) % 2
+        expected = reference_decode_batch(
+            build_reference_matcher(decoder.graph, "mwpm"), decoder.graph, detectors, observed
+        )
+        np.testing.assert_array_equal(decoder.decode_batch(histories, finals), expected)
+        assert decoder.stats.enumerated > 0
+
+    def test_greedy_never_enumerates(self):
+        decoder = SurfaceCodeDecoder(RotatedSurfaceCode(3), num_rounds=3, method="greedy")
+        rng = np.random.default_rng(21)
+        decoder.predict_corrections_batch(_syndromes_of_sizes(decoder.graph, rng, range(1, 9)))
+        assert decoder.stats.enumerated == 0
+        assert decoder.stats.greedy == decoder.stats.matched == 8
+
+    def test_opposite_parity_tie_goes_to_blossom(self):
+        decoder = SurfaceCodeDecoder(RotatedSurfaceCode(3), num_rounds=3, method="mwpm")
+        graph = decoder.graph
+        nodes = np.array([0, 2, 4])
+        # Price the three matchings of {0, 2, 4, boundary} by hand: two tie
+        # at the minimum with opposite frame parities, on unambiguous entries.
+        table = _all_pairs(graph)
+        rows, cols = table.index(nodes, graph.boundary_node)
+        dist, frames = table.distances[rows, cols], table.frames[rows, cols]
+        ambiguous = table.ambiguous[rows, cols]
+        options = [
+            (
+                dist[a, b] + dist[c, 3],
+                bool(frames[a, b] ^ frames[c, 3]),
+                bool(ambiguous[a, b] or ambiguous[b, a] or ambiguous[c, 3]),
+            )
+            for a, b, c in ((0, 1, 2), (0, 2, 1), (1, 2, 0))
+        ]
+        best = min(option[0] for option in options)
+        tied = [option[1:] for option in options if option[0] == best]
+        assert sorted(tied) == [(False, False), (True, False)]
+        detectors = np.zeros(graph.num_nodes, dtype=bool)
+        detectors[nodes] = True
+        detectors = detectors.reshape(graph.num_layers, graph.num_checks)
+        expected = build_reference_matcher(graph, "mwpm").decode(detectors)
+        assert decoder.predict_correction(detectors) == expected
+        assert (decoder.stats.enumerated, decoder.stats.blossom) == (0, 1)
+
+    def test_all_hit_batch_builds_no_table(self):
+        decoder = SurfaceCodeDecoder(RotatedSurfaceCode(3), num_rounds=3, method="mwpm")
+        rng = np.random.default_rng(22)
+        detectors = _syndromes_of_sizes(decoder.graph, rng, [1, 2, 3, 4])
+        first = decoder.predict_corrections_batch(detectors)
+        decoder.graph.clear_caches()
+        builds = decoder.stats.frame_table_builds
+        np.testing.assert_array_equal(decoder.predict_corrections_batch(detectors), first)
+        assert decoder.stats.cache_hits == 4
+        assert decoder.stats.frame_table_builds == builds
+        assert not hasattr(decoder.graph, "_space_time_table")
+
+    @staticmethod
+    def _loop_lru(reference, graph, batches, cache_size):
+        """The one-syndrome-at-a-time LRU: hits, then misses inserted as matched."""
+        cache, hits = OrderedDict(), 0
+        for detectors in batches:
+            flat = detectors.reshape(detectors.shape[0], -1)
+            nonempty = np.flatnonzero(flat.any(axis=1))
+            uniq, first = np.unique(
+                np.packbits(flat[nonempty], axis=1), axis=0, return_index=True
+            )
+            for pos in range(uniq.shape[0]):
+                key = uniq[pos].tobytes()
+                if key in cache:
+                    cache.move_to_end(key)
+                    hits += 1
+                    continue
+                cache[key] = reference.decode(detectors[nonempty[first[pos]]])
+                if len(cache) > cache_size:
+                    cache.popitem(last=False)
+        return list(cache.items()), hits
+
+    @pytest.mark.parametrize("cache_size", [1, 2, 8192])
+    def test_lru_matches_one_at_a_time_loop(self, cache_size):
+        decoder = SurfaceCodeDecoder(
+            RotatedSurfaceCode(3), num_rounds=3, method="mwpm", cache_size=cache_size
+        )
+        graph = decoder.graph
+        rng = np.random.default_rng(23)
+        pool = _syndromes_of_sizes(graph, rng, rng.integers(1, 14, size=12))
+        batches = [pool[rng.integers(0, pool.shape[0], size=8)] for _ in range(6)]
+        for detectors in batches:
+            decoder.predict_corrections_batch(detectors)
+        reference = build_reference_matcher(graph, "mwpm")
+        entries, hits = self._loop_lru(reference, graph, batches, cache_size)
+        assert list(decoder._correction_cache.items()) == entries
+        assert decoder.stats.cache_hits == hits
+
+    @pytest.mark.parametrize("method", ["mwpm", "auto"])
+    def test_disconnected_syndrome_still_raises(self, method):
+        decoder = SurfaceCodeDecoder(RepetitionCode(3), num_rounds=2, method=method)
+        decoder.graph = _SplitGraph(RepetitionCode(3), num_rounds=2)
+        decoder._matcher = build_matcher(decoder.graph, method)
+        detectors = np.zeros((2, decoder.graph.num_layers, decoder.graph.num_checks), dtype=bool)
+        detectors[0, 0, 1] = detectors[0, 1, 1] = True  # connected by a time edge
+        detectors[1, 0, 0] = detectors[1, 0, 1] = True
+        with pytest.raises(ValueError, match="no path from detector node 0 to detector node 1"):
+            decoder.predict_corrections_batch(detectors)
+        # The connected syndrome was decoded and kept; the failed one left
+        # no placeholder behind.
+        assert list(decoder._correction_cache.values()) == [0]

@@ -15,7 +15,12 @@ from dataclasses import fields, replace
 
 import pytest
 
-from repro.experiments.executor import PlanExecution, SweepExecutor, SweepStats
+from repro.experiments.executor import (
+    PlanExecution,
+    SweepExecutor,
+    SweepStats,
+    execute_chunk_with_stats,
+)
 from repro.experiments.jobs import SweepJob, SweepPlan
 from repro.experiments.metrics import (
     DEFAULT_LATENCY_BUCKETS,
@@ -184,6 +189,22 @@ class TestReconciliation:
         for field, name in SweepStats.counter_names().items():
             assert counters.get(name, 0) == getattr(stats, field), field
         assert chunk_identity(stats.to_dict()) == plan.total_chunks
+
+    @pytest.mark.parametrize("method", ["mwpm", "auto", "greedy"])
+    def test_decoder_paths_add_up_to_matched(self, method):
+        """Each matched syndrome took one decoder path, per chunk and in the
+        ``decoder_*`` counters merged into the registry."""
+        job = make_plan(shots=80, policies=("eraser",), decoder_method=method).jobs[0]
+        registry = MetricsRegistry()
+        for chunk in range(job.num_chunks):
+            _, stats = execute_chunk_with_stats(job, chunk)
+            assert stats["matched"] == stats["enumerated"] + stats["blossom"] + stats["greedy"]
+            registry.merge_counts(stats, prefix="decoder_")
+        counters = registry.snapshot()["counters"]
+        paths = ("enumerated", "blossom", "greedy")
+        served = [counters.get(f"decoder_{path}", 0) for path in paths]
+        assert counters["decoder_matched"] == sum(served) > 0
+        assert (counters.get("decoder_enumerated", 0) > 0) == (method != "greedy")
 
     def test_stragglers_past_the_stop_point_are_discarded(self):
         plan = adaptive_plan(shots=80)
