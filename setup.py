@@ -2,7 +2,9 @@
 
 Kept as an executable ``setup.py`` so the package installs in environments
 whose tooling predates PEP 660 editable installs (``pip install -e .
---no-use-pep517``).  The core library needs only numpy/scipy/networkx; the
+--no-use-pep517``).  The core library needs numpy/scipy; networkx backs
+only the seed reference decoder (``repro.decoder.reference``), which nothing
+imports at runtime but the decoder tests check the fast path against.  The
 ``[report]`` extra adds matplotlib for PNG figure rendering in
 ``eraser-repro report`` (the report degrades gracefully to tables/CSV
 without it).

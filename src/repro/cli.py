@@ -433,9 +433,15 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    import logging
     import os
 
     from repro.service.server import serve_forever
+
+    # Submission lifecycle records from the ``repro.service`` logger.
+    logging.basicConfig(
+        level=logging.INFO, format="%(asctime)s %(levelname)s %(name)s %(message)s"
+    )
 
     journal_dir = None
     if not args.no_journal:
@@ -818,7 +824,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--poll",
         type=float,
         default=0.2,
-        help="Status poll interval while waiting, in seconds.",
+        help=(
+            "Initial fallback poll interval in seconds.  Waiting long-polls "
+            "/status, so this only paces re-polls after an early non-terminal "
+            "answer (a draining server or one without long-poll)."
+        ),
     )
     submit.add_argument(
         "--no-wait",

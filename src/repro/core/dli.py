@@ -14,9 +14,41 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
-import networkx as nx
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from repro.codes.base import StabilizerCode
+
+
+def _max_matching(
+    code: StabilizerCode, data_qubits: Sequence[int]
+) -> Dict[int, int]:
+    """Maximum matching of ``data_qubits`` onto adjacent stabilizer indices.
+
+    scipy's Hopcroft-Karp over a CSR biadjacency matrix (rows = data qubits
+    in the given order, columns = stabilizer indices).  It is deterministic
+    and independent of ``PYTHONHASHSEED``, so every seeded experiment
+    downstream sees the same primaries in every process.
+    """
+    rows: List[int] = []
+    cols: List[int] = []
+    for row, data_qubit in enumerate(data_qubits):
+        for stab in code.stabilizer_neighbors(data_qubit):
+            rows.append(row)
+            cols.append(stab)
+    if not rows:
+        return {}
+    biadjacency = csr_matrix(
+        (np.ones(len(rows), dtype=np.int8), (rows, cols)),
+        shape=(len(data_qubits), len(code.stabilizers)),
+    )
+    partners = maximum_bipartite_matching(biadjacency, perm_type="column")
+    return {
+        data_qubit: int(stab)
+        for data_qubit, stab in zip(data_qubits, partners)
+        if stab >= 0
+    }
 
 
 @dataclass
@@ -46,7 +78,7 @@ class SwapLookupTable:
     unmatched_data_qubit: int = field(init=False)
 
     def __post_init__(self) -> None:
-        matching = self._primary_matching()
+        matching = _max_matching(self.code, list(self.code.data_indices))
         unmatched = [q for q in self.code.data_indices if q not in matching]
         # Exactly one data qubit cannot receive a unique primary partner.
         self.unmatched_data_qubit = unmatched[0] if unmatched else -1
@@ -59,31 +91,6 @@ class SwapLookupTable:
                 ordered = ordered[: 1 + self.num_backups]
             candidates[data_qubit] = tuple(ordered)
         self.candidates = candidates
-
-    def _primary_matching(self) -> Dict[int, int]:
-        """Maximum bipartite matching: data qubit -> stabilizer index.
-
-        Nodes are labelled with small integers (stabilizers offset past the
-        data qubits) rather than ``("data", q)`` tuples: string hashing is
-        randomised per process, and Hopcroft-Karp iterates over node sets, so
-        string-bearing labels would make the matching — and with it every
-        seeded experiment downstream — depend on ``PYTHONHASHSEED``.
-        """
-        offset = self.code.num_data_qubits
-        graph = nx.Graph()
-        data_nodes = list(self.code.data_indices)
-        stab_nodes = [offset + s.index for s in self.code.stabilizers]
-        graph.add_nodes_from(data_nodes, bipartite=0)
-        graph.add_nodes_from(stab_nodes, bipartite=1)
-        for data_qubit in self.code.data_indices:
-            for stab in self.code.stabilizer_neighbors(data_qubit):
-                graph.add_edge(data_qubit, offset + stab)
-        raw = nx.bipartite.maximum_matching(graph, top_nodes=data_nodes)
-        return {
-            node: partner - offset
-            for node, partner in raw.items()
-            if node < offset
-        }
 
     def primary(self, data_qubit: int) -> int:
         """Primary SWAP partner (stabilizer index) of a data qubit."""
@@ -146,15 +153,4 @@ class DynamicLrcInsertion:
         Used by tests to check the greedy lookup-table heuristic against the
         true maximum matching.
         """
-        offset = self.lookup_table.code.num_data_qubits
-        graph = nx.Graph()
-        for data_qubit in sorted(set(requests)):
-            for stab in self.lookup_table.code.stabilizer_neighbors(data_qubit):
-                graph.add_edge(data_qubit, offset + stab)
-        if graph.number_of_edges() == 0:
-            return 0
-        matching = nx.bipartite.maximum_matching(
-            graph,
-            top_nodes=[n for n in graph.nodes if n < offset],
-        )
-        return sum(1 for node in matching if node < offset)
+        return len(_max_matching(self.lookup_table.code, sorted(set(requests))))

@@ -97,6 +97,21 @@ def canonical_policy_name(name: str) -> str:
     return resolve_policy(name).name
 
 
+@lru_cache(maxsize=256)
+def _check_policy_kwargs(name: str, kwargs: Tuple[Tuple[str, object], ...]) -> None:
+    """Instantiate policy ``name`` with ``kwargs`` once; raise if it refuses.
+
+    Memoised per (policy, kwargs), so a plan of many jobs sharing one
+    configuration builds the policy once per process.
+    """
+    try:
+        resolve_policy(name, **dict(kwargs))
+    except TypeError as error:
+        raise ValueError(
+            f"policy {name!r} rejects policy_kwargs {dict(kwargs)}: {error}"
+        ) from None
+
+
 def canonical_noise_profile(profile) -> Optional[str]:
     """Normalise any accepted noise-profile form for :class:`SweepJob` storage.
 
@@ -150,7 +165,8 @@ class SweepJob:
     canonical spelling (policy and code-family aliases, any noise-profile
     form, transport members, decoder-method aliases), ``policy_kwargs`` is
     sorted and ``spawn_key`` becomes a tuple, and an unknown name raises
-    ``ValueError``.  Plan builders, :meth:`from_wire` and ``replace()``
+    ``ValueError`` — as do ``policy_kwargs`` the policy's constructor
+    refuses.  Plan builders, :meth:`from_wire` and ``replace()``
     therefore all yield the same record and the same :meth:`cache_key`.
     Each field's role in the identity is declared on the field itself.
     """
@@ -228,6 +244,8 @@ class SweepJob:
         }
         for name, value in canonical.items():
             object.__setattr__(self, name, value)  # frozen dataclass
+        if self.policy_kwargs:
+            _check_policy_kwargs(self.policy, self.policy_kwargs)
 
     # ------------------------------------------------------------------
     # Identity

@@ -3,7 +3,7 @@
 Two layers:
 
 * :class:`SweepServiceClient` — a ``urllib``-based wrapper over the
-  service API (:mod:`repro.service.server`): submit plans, poll status,
+  service API (:mod:`repro.service.server`): submit plans, long-poll status,
   fetch results, tail the NDJSON telemetry stream.  Requests retry with
   jittered exponential backoff on connection errors and 5xx responses,
   honor ``Retry-After`` on 429/503 (the server's admission-control
@@ -42,6 +42,7 @@ from repro.experiments.executor import SweepExecutor, SweepStats
 from repro.experiments.jobs import SweepJob, SweepPlan
 from repro.experiments.metrics import MetricsRegistry
 from repro.experiments.results import MemoryExperimentResult
+from repro.service.server import MAX_STATUS_WAIT
 from repro.service.wire import parse_metrics_ndjson, result_from_wire
 
 DEFAULT_SERVICE_URL = "http://127.0.0.1:7917"
@@ -271,8 +272,14 @@ class SweepServiceClient:
             self._request_json("POST", "/submit", payload, deadline=deadline)["job_id"]
         )
 
-    def status(self, job_id: str) -> Dict[str, object]:
-        return self._request_json("GET", f"/status/{job_id}")
+    def status(self, job_id: str, wait: float = 0.0) -> Dict[str, object]:
+        """The submission's status; with ``wait > 0`` a long-poll.
+
+        The server holds a long-poll until the submission is terminal or
+        ``min(wait, MAX_STATUS_WAIT)`` seconds pass, whichever comes first.
+        """
+        query = f"?wait={wait:g}" if wait > 0 else ""
+        return self._request_json("GET", f"/status/{job_id}{query}")
 
     def wait(
         self,
@@ -281,19 +288,31 @@ class SweepServiceClient:
         poll: float = 0.2,
         poll_cap: float = DEFAULT_POLL_CAP,
     ) -> Dict[str, object]:
-        """Poll until the submission reaches a terminal state.
+        """Block until the submission reaches a terminal state.
 
-        The poll interval grows exponentially from ``poll`` up to
-        ``poll_cap`` with jitter, so long sweeps are not hammered at the
-        initial cadence.  ``timeout=0`` performs exactly one status check;
+        Each check is a ``status`` long-poll for the remaining ``timeout``,
+        held at most half the request timeout, so completion is seen the
+        moment it happens.  ``poll`` only paces the fallback: when a
+        non-terminal answer comes back early (a server draining or without
+        long-poll support), the client sleeps an interval that grows
+        exponentially from ``poll`` up to ``poll_cap`` with jitter before
+        asking again.  ``timeout=0`` performs exactly one plain status check;
         a positive ``timeout`` always checks at least once and raises
         :class:`TimeoutError` once it elapses.  Raises
         :class:`ServiceError` when the sweep fails or is cancelled.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
+        # Half the tightest request timeout, so a held request never times out.
+        limits = [t for t in (self.timeout, self.deadline) if t]
+        longest_hold = min(limits) / 2 if limits else MAX_STATUS_WAIT
         attempt = 0
         while True:
-            status = self.status(job_id)
+            hold = longest_hold
+            if deadline is not None:
+                hold = min(hold, max(0.0, deadline - time.monotonic()))
+            asked = time.monotonic()
+            status = self.status(job_id, wait=hold) if hold > 0 else self.status(job_id)
+            held = time.monotonic() - asked
             state = status.get("state")
             if state == "done":
                 return status
@@ -305,6 +324,8 @@ class SweepServiceClient:
                 raise TimeoutError(
                     f"submission {job_id} still {state} after {timeout}s"
                 )
+            if hold > 0 and held >= 0.9 * min(hold, MAX_STATUS_WAIT):
+                continue  # held the full term (less timer slack): ask again now
             delay = min(poll_cap, poll * (2 ** attempt)) * (
                 0.75 + 0.5 * self._rng.random()
             )
@@ -379,7 +400,8 @@ class ServiceExecutor:
     Args:
         base_url: Service root (defaults to :func:`default_service_url`).
         timeout: Wait budget for sweep completion, in seconds.
-        poll: Initial status-poll interval.
+        poll: Initial fallback poll interval (see
+            :meth:`SweepServiceClient.wait`).
         retries: Per-request retry budget (see :class:`SweepServiceClient`).
         deadline: Per-request deadline forwarded to the client.
         local_fallback: Degrade to a local executor when unreachable.

@@ -215,9 +215,14 @@ class SubmissionJournal:
         _fsync_dir(self.directory)
         self._dead_records = 0
 
+    @property
+    def compaction_due(self) -> bool:
+        """Whether the dead-record count has reached the threshold."""
+        return self._dead_records >= self.compact_threshold
+
     def maybe_compact(self, live_records: List[Dict[str, object]]) -> bool:
         """Compact when the dead-record count crosses the threshold."""
-        if self._dead_records < self.compact_threshold:
+        if not self.compaction_due:
             return False
         self.compact(live_records)
         return True

@@ -39,18 +39,27 @@ Supervision and fault tolerance:
   the unfinished-chunk backlog; a saturated scheduler raises
   :class:`SchedulerSaturated` (the HTTP layer's 429 + ``Retry-After``),
   and :meth:`SweepScheduler.health` reports ok/degraded/draining.
+* **Bounded retention** — live submissions sit in their own table, so
+  per-event bookkeeping (gauges, backlog, journal compaction) scales with
+  live work only; at most :data:`MAX_FINISHED_SUBMISSIONS` finished ones
+  are kept for ``/status`` and ``/results``.  The oldest-finished is
+  evicted with its idempotency key and then reads as unknown; its jobs
+  stay in the result store, so resubmitting the plan is all cache hits.
 
 All activity is counted into one
 :class:`~repro.experiments.metrics.MetricsRegistry` (job lifecycle, chunk
 cache/execute traffic, per-chunk latency, worker supervision, and every
 worker's ``decoder_*`` dispatch counters), which the HTTP layer snapshots
-and streams.
+and streams.  Lifecycle events (accepted, started, completed, failed,
+cancelled, evicted) are logged to the ``repro.service`` logger, each record
+carrying ``submission_id`` and ``event`` attributes.
 """
 
 from __future__ import annotations
 
 import asyncio
 import itertools
+import logging
 import os
 import shutil
 import tempfile
@@ -78,6 +87,31 @@ STATE_FAILED = "failed"
 STATE_CANCELLED = "cancelled"
 
 TERMINAL_STATES = (STATE_DONE, STATE_FAILED, STATE_CANCELLED)
+
+#: Terminal state -> (journal/log event, lifecycle counter).
+_TERMINAL_EVENTS = {
+    STATE_DONE: ("completed", "jobs_completed"),
+    STATE_FAILED: ("failed", "jobs_failed"),
+    STATE_CANCELLED: ("cancelled", "jobs_cancelled"),
+}
+
+#: Finished submissions kept for ``/status`` and ``/results``; beyond this
+#: the oldest-finished is evicted (about 4.6 KB each for a one-job plan).
+MAX_FINISHED_SUBMISSIONS = 256
+
+logger = logging.getLogger("repro.service")
+
+
+def _log(event: str, submission_id: str, detail: str, *args, level: int = logging.INFO) -> None:
+    """One lifecycle record on the ``repro.service`` logger, keyed by id."""
+    logger.log(
+        level,
+        "submission %s %s: " + detail,
+        submission_id,
+        event,
+        *args,
+        extra={"submission_id": submission_id, "event": event},
+    )
 
 
 class SchedulerDraining(RuntimeError):
@@ -263,10 +297,15 @@ class SweepScheduler:
         self._chunk_store: Optional[ResultStore] = None
         if journal is not None:
             self._chunk_store = ResultStore(journal.directory / "chunk-spill")
-        self._submissions: Dict[str, SweepSubmission] = {}
+        #: Non-terminal submissions, in admission order.
+        self._live: Dict[str, SweepSubmission] = {}
+        #: Terminal submissions, oldest-finished first (bounded).
+        self._finished: Dict[str, SweepSubmission] = {}
         self._keys: Dict[str, str] = {}
         self._ids = itertools.count(1)
         self._draining = False
+        #: Set once a drain or stop begins; wakes held ``/status`` long-polls.
+        self.drain_started = asyncio.Event()
         self._started = False
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_generation = 0
@@ -312,7 +351,8 @@ class SweepScheduler:
     async def drain(self) -> None:
         """Stop accepting submissions and wait for accepted ones to finish."""
         self._draining = True
-        pending = self._live_submissions()
+        self.drain_started.set()
+        pending = list(self._live.values())
         if pending:
             await asyncio.gather(*(s.done_event.wait() for s in pending))
 
@@ -323,6 +363,7 @@ class SweepScheduler:
         if drain:
             await self.drain()
         self._draining = True
+        self.drain_started.set()
         for task in self._pumps:
             task.cancel()
         self._supervisor_task.cancel()
@@ -397,17 +438,19 @@ class SweepScheduler:
             PlanExecution, plan, self.store, self.metrics, self._chunk_store
         )
         submission = SweepSubmission(submission_id, plan, execution, key=submission_key)
-        self._submissions[submission_id] = submission
+        self._live[submission_id] = submission
         if submission_key:
             self._keys[submission_key] = submission_id
         self.metrics.counter("jobs_submitted").inc()
         self.metrics.counter("sweep_jobs_total").inc(len(plan.jobs))
+        _log("accepted", submission_id, "%d job(s), %d chunk(s)", len(plan.jobs), plan.total_chunks)
         if execution.is_complete:
             self._finish(submission)
         else:
             submission.state = STATE_RUNNING
             submission.started = time.time()
             self._journal_event("started", submission)
+            _log("started", submission_id, "%d chunk(s) left", execution.chunks_left)
             # Claim enough chunks to saturate the pool; _run_chunk refills
             # one claim per recorded chunk.
             for job_index, chunk in execution.claim_tasks(self.workers):
@@ -464,32 +507,24 @@ class SweepScheduler:
                 "ts": submission.created,
                 "plan": submission.plan.to_wire(),
             }
-            for submission in self._live_submissions()
-        ]
-
-    def _live_submissions(self) -> List[SweepSubmission]:
-        """Submissions not yet in a terminal state."""
-        return [
-            submission
-            for submission in self._submissions.values()
-            if submission.state not in TERMINAL_STATES
+            for submission in self._live.values()
         ]
 
     def _backlog(self) -> int:
         """Unfinished chunks over every live submission (admission depth)."""
-        return sum(s.execution.chunks_left for s in self._live_submissions())
+        return sum(s.execution.chunks_left for s in self._live.values())
 
     def _journal_event(self, event: str, submission: SweepSubmission) -> None:
         if self.journal is None:
             return
         self.journal.append({"event": event, "id": submission.id, "ts": time.time()})
-        if event in ("completed", "failed", "cancelled"):
-            self.journal.maybe_compact(self._live_accepted_records())
+        if submission.state in TERMINAL_STATES and self.journal.compaction_due:
+            self.journal.compact(self._live_accepted_records())
 
     def _saturation_reason(self) -> Optional[str]:
         """Why admission control would reject right now (``None`` = admit)."""
         if self.max_pending_submissions is not None:
-            active = len(self._live_submissions())
+            active = len(self._live)
             if active >= self.max_pending_submissions:
                 return (
                     f"{active} active submission(s) at the "
@@ -515,7 +550,7 @@ class SweepScheduler:
         payload: Dict[str, object] = {
             "status": status,
             "queue_depth": self._backlog(),
-            "active_submissions": len(self._live_submissions()),
+            "active_submissions": len(self._live),
             "workers_alive": int(self.metrics.gauge("workers_alive").value),
         }
         if status != "ok":
@@ -523,16 +558,21 @@ class SweepScheduler:
         return payload
 
     def get(self, submission_id: str) -> SweepSubmission:
-        try:
-            return self._submissions[submission_id]
-        except KeyError:
-            raise KeyError(f"unknown submission {submission_id!r}") from None
+        """A live or retained submission; ``KeyError`` if unknown or evicted."""
+        submission = self._live.get(submission_id) or self._finished.get(submission_id)
+        if submission is None:
+            raise KeyError(f"unknown submission {submission_id!r}")
+        return submission
 
     def status(self, submission_id: str) -> Dict[str, object]:
         return self.get(submission_id).status_dict()
 
     def list_submissions(self) -> List[Dict[str, object]]:
-        return [s.status_dict() for s in self._submissions.values()]
+        """Status of every retained submission: finished first, then live."""
+        return [
+            s.status_dict()
+            for s in itertools.chain(self._finished.values(), self._live.values())
+        ]
 
     def results(self, submission_id: str) -> List[MemoryExperimentResult]:
         submission = self.get(submission_id)
@@ -544,16 +584,7 @@ class SweepScheduler:
 
     def cancel(self, submission_id: str) -> bool:
         """Cancel a submission; returns False if it already finished."""
-        submission = self.get(submission_id)
-        if submission.state in TERMINAL_STATES:
-            return False
-        submission.state = STATE_CANCELLED
-        submission.finished = time.time()
-        submission.done_event.set()
-        self._journal_event("cancelled", submission)
-        self.metrics.counter("jobs_cancelled").inc()
-        self._update_gauges()
-        return True
+        return self._retire(self.get(submission_id), STATE_CANCELLED)
 
     async def wait(self, submission_id: str, timeout: Optional[float] = None) -> str:
         """Block until the submission reaches a terminal state; returns it."""
@@ -565,28 +596,52 @@ class SweepScheduler:
     # Internal machinery
     # ------------------------------------------------------------------
     def _finish(self, submission: SweepSubmission) -> None:
-        submission.state = STATE_DONE
-        submission.finished = time.time()
-        elapsed = submission.finished - (submission.started or submission.created)
-        submission.execution.finish(elapsed)
-        submission.done_event.set()
-        self._journal_event("completed", submission)
-        self.metrics.counter("jobs_completed").inc()
-        self._update_gauges()
+        self._retire(submission, STATE_DONE)
 
     def _fail(self, submission: SweepSubmission, error: BaseException) -> None:
+        self._retire(submission, STATE_FAILED, f"{type(error).__name__}: {error}")
+
+    def _retire(
+        self, submission: SweepSubmission, state: str, error: Optional[str] = None
+    ) -> bool:
+        """Move a live submission to ``state`` (terminal) and into retention.
+
+        Returns False, changing nothing, if it is already terminal.  Evicts
+        the oldest-finished submissions beyond :data:`MAX_FINISHED_SUBMISSIONS`.
+        """
         if submission.state in TERMINAL_STATES:
-            return
-        submission.state = STATE_FAILED
-        submission.error = f"{type(error).__name__}: {error}"
+            return False
+        submission.state = state
+        submission.error = error
         submission.finished = time.time()
+        if state == STATE_DONE:
+            elapsed = submission.finished - (submission.started or submission.created)
+            submission.execution.finish(elapsed)
         submission.done_event.set()
-        self._journal_event("failed", submission)
-        self.metrics.counter("jobs_failed").inc()
+        del self._live[submission.id]
+        self._finished[submission.id] = submission
+        event, counter = _TERMINAL_EVENTS[state]
+        self._journal_event(event, submission)
+        self.metrics.counter(counter).inc()
+        if error is None:
+            _log(event, submission.id, "in %.3f s", submission.finished - submission.created)
+        else:
+            _log(event, submission.id, "%s", error, level=logging.WARNING)
+        while len(self._finished) > MAX_FINISHED_SUBMISSIONS:
+            self._evict(next(iter(self._finished)))
         self._update_gauges()
+        return True
+
+    def _evict(self, submission_id: str) -> None:
+        """Forget a finished submission and its idempotency key."""
+        submission = self._finished.pop(submission_id)
+        if submission.key and self._keys.get(submission.key) == submission_id:
+            del self._keys[submission.key]
+        self.metrics.counter("submissions_evicted").inc()
+        _log("evicted", submission_id, "was %s", submission.state)
 
     def _update_gauges(self) -> None:
-        states = [s.state for s in self._submissions.values()]
+        states = [s.state for s in self._live.values()]
         self.metrics.gauge("jobs_queued").set(states.count(STATE_QUEUED))
         self.metrics.gauge("jobs_running").set(states.count(STATE_RUNNING))
         self.metrics.gauge("queue_depth").set(self._backlog())

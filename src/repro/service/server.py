@@ -12,6 +12,11 @@ report builder without importing the scheduler in-process.  Endpoints:
                                         ``Retry-After`` when saturated, 503
                                         when draining
 ``GET /status/<id>``                    submission state + chunk progress
+``GET /status/<id>?wait=<s>``           long-poll: the same payload, sent once
+                                        the submission is terminal, after
+                                        ``min(s, MAX_STATUS_WAIT)`` seconds,
+                                        or at once on stop/drain; 400 unless
+                                        ``s`` is a finite number >= 0
 ``GET /results/<id>``                   results (wire form) + ``SweepStats``
 ``POST /cancel/<id>``                   cancel a queued/running submission
 ``GET /metrics``                        one canonical metrics snapshot
@@ -21,8 +26,13 @@ report builder without importing the scheduler in-process.  Endpoints:
 ``GET /healthz``                        health probe: ok/degraded/draining +
                                         unfinished-chunk backlog
                                         (``queue_depth``) and live workers
+``GET /jobs``                           status of every retained submission
 ``POST /shutdown``                      drain and stop the server
 ======================================  =======================================
+
+Finished submissions are retained up to
+:data:`~repro.service.scheduler.MAX_FINISHED_SUBMISSIONS`; an evicted id
+answers 404 on ``/status`` and ``/results`` like an unknown one.
 
 The server is deliberately tiny (asyncio streams, no framework — the repo
 adds no dependencies): one request per connection, JSON in, JSON out, which
@@ -34,6 +44,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import signal
 import time
 from pathlib import Path
@@ -53,10 +64,14 @@ from repro.service.scheduler import (
     SchedulerDraining,
     SchedulerSaturated,
     SweepScheduler,
+    SweepSubmission,
 )
 from repro.service.wire import metrics_ndjson_line, result_to_wire
 
 _MAX_BODY = 64 * 1024 * 1024  # a plan of thousands of jobs is still ~MBs
+
+#: Longest a ``GET /status/<id>?wait=`` request is held (seconds).
+MAX_STATUS_WAIT = 10.0
 
 
 class SweepService:
@@ -74,6 +89,8 @@ class SweepService:
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
         self._shutdown_event = asyncio.Event()
+        #: Set by :meth:`stop`; releases held ``/status`` long-polls.
+        self._closing = asyncio.Event()
         self._stream_seq = 0
 
     async def start(self) -> None:
@@ -87,6 +104,9 @@ class SweepService:
         return f"http://{self.host}:{self.port}"
 
     async def stop(self) -> None:
+        # Answer held long-polls first: from Python 3.12, ``wait_closed``
+        # also waits for every open connection to finish.
+        self._closing.set()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -111,7 +131,7 @@ class SweepService:
                 return
             method, target, body = request
             await self._route(method, target, body, writer)
-        except ConnectionResetError:
+        except ConnectionError:  # the client hung up (e.g. mid long-poll)
             pass
         except Exception as error:  # malformed request: report, keep serving
             try:
@@ -197,17 +217,16 @@ class SweepService:
         elif method == "POST" and path == "/submit":
             await self._handle_submit(writer, body)
         elif method == "GET" and path.startswith("/status/"):
-            await self._with_submission(
-                writer, path[len("/status/"):], lambda s: scheduler.status(s)
-            )
+            await self._serve_status(writer, path[len("/status/"):], query)
         elif method == "GET" and path.startswith("/results/"):
             await self._serve_results(writer, path[len("/results/"):])
         elif method == "POST" and path.startswith("/cancel/"):
-            await self._with_submission(
-                writer,
-                path[len("/cancel/"):],
-                lambda s: {"job_id": s, "cancelled": scheduler.cancel(s)},
-            )
+            submission = await self._lookup(writer, path[len("/cancel/"):])
+            if submission is not None:
+                cancelled = scheduler.cancel(submission.id)
+                await self._send_json(
+                    writer, 200, {"job_id": submission.id, "cancelled": cancelled}
+                )
         elif method == "GET" and path == "/jobs":
             await self._send_json(writer, 200, {"jobs": scheduler.list_submissions()})
         elif method == "GET" and path == "/metrics":
@@ -280,24 +299,44 @@ class SweepService:
             extra_headers=headers,
         )
 
-    async def _with_submission(self, writer, submission_id: str, fn) -> None:
+    async def _lookup(self, writer, submission_id: str) -> Optional[SweepSubmission]:
+        """The submission, or ``None`` after answering 404 (unknown/evicted)."""
         try:
-            payload = fn(submission_id)
+            return self.scheduler.get(submission_id)
         except KeyError:
             await self._send_json(
                 writer, 404, {"error": f"unknown submission {submission_id!r}"}
             )
+            return None
+
+    async def _serve_status(
+        self, writer, submission_id: str, query: Dict[str, list]
+    ) -> None:
+        wait = _parse_wait(query.get("wait", ["0"])[0])
+        submission = await self._lookup(writer, submission_id)
+        if submission is None:
             return
-        await self._send_json(writer, 200, payload)
+        await self._hold(submission, min(wait, MAX_STATUS_WAIT))
+        await self._send_json(writer, 200, submission.status_dict())
+
+    async def _hold(self, submission: SweepSubmission, seconds: float) -> None:
+        """Wait up to ``seconds`` for the submission to end or a stop/drain."""
+        events = (submission.done_event, self._closing, self.scheduler.drain_started)
+        if seconds <= 0 or any(event.is_set() for event in events):
+            return
+        waiters = [asyncio.ensure_future(event.wait()) for event in events]
+        try:
+            await asyncio.wait(
+                waiters, timeout=seconds, return_when=asyncio.FIRST_COMPLETED
+            )
+        finally:
+            for waiter in waiters:
+                waiter.cancel()
+            await asyncio.gather(*waiters, return_exceptions=True)
 
     async def _serve_results(self, writer, submission_id: str) -> None:
-        scheduler = self.scheduler
-        try:
-            submission = scheduler.get(submission_id)
-        except KeyError:
-            await self._send_json(
-                writer, 404, {"error": f"unknown submission {submission_id!r}"}
-            )
+        submission = await self._lookup(writer, submission_id)
+        if submission is None:
             return
         if submission.state != "done":
             await self._send_json(
@@ -338,6 +377,14 @@ class SweepService:
         await self._send_response(
             writer, 200, payload, content_type="application/x-ndjson"
         )
+
+
+def _parse_wait(text: str) -> float:
+    """The ``?wait=`` seconds of a status long-poll (``ValueError`` -> 400)."""
+    seconds = float(text)
+    if not math.isfinite(seconds) or seconds < 0:
+        raise ValueError(f"wait must be a finite number of seconds >= 0, got {text!r}")
+    return seconds
 
 
 async def run_service(

@@ -407,7 +407,7 @@ IDENTITY_CHANGES = {
     "decoder_method": "mwpm",
     "engine": "scalar",
     "batch_size": 64,
-    "policy_kwargs": (("speculation", False),),
+    "policy_kwargs": (("num_backups", 2),),
     "seed_entropy": 1,
     "spawn_key": (9,),
     "chunk_shots": 3,

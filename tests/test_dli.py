@@ -1,7 +1,11 @@
 """Tests for the SWAP Lookup Table and Dynamic LRC Insertion."""
 
+import hashlib
+import json
+
 import pytest
 
+from repro.codes import make_code
 from repro.codes.rotated_surface import RotatedSurfaceCode
 from repro.core.dli import DynamicLrcInsertion, SwapLookupTable
 
@@ -125,3 +129,53 @@ class TestDynamicLrcInsertion:
     def test_max_schedulable_empty(self, code):
         dli = DynamicLrcInsertion(SwapLookupTable(code))
         assert dli.max_schedulable([]) == 0
+
+
+def _table_digest(table):
+    """Short sha256 of a lookup table's unmatched qubit and full candidate lists."""
+    document = json.dumps(
+        [table.unmatched_data_qubit, sorted(table.candidates.items())],
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(document.encode("utf-8")).hexdigest()[:16]
+
+
+# (unmatched data qubit, digest) of ``SwapLookupTable(code, num_backups=None)``.
+# Every seeded experiment depends on these primaries, so a change of matching
+# backend must reproduce them exactly.
+LOOKUP_TABLE_GOLDENS = {
+    ("rotated-surface", 3): (6, "0d5f285647e2a385"),
+    ("rotated-surface", 5): (20, "e96b38f7f5102d45"),
+    ("rotated-surface", 7): (42, "8355cb1918558745"),
+    ("rotated-surface", 9): (72, "363b901258f30a8b"),
+    ("rotated-surface", 11): (110, "8b003b77dc0f01fa"),
+    ("rotated-surface", 13): (156, "1d765c58317d2af0"),
+    ("repetition", 3): (2, "9217dabc00278936"),
+    ("repetition", 5): (4, "8be5c85f6375830d"),
+    ("repetition", 7): (6, "8b616180dffaab52"),
+    ("repetition", 9): (8, "98cd5eb439f32a2a"),
+    ("repetition", 11): (10, "6b365157c60a5b83"),
+    ("repetition", 13): (12, "46689e87b35f17c8"),
+}
+
+
+class TestLookupTableGoldens:
+    @pytest.mark.parametrize("family,distance", sorted(LOOKUP_TABLE_GOLDENS))
+    def test_candidates_match_golden(self, family, distance):
+        table = SwapLookupTable(make_code(family, distance), num_backups=None)
+        assert (table.unmatched_data_qubit, _table_digest(table)) == (
+            LOOKUP_TABLE_GOLDENS[family, distance]
+        )
+
+    def test_distance_3_surface_table_in_full(self, code):
+        table = SwapLookupTable(code, num_backups=None)
+        assert table.candidates == {
+            0: (0, 1), 1: (1, 0, 2), 2: (2, 3), 3: (4, 1, 5), 4: (5, 1, 2, 6),
+            5: (3, 2, 6), 6: (4, 5), 7: (6, 5, 7), 8: (7, 6),
+        }
+
+    @pytest.mark.parametrize("family,distance", [("rotated-surface", 5), ("repetition", 7)])
+    def test_max_schedulable_of_every_data_qubit(self, family, distance):
+        code = make_code(family, distance)
+        dli = DynamicLrcInsertion(SwapLookupTable(code))
+        assert dli.max_schedulable(code.data_indices) == code.num_data_qubits - 1

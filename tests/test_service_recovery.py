@@ -576,6 +576,13 @@ class TestAdmissionControl:
         decoded, not first inside a worker."""
         assert_rejected_and_never_journaled(tmp_path, field, value, message)
 
+    def test_bad_policy_kwarg_is_400_and_never_journaled(self, tmp_path):
+        """The policy is instantiated with its kwargs at admission."""
+        assert_rejected_and_never_journaled(
+            tmp_path, "policy_kwargs", [["speculation", False]],
+            "policy 'eraser' rejects policy_kwargs {'speculation': False}",
+        )
+
     def test_healthz_walks_ok_degraded_draining(self, tmp_path):
         async def body():
             scheduler = make_scheduler(tmp_path, retry_after=0.25)

@@ -373,6 +373,22 @@ class TestDecoderMethodValidation:
             SweepPlan.from_wire(wire)
 
 
+class TestPolicyKwargsValidation:
+    def test_unknown_kwarg_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="rejects policy_kwargs"):
+            make_job(policy_kwargs={"speculation": False})
+
+    def test_wire_plan_with_unknown_kwarg_rejected(self):
+        wire = SweepPlan([make_job()]).to_wire()
+        wire["jobs"][0]["policy_kwargs"] = [["speculation", False]]
+        with pytest.raises(ValueError, match="'speculation'"):
+            SweepPlan.from_wire(wire)
+
+    def test_valid_kwargs_keep_the_canonical_policy_name(self):
+        job = make_job(policy="eraser", policy_kwargs={"use_multilevel_readout": True})
+        assert job.policy == "eraser"
+
+
 class TestCanonicalJob:
     """Every construction path yields one canonical job and one cache key."""
 
