@@ -101,9 +101,9 @@ class MemoryExperimentResult:
     def to_state(self) -> "Tuple[Dict[str, object], Dict[str, np.ndarray]]":
         """Lossless serialised form: ``(scalars, arrays)``.
 
-        The scalar part is JSON-serialisable; the arrays go into an ``.npz``
-        archive.  Together they round-trip through
-        :meth:`from_state` exactly (used by the on-disk result store).
+        The scalar part is JSON-serialisable; the arrays are float64.
+        Together they round-trip through :meth:`from_state` exactly;
+        :func:`result_to_wire` is their all-JSON form.
         """
         scalars = {
             "policy": self.policy,
@@ -198,6 +198,35 @@ class MemoryExperimentResult:
             f"LRCs/round={self.lrcs_per_round:6.2f}  "
             f"acc={100 * self.speculation.accuracy:5.1f}%"
         )
+
+
+def result_to_wire(result: MemoryExperimentResult) -> Dict[str, object]:
+    """All-JSON form of a result: scalar stats plus per-round arrays as lists.
+
+    Python's JSON encoder emits shortest-round-trip float reprs, so the
+    statistics survive a JSON round trip *bit-identically*.  This is the form
+    the on-disk result store and the sweep service's HTTP API both carry.
+    """
+    scalars, arrays = result.to_state()
+    return {
+        "scalars": scalars,
+        "arrays": {name: array.tolist() for name, array in arrays.items()},
+    }
+
+
+def result_from_wire(payload: Dict[str, object]) -> MemoryExperimentResult:
+    """Inverse of :func:`result_to_wire` (bit-identical round trip).
+
+    Raises ``ValueError`` (or ``KeyError``/``TypeError``) on a payload that
+    is not a result, e.g. arrays that are not flat lists of numbers.
+    """
+    arrays = {
+        name: np.asarray(values, dtype=np.float64)
+        for name, values in payload["arrays"].items()  # type: ignore[union-attr]
+    }
+    if any(array.ndim != 1 for array in arrays.values()):
+        raise ValueError("result arrays must be one-dimensional")
+    return MemoryExperimentResult.from_state(payload["scalars"], arrays)
 
 
 @dataclass

@@ -14,21 +14,22 @@ job's position in its plan, reuse requires rebuilding the same plan (or a
 plan whose leading jobs match) with the same explicit seed; a sweep that
 shuffles its grid or draws fresh entropy addresses different entries.
 
-Each entry is a pair of files under the store root::
+Each entry is one JSON file under the store root::
 
-    <hash>.npz    per-round LPR arrays (written first)
-    <hash>.json   scalar statistics + the originating config (written last)
+    <hash>.json   {"format", "key", "config", "result"}
 
-Both files are written atomically (temp file + ``fsync`` + ``os.replace``)
-and the JSON file acts as the commit marker: an entry is complete only when
-its JSON file parses and its arrays load.  The ``fsync`` before the rename
-matters: without it a hard kill (power loss, ``SIGKILL`` plus an unlucky
-page-cache flush) could leave a *renamed but empty* entry — the name commits
-before the bytes — which would then parse as corrupt forever.  With it, a
-rename only ever publishes fully-durable bytes.  :meth:`ResultStore.load`
-treats missing, torn, or corrupt entries as cache misses, which is what makes
-interrupted sweeps safely resumable — rerunning the sweep recomputes exactly
-the incomplete entries.
+where ``result`` is :func:`~repro.experiments.results.result_to_wire`'s
+lossless form (the same JSON the sweep service sends over HTTP).  The file is
+published by :func:`atomic_write` (temp file + ``fsync`` + ``os.replace`` +
+directory ``fsync``), so the rename is the commit: a reader sees the whole
+entry or none of it.  The ``fsync`` before the rename matters: without it a
+hard kill (power loss, ``SIGKILL`` plus an unlucky page-cache flush) could
+leave a *renamed but empty* entry — the name commits before the bytes —
+which would then parse as corrupt forever.  With it, a rename only ever
+publishes fully-durable bytes.  :meth:`ResultStore.load` treats a missing,
+torn or corrupt file, a stale ``format`` or a ``key`` that does not match the
+file name as a cache miss, which is what makes interrupted sweeps safely
+resumable — rerunning the sweep recomputes exactly the incomplete entries.
 
 Records (non-Monte-Carlo results)
 ---------------------------------
@@ -50,30 +51,26 @@ directories (``shard-000/`` ... keyed by the leading bits of the SHA-256
 hash) so that many concurrent writer processes never contend on one
 directory's dirent lock.  The shard count is recorded in a
 ``.store-meta.json`` marker so every later open agrees on the layout.
-Reads fall through to the flat layout per file, so a flat store opened
-sharded keeps serving its old entries, and :meth:`migrate_flat_entries`
-moves them into their shard directories with the same atomic-rename
-semantics (a reader racing the migration sees each entry in one place or
-the other, never torn).
+Reads fall through to the flat layout, so a flat store opened sharded keeps
+serving its old entries, and :meth:`migrate_flat_entries` moves each one into
+its shard directory with a single atomic rename (a reader racing the
+migration sees the entry in one place or the other, never torn).
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 import tempfile
-import zipfile
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional
 
-import numpy as np
-
-from repro.experiments.results import MemoryExperimentResult
+from repro.experiments.results import MemoryExperimentResult, result_from_wire, result_to_wire
 
 #: Bump when the on-disk layout changes; mismatched entries read as misses.
-STORE_FORMAT_VERSION = 1
+#: Format 1 kept each entry's arrays in a second, binary file.
+STORE_FORMAT_VERSION = 2
 
 #: Directory used when a sweep asks for resumption without naming a cache.
 DEFAULT_CACHE_DIR = ".eraser-repro-cache"
@@ -154,9 +151,7 @@ class ResultStore:
 
     def _write_meta(self) -> None:
         payload = {"format": STORE_FORMAT_VERSION, "shards": self.shards}
-        self._atomic_write(
-            self._meta_path(), json.dumps(payload, sort_keys=True).encode("utf-8")
-        )
+        atomic_write(self._meta_path(), json.dumps(payload, sort_keys=True).encode("utf-8"))
 
     def shard_index(self, key: str) -> int:
         """Which shard ``key`` lives in (leading hash bits modulo the count)."""
@@ -176,9 +171,6 @@ class ResultStore:
 
     def json_path(self, key: str) -> Path:
         return self.shard_dir(key) / f"{key}.json"
-
-    def npz_path(self, key: str) -> Path:
-        return self.shard_dir(key) / f"{key}.npz"
 
     def _fallback_path(self, path: Path) -> Optional[Path]:
         """The flat-layout location of a sharded entry (read-through)."""
@@ -223,92 +215,55 @@ class ResultStore:
     # ------------------------------------------------------------------
     # I/O
     # ------------------------------------------------------------------
-    def _atomic_write(self, path: Path, data: bytes) -> None:
-        """Durable atomic publish: write + flush + fsync, then rename.
-
-        The fsync *before* ``os.replace`` is load-bearing: renames can hit
-        the journal before data pages do, so skipping it lets a hard kill
-        publish an entry whose name is durable but whose bytes are not —
-        a renamed-but-empty file that would read as corrupt forever.
-        """
-        directory = path.parent
-        directory.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=directory, prefix=f".{path.stem}-")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        _fsync_dir(directory)
-
     def save(
         self,
         key: str,
         result: MemoryExperimentResult,
         config: Optional[Dict[str, object]] = None,
     ) -> None:
-        """Persist ``result`` under ``key`` (arrays first, JSON as commit)."""
-        scalars, arrays = result.to_state()
-        buffer = io.BytesIO()
-        np.savez_compressed(buffer, **arrays)
-        self._atomic_write(self.npz_path(key), buffer.getvalue())
+        """Persist ``result`` under ``key`` as one atomically published file."""
         payload = {
             "format": STORE_FORMAT_VERSION,
             "key": key,
             "config": config,
-            "result": scalars,
+            "result": result_to_wire(result),
         }
-        self._atomic_write(
-            self.json_path(key), json.dumps(payload, sort_keys=True, indent=1).encode("utf-8")
-        )
-
-    def _open_entry_file(self, path: Path):
-        """Open a sharded entry file, falling back to its flat location."""
-        try:
-            return open(path, "rb")
-        except FileNotFoundError:
-            fallback = self._fallback_path(path)
-            if fallback is None:
-                raise
-            return open(fallback, "rb")
+        atomic_write(self.json_path(key), json.dumps(payload, sort_keys=True).encode("utf-8"))
 
     def load(self, key: str) -> Optional[MemoryExperimentResult]:
-        """Return the stored result, or ``None`` for missing/torn entries.
+        """Return the stored result, or ``None`` for a missing/torn/stale entry.
 
-        Each of the entry's two files is looked up in its shard directory
-        first and in the flat root second, so reads stay correct while a
-        flat store migrates (or is simply reopened sharded).
+        The entry is looked up in its shard directory first and in the flat
+        root second, so reads stay correct while a flat store migrates (or is
+        simply reopened sharded).
         """
+        path = self.json_path(key)
         try:
-            with self._open_entry_file(self.json_path(key)) as handle:
+            try:
+                handle = open(path, "rb")
+            except FileNotFoundError:
+                fallback = self._fallback_path(path)
+                if fallback is None:
+                    return None
+                handle = open(fallback, "rb")
+            with handle:
                 payload = json.load(handle)
-            if payload.get("format") != STORE_FORMAT_VERSION:
+            if payload.get("format") != STORE_FORMAT_VERSION or payload.get("key") != key:
                 return None
-            scalars = payload["result"]
-            with self._open_entry_file(self.npz_path(key)) as handle:
-                with np.load(handle) as archive:
-                    arrays = {name: archive[name] for name in archive.files}
-            return MemoryExperimentResult.from_state(scalars, arrays)
-        except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError, zipfile.BadZipFile):
+            return result_from_wire(payload["result"])
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
             return None
 
     def remove(self, key: str) -> None:
-        """Delete an entry (JSON first so readers never see a torn commit)."""
-        for path in (self.json_path(key), self.npz_path(key)):
-            for location in (path, self._fallback_path(path)):
-                if location is None:
-                    continue
-                try:
-                    location.unlink()
-                except FileNotFoundError:
-                    pass
+        """Delete an entry from both layouts (idempotent)."""
+        path = self.json_path(key)
+        for location in (path, self._fallback_path(path)):
+            if location is None:
+                continue
+            try:
+                location.unlink()
+            except FileNotFoundError:
+                pass
 
     def record_path(self, key: str) -> Path:
         return self.root / RECORDS_DIR / f"{key}.json"
@@ -316,9 +271,7 @@ class ResultStore:
     def save_record(self, key: str, payload: Dict[str, object]) -> None:
         """Persist a JSON-serialisable ``payload`` as the record ``key``."""
         document = {"format": STORE_FORMAT_VERSION, "key": key, "payload": payload}
-        self._atomic_write(
-            self.record_path(key), json.dumps(document, sort_keys=True).encode("utf-8")
-        )
+        atomic_write(self.record_path(key), json.dumps(document, sort_keys=True).encode("utf-8"))
 
     def load_record(self, key: str) -> Optional[Dict[str, object]]:
         """Return the record's payload, or ``None`` for a missing/torn/stale one."""
@@ -342,10 +295,9 @@ class ResultStore:
     def migrate_flat_entries(self) -> int:
         """Move flat-layout entries into their shard directories.
 
-        Returns the number of entries moved.  Both files move by atomic
-        rename — arrays first, JSON (the commit marker) last — and the
-        per-file flat fallback in :meth:`load` keeps concurrent readers
-        correct at every intermediate state.  A no-op for flat stores.
+        Returns the number of entries moved.  Each entry moves by one atomic
+        rename, and the flat fallback in :meth:`load` keeps concurrent
+        readers correct before and after it.  A no-op for flat stores.
         """
         if self.shards == 1:
             return 0
@@ -354,11 +306,8 @@ class ResultStore:
             key = path.stem
             if not self._is_entry_key(key) or not self._is_shardable_key(key):
                 continue
-            flat_npz = self.root / f"{key}.npz"
             self.shard_dir(key).mkdir(parents=True, exist_ok=True)
             try:
-                if flat_npz.exists():
-                    os.replace(flat_npz, self.npz_path(key))
                 os.replace(path, self.json_path(key))
             except OSError:
                 continue
@@ -405,6 +354,33 @@ class InMemoryResultStore:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+
+def atomic_write(path: Path, data: bytes) -> None:
+    """Durable atomic publish: write + flush + fsync, rename, fsync the dir.
+
+    The fsync *before* ``os.replace`` is load-bearing: renames can hit the
+    journal before data pages do, so skipping it lets a hard kill publish a
+    file whose name is durable but whose bytes are not — a renamed-but-empty
+    file that would read as corrupt forever.  A failure at any point leaves
+    the old file (or no file) in place and no temp litter behind.
+    """
+    directory = path.parent
+    directory.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(dir=directory, prefix=f".{path.stem}-")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+    _fsync_dir(directory)
 
 
 def _fsync_dir(directory: Path) -> None:

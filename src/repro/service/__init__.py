@@ -25,8 +25,8 @@ Modules:
   :class:`~repro.service.client.ServiceExecutor` facade that drops into any
   code written against :class:`~repro.experiments.executor.SweepExecutor`
   and degrades to a local executor when the service is unreachable.
-* :mod:`repro.service.wire` — JSON wire forms for results, stats and the
-  NDJSON metrics stream.
+* :mod:`repro.service.wire` — the NDJSON metrics stream's wire form
+  (results travel as :func:`~repro.experiments.results.result_to_wire`).
 * :mod:`repro.service.chaos` — fault-injection harness (SIGKILL a real
   serve subprocess, inject connection resets / dropped responses, tear
   journal tails) driving the chaos test suites and the CI chaos job.

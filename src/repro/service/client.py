@@ -41,9 +41,9 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.experiments.executor import SweepExecutor, SweepStats
 from repro.experiments.jobs import SweepJob, SweepPlan
 from repro.experiments.metrics import MetricsRegistry
-from repro.experiments.results import MemoryExperimentResult
+from repro.experiments.results import MemoryExperimentResult, result_from_wire
 from repro.service.server import MAX_STATUS_WAIT
-from repro.service.wire import parse_metrics_ndjson, result_from_wire
+from repro.service.wire import parse_metrics_ndjson
 
 DEFAULT_SERVICE_URL = "http://127.0.0.1:7917"
 SERVICE_URL_ENV = "ERASER_REPRO_SERVICE_URL"

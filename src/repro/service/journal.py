@@ -23,7 +23,8 @@ whose checksum or JSON fails — torn tails read as misses, mirroring the
 result store's torn-entry semantics.
 
 Compaction rewrites the journal to just the live submissions' ``accepted``
-records via the usual atomic pattern (temp file + ``fsync`` +
+records through the result store's durable publish
+(:func:`~repro.experiments.store.atomic_write`: temp file + ``fsync`` +
 ``os.replace`` + directory fsync): a crash mid-compaction leaves the old
 journal fully intact, never a half-written one.
 
@@ -38,14 +39,13 @@ from __future__ import annotations
 import json
 import os
 import re
-import tempfile
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.experiments.store import _fsync_dir
+from repro.experiments.store import atomic_write
 
 JOURNAL_FILE = "journal.ndjson"
 SERVE_PID_FILE = "serve.pid"
@@ -198,21 +198,8 @@ class SubmissionJournal:
         journal — never a torn one.
         """
         self.close()
-        fd, tmp_name = tempfile.mkstemp(dir=self.directory, prefix=".journal-")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                for payload in live_records:
-                    handle.write(encode_record(payload) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        _fsync_dir(self.directory)
+        text = "".join(encode_record(payload) + "\n" for payload in live_records)
+        atomic_write(self.path, text.encode("utf-8"))
         self._dead_records = 0
 
     @property

@@ -53,6 +53,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.experiments.jobs import SweepPlan
 from repro.experiments.metrics import MetricsRegistry, canonical_metrics_json
+from repro.experiments.results import result_to_wire
 from repro.experiments.store import DEFAULT_SERVICE_SHARDS, ResultStore
 from repro.service.journal import (
     SERVE_PID_FILE,
@@ -66,7 +67,7 @@ from repro.service.scheduler import (
     SweepScheduler,
     SweepSubmission,
 )
-from repro.service.wire import metrics_ndjson_line, result_to_wire
+from repro.service.wire import metrics_ndjson_line
 
 _MAX_BODY = 64 * 1024 * 1024  # a plan of thousands of jobs is still ~MBs
 

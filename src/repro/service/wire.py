@@ -1,13 +1,13 @@
-"""JSON wire forms for the sweep service (results, stats, NDJSON metrics).
+"""JSON wire forms for the sweep service's NDJSON metrics stream.
 
 The service moves three kinds of payloads over its local HTTP API, all of
 them JSON so any client can consume them:
 
 * sweep plans — :meth:`repro.experiments.jobs.SweepPlan.to_wire`;
-* finished results — :func:`result_to_wire` / :func:`result_from_wire`,
-  a lossless round-trip of
-  :class:`~repro.experiments.results.MemoryExperimentResult` (Python's JSON
-  encoder emits shortest-round-trip float reprs, so the Section 6 statistics
+* finished results —
+  :func:`~repro.experiments.results.result_to_wire` /
+  :func:`~repro.experiments.results.result_from_wire`, the lossless JSON
+  form the on-disk result store also writes (the Section 6 statistics
   survive the wire *bit-identically* — the property the fault-injection
   suite asserts against a serial run);
 * telemetry — :func:`metrics_ndjson_line`, one canonical-JSON snapshot of
@@ -20,31 +20,7 @@ from __future__ import annotations
 import json
 from typing import Dict, Optional
 
-import numpy as np
-
 from repro.experiments.metrics import canonical_metrics_json
-from repro.experiments.results import MemoryExperimentResult
-
-
-def result_to_wire(result: MemoryExperimentResult) -> Dict[str, object]:
-    """JSON form of a result: scalar stats plus per-round arrays as lists."""
-    scalars, arrays = result.to_state()
-    return {
-        "scalars": scalars,
-        "arrays": {
-            name: np.asarray(array, dtype=np.float64).tolist()
-            for name, array in arrays.items()
-        },
-    }
-
-
-def result_from_wire(payload: Dict[str, object]) -> MemoryExperimentResult:
-    """Inverse of :func:`result_to_wire` (bit-identical round trip)."""
-    arrays = {
-        name: np.asarray(values, dtype=np.float64)
-        for name, values in payload["arrays"].items()  # type: ignore[union-attr]
-    }
-    return MemoryExperimentResult.from_state(payload["scalars"], arrays)
 
 
 def metrics_ndjson_line(

@@ -24,7 +24,7 @@ holds the supporting primitives:
 
 Every sampler here is distribution-exact: cells are hit independently with
 their stated probabilities, which is what the statistical-equivalence
-contract between the three engines rests on.
+contract between the two engines (scalar and packed) rests on.
 """
 
 from __future__ import annotations

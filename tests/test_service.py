@@ -18,6 +18,7 @@ import pytest
 from repro.experiments.adaptive import AdaptiveConfig, apply_adaptive
 from repro.experiments.executor import SweepExecutor
 from repro.experiments.jobs import SweepJob, SweepPlan
+from repro.experiments.results import result_from_wire, result_to_wire
 from repro.experiments.store import ResultStore
 from repro.service import (
     ServiceExecutor,
@@ -26,12 +27,7 @@ from repro.service import (
     SweepServiceClient,
 )
 from repro.service.client import ServiceError
-from repro.service.wire import (
-    metrics_ndjson_line,
-    parse_metrics_ndjson,
-    result_from_wire,
-    result_to_wire,
-)
+from repro.service.wire import metrics_ndjson_line, parse_metrics_ndjson
 
 
 def make_plan(shots=120, policies=("eraser", "always-lrc"), p=2e-3):

@@ -16,6 +16,7 @@ change a statistic):
 """
 
 import asyncio
+import json
 import os
 import signal
 import time
@@ -146,11 +147,14 @@ class TestTornStoreEntries:
             try:
                 first = await scheduler.submit(make_plan(shots=200, policies=("eraser", "always-lrc")))
                 await scheduler.wait(first, 120)
-                # Tear one job's commit marker and corrupt the other's arrays.
+                # Tear one job's entry mid-write and corrupt the other's arrays.
                 key_a = plan.jobs[0].cache_key()
                 key_b = plan.jobs[1].cache_key()
                 store.json_path(key_a).write_text('{"form', encoding="utf-8")
-                store.npz_path(key_b).write_bytes(b"garbage-not-a-zip")
+                entry_b = json.loads(store.json_path(key_b).read_text(encoding="utf-8"))
+                entry_b["result"]["arrays"]["lpr_data"] = "garbage"
+                store.json_path(key_b).write_text(json.dumps(entry_b), encoding="utf-8")
+                assert store.load(key_a) is None and store.load(key_b) is None
                 second = await scheduler.submit(
                     make_plan(shots=200, policies=("eraser", "always-lrc"))
                 )

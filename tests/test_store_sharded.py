@@ -7,12 +7,14 @@ directory; these tests prove:
 * keys partition deterministically into ``shard-XXX/`` directories and a
   ``.store-meta.json`` marker records the shard count;
 * a flat store migrates into shards with every entry preserved bit-for-bit,
-  and reads stay correct at every intermediate state (per-file fallback);
+  and reads stay correct before and after each entry's one-rename move
+  (flat fallback);
 * N concurrent writer processes with overlapping keys never surface a torn
   entry as data (torn reads as miss is the store's crash contract);
-* the fsync-before-rename ordering bugfix: a crash injected between the
-  data write and the rename must leave the store without the entry rather
-  than with a committed-but-empty file.
+* the fsync-before-rename ordering bugfix: an entry is published by one
+  rename, preceded by the data fsync and followed by the directory fsync,
+  and a crash injected between the data write and the rename must leave the
+  store without the entry rather than with a committed-but-empty file.
 """
 
 import json
@@ -203,18 +205,26 @@ class TestTornEntries:
         store.json_path(key).write_text("{\"format\":", encoding="utf-8")
         assert store.load(key) is None
 
-    def test_corrupt_npz_reads_as_miss(self, tmp_path):
+    def _rewrite_arrays(self, store, key, arrays):
+        payload = json.loads(store.json_path(key).read_text(encoding="utf-8"))
+        if arrays is None:
+            del payload["result"]["arrays"]
+        else:
+            payload["result"]["arrays"] = arrays
+        store.json_path(key).write_text(json.dumps(payload), encoding="utf-8")
+
+    def test_garbage_arrays_read_as_miss(self, tmp_path):
         store = ResultStore(tmp_path, shards=4)
         key = fake_key(7)
         store.save(key, make_result())
-        store.npz_path(key).write_bytes(b"\x00not-a-zip")
+        self._rewrite_arrays(store, key, {"lpr_total": "\x00garbage"})
         assert store.load(key) is None
 
-    def test_missing_npz_reads_as_miss(self, tmp_path):
+    def test_missing_arrays_read_as_miss(self, tmp_path):
         store = ResultStore(tmp_path, shards=4)
         key = fake_key(7)
         store.save(key, make_result())
-        store.npz_path(key).unlink()
+        self._rewrite_arrays(store, key, None)
         assert store.load(key) is None
 
 
@@ -233,13 +243,9 @@ class TestDurability:
             lambda a, b: (events.append("replace"), real_replace(a, b))[1],
         )
         ResultStore(tmp_path).save(fake_key(1), make_result())
-        # Two entry files (npz + json): each must fsync before its rename.
-        replace_positions = [i for i, e in enumerate(events) if e == "replace"]
-        assert len(replace_positions) == 2
-        for position in replace_positions:
-            assert "fsync" in events[:position]
-        first_fsync = events.index("fsync")
-        assert first_fsync < replace_positions[0]
+        # One entry file: its data fsync, the one rename, the directory fsync.
+        assert events == ["fsync", "replace", "fsync"]
+        assert [p.name for p in tmp_path.iterdir()] == [f"{fake_key(1)}.json"]
 
     def test_crash_between_write_and_rename_leaves_no_entry(
         self, tmp_path, monkeypatch
@@ -254,31 +260,14 @@ class TestDurability:
         with pytest.raises(OSError, match="injected crash"):
             store.save(key, make_result())
         monkeypatch.undo()
-        # Nothing was published and no temp litter is mistaken for an entry.
+        # Nothing was published, not even half an entry, and no temp litter
+        # is left behind to be mistaken for one.
         assert store.load(key) is None
         assert list(store.keys()) == []
+        assert list(tmp_path.iterdir()) == []
         # The interrupted save can simply be repeated.
         store.save(key, make_result())
         assert store.load(key) is not None
-
-    def test_crash_after_npz_rename_still_reads_as_miss(
-        self, tmp_path, monkeypatch
-    ):
-        store = ResultStore(tmp_path)
-        key = fake_key(3)
-        real_replace = os.replace
-
-        def replace_then_die(src, dst):
-            if str(dst).endswith(".json"):
-                raise OSError("injected crash before the commit marker")
-            return real_replace(src, dst)
-
-        monkeypatch.setattr("repro.experiments.store.os.replace", replace_then_die)
-        with pytest.raises(OSError, match="injected crash"):
-            store.save(key, make_result())
-        monkeypatch.undo()
-        assert store.npz_path(key).exists()  # arrays landed ...
-        assert store.load(key) is None  # ... but the entry is not committed
 
 
 def _stress_writer(root: str, worker: int, keys: int) -> int:
@@ -334,19 +323,19 @@ class TestConcurrency:
             flat.save(fake_key(index), make_result(shots=10 + index))
         sharded = ResultStore(root, shards=4)
         reader = ResultStore(root)
-        # Interleave migration and reads key by key: the per-file fallback
-        # keeps every key readable at every intermediate state.
+        # Interleave migration and reads key by key: the flat fallback keeps
+        # every key readable before and after each entry's single rename.
         for path in sorted(pathlib.Path(root).glob("*.json")):
             if not ResultStore._is_entry_key(path.stem):
                 continue
-            for index in range(8):
-                assert reader.load(fake_key(index)) is not None
             key = path.stem
             sharded.shard_dir(key).mkdir(parents=True, exist_ok=True)
-            os.replace(root / f"{key}.npz", sharded.npz_path(key))
-            for index in range(8):  # npz moved, json flat: still readable
-                assert reader.load(fake_key(index)) is not None
             os.replace(path, sharded.json_path(key))
+            for index in range(8):
+                assert reader.load(fake_key(index)) is not None
+        assert sharded.migrate_flat_entries() == 0
+        flat_left = pathlib.Path(root).glob("*.json")
+        assert not [p for p in flat_left if ResultStore._is_entry_key(p.stem)]
         for index in range(8):
             loaded = reader.load(fake_key(index))
             assert loaded is not None and loaded.shots == 10 + index

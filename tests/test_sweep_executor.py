@@ -6,6 +6,7 @@ with the job-based sweep engine: a single user seed fans out via
 the execution backend can never change a statistic.
 """
 
+import json
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -172,6 +173,27 @@ class TestResume:
         assert resumed.last_stats.jobs_run == 2
         for a, b in zip(reference, results):
             assert a.statistically_equal(b)
+
+    def test_format_1_entries_are_recomputed(self, tmp_path):
+        """A cache written in the old two-file layout is read as all misses."""
+        reference = SweepExecutor(jobs=1, cache_dir=tmp_path).run(build_plan())
+        store = ResultStore(tmp_path)
+        for key in store.keys():
+            entry = json.loads(store.json_path(key).read_text())
+            scalars, arrays = store.load(key).to_state()
+            np.savez_compressed(tmp_path / f"{key}.npz", **arrays)
+            entry.update(format=1, result=scalars)
+            store.json_path(key).write_text(json.dumps(entry))
+
+        resumed = SweepExecutor(jobs=1, cache_dir=tmp_path)
+        results = resumed.run(build_plan())
+        assert resumed.last_stats.cache_hits == 0
+        assert resumed.last_stats.jobs_run == 2
+        for a, b in zip(reference, results):
+            assert a.statistically_equal(b)
+        warm = SweepExecutor(jobs=1, cache_dir=tmp_path)
+        warm.run(build_plan())
+        assert warm.last_stats.cache_hits == 2
 
     def test_resume_recomputes_only_missing_jobs(self, tmp_path):
         SweepExecutor(jobs=1, cache_dir=tmp_path).run(build_plan())

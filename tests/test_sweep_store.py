@@ -128,6 +128,23 @@ class TestRoundTrip:
         assert store.load("k") is None
         store.remove("k")  # idempotent
 
+    def test_empty_lpr_arrays_round_trip(self, tmp_path):
+        store = ResultStore(tmp_path)
+        empty = np.zeros(0)
+        result = make_result(lpr_total=empty, lpr_data=empty, lpr_parity=empty, rounds=0)
+        store.save("k", result)
+        loaded = store.load("k")
+        assert loaded.statistically_equal(result)
+        assert loaded.lpr_total.dtype == np.float64 and loaded.lpr_total.shape == (0,)
+
+    def test_entry_is_one_json_file(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.save("k", make_result(), config=SAMPLE_CONFIG)
+        assert [p.name for p in tmp_path.iterdir()] == ["k.json"]
+        payload = json.loads(store.json_path("k").read_text())
+        assert sorted(payload) == ["config", "format", "key", "result"]
+        assert payload["key"] == "k"
+
     def test_saved_json_records_config(self, tmp_path):
         store = ResultStore(tmp_path)
         store.save("k", make_result(), config=SAMPLE_CONFIG)
@@ -148,13 +165,36 @@ class TestPartialAndCorruptEntries:
     def test_json_without_arrays_is_a_miss(self, tmp_path):
         store = ResultStore(tmp_path)
         store.save("k", make_result())
-        store.npz_path("k").unlink()
+        payload = json.loads(store.json_path("k").read_text())
+        del payload["result"]["arrays"]
+        store.json_path("k").write_text(json.dumps(payload))
         assert store.load("k") is None
 
-    def test_corrupt_npz_is_a_miss(self, tmp_path):
+    def test_garbage_arrays_are_a_miss(self, tmp_path):
         store = ResultStore(tmp_path)
         store.save("k", make_result())
-        store.npz_path("k").write_bytes(b"not a zip archive")
+        payload = json.loads(store.json_path("k").read_text())
+        garbage_values = [
+            "not a list", 0.5, [[0.1], [0.2, 0.3]], [[0.1, 0.2]], ["x", "y"], {"a": 1}, None
+        ]
+        for garbage in garbage_values:
+            payload["result"]["arrays"]["lpr_total"] = garbage
+            store.json_path("k").write_text(json.dumps(payload))
+            assert store.load("k") is None, garbage
+
+    def test_non_object_entry_is_a_miss(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.json_path("k").write_text("[1, 2, 3]")
+        assert store.load("k") is None
+
+    def test_entry_under_another_key_is_a_miss(self, tmp_path):
+        """Regression: an entry copied or renamed to another hash is not served."""
+        store = ResultStore(tmp_path)
+        store.save("k", make_result())
+        store.json_path("other").write_bytes(store.json_path("k").read_bytes())
+        assert store.load("other") is None
+        store.json_path("k").rename(store.json_path("moved"))
+        assert store.load("moved") is None
         assert store.load("k") is None
 
     def test_format_version_mismatch_is_a_miss(self, tmp_path):
