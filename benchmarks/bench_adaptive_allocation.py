@@ -64,7 +64,7 @@ CROSS_CHECK_P = 2e-2
 CROSS_CHECK_SHOTS = 4000
 
 
-def _plan(distances, budget, seed, decoder_artifact_dir):
+def _plan(distances, budget, seed):
     return compare_policies_plan(
         distances=distances,
         policies=POLICIES,
@@ -73,7 +73,6 @@ def _plan(distances, budget, seed, decoder_artifact_dir):
         shots=budget,
         seed=seed,
         chunk_shots=CHUNK_SHOTS,
-        decoder_artifact_dir=decoder_artifact_dir,
     )
 
 
@@ -96,21 +95,20 @@ def _job_rows(plan, results):
     return rows
 
 
-def test_adaptive_allocation(shots, distances, seed, sweep_opts):
+def test_adaptive_allocation(shots, distances, seed):
     small = [d for d in distances if d <= 5]
     budget = max(shots, BUDGET_FLOOR)
     config = AdaptiveConfig(target_ci_halfwidth=LOW_P_ADAPTIVE_TARGET)
-    artifact_dir = sweep_opts.get("decoder_artifact_dir")
 
     t0 = time.perf_counter()
-    fixed_exec = SweepExecutor(decoder_artifact_dir=artifact_dir)
-    fixed_plan = _plan(small, budget, seed, artifact_dir)
+    fixed_exec = SweepExecutor()
+    fixed_plan = _plan(small, budget, seed)
     fixed_results = fixed_exec.run(fixed_plan)
     t_fixed = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    adaptive_exec = SweepExecutor(decoder_artifact_dir=artifact_dir, adaptive=config)
-    adaptive_plan = _plan(small, budget, seed, artifact_dir)
+    adaptive_exec = SweepExecutor(adaptive=config)
+    adaptive_plan = _plan(small, budget, seed)
     adaptive_results = adaptive_exec.run(adaptive_plan)
     t_adaptive = time.perf_counter() - t0
     stats = adaptive_exec.last_stats

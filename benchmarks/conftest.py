@@ -20,9 +20,6 @@ same way; every sweep-shaped benchmark forwards these to the executor:
   benchmark with the same cache skips every configuration already computed.
 * ``ERASER_REPRO_RESUME`` — set to 1 to reuse the default cache directory
   (resume interrupted benchmark runs without naming a cache explicitly).
-* ``ERASER_REPRO_DECODER_ARTIFACT_DIR`` — persistent decoder-artifact store
-  (:mod:`repro.decoder.artifacts`); decode benchmarks pre-warm their
-  syndrome->correction LRU from the snapshots saved there.
 """
 
 import os
@@ -94,19 +91,12 @@ def resume() -> bool:
 
 
 @pytest.fixture(scope="session")
-def decoder_artifact_dir():
-    """Persistent decoder-artifact store directory (``None`` = store off)."""
-    return os.environ.get("ERASER_REPRO_DECODER_ARTIFACT_DIR") or None
-
-
-@pytest.fixture(scope="session")
-def sweep_opts(sweep_jobs, cache_dir, resume, decoder_artifact_dir) -> dict:
+def sweep_opts(sweep_jobs, cache_dir, resume) -> dict:
     """Executor options forwarded by every sweep-shaped benchmark."""
     return {
         "jobs": sweep_jobs,
         "cache_dir": cache_dir,
         "resume": resume,
-        "decoder_artifact_dir": decoder_artifact_dir,
     }
 
 

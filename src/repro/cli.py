@@ -49,7 +49,6 @@ from repro.analysis.analytic import (
 )
 from repro.analysis.tables import format_table, series_table
 from repro.densitymatrix.study import SingleStabilizerLeakageStudy
-from repro.decoder.artifacts import default_artifact_dir
 from repro.dqlr.protocol import run_dqlr_comparison
 from repro.experiments.executor import SweepExecutor
 from repro.experiments.memory import ENGINES
@@ -141,16 +140,6 @@ def _add_orchestration_args(parser: argparse.ArgumentParser) -> None:
         help="Shots per scheduled work chunk (default 256); smaller chunks "
         "spread one large configuration across more workers.",
     )
-    parser.add_argument(
-        "--decoder-artifact-dir",
-        type=str,
-        default=default_artifact_dir(),
-        help="Persistent decoder-artifact store: each decoder's "
-        "syndrome->correction LRU is saved here and pre-warms the decoders "
-        "of later runs and pool workers.  Tuning knob only: corrections are "
-        "bit-identical with or without it.  Defaults to "
-        "$ERASER_REPRO_DECODER_ARTIFACT_DIR.",
-    )
 
 
 def _add_adaptive_args(parser: argparse.ArgumentParser) -> None:
@@ -198,7 +187,6 @@ def _sweep_options(args: argparse.Namespace) -> dict:
         cache_dir=args.cache_dir,
         resume=args.resume,
         chunk_shots=args.chunk_shots,
-        decoder_artifact_dir=args.decoder_artifact_dir,
     )
 
 
@@ -413,7 +401,6 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         resume=args.resume,
-        decoder_artifact_dir=args.decoder_artifact_dir,
         adaptive=_adaptive_config(args),
     )
     results = executor.run(plan)
@@ -453,7 +440,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             cache_dir=args.cache_dir,
             shards=args.shards,
             workers=args.workers,
-            decoder_artifact_dir=args.decoder_artifact_dir,
             address_file=args.address_file,
             journal_dir=journal_dir,
             max_pending_submissions=args.max_pending_submissions,
@@ -522,7 +508,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             cache_dir=args.cache_dir,
             resume=args.resume,
-            decoder_artifact_dir=args.decoder_artifact_dir,
             figures=not args.no_figures,
             service_url=args.service_url,
         )
@@ -744,13 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_SERVICE_SHARDS,
         help="Shard directories for the result store (existing stores keep "
         "their recorded shard count).",
-    )
-    serve.add_argument(
-        "--decoder-artifact-dir",
-        type=str,
-        default=default_artifact_dir(),
-        help="Persistent decoder-artifact store inherited by every submitted "
-        "job (see the sweep subcommands' flag of the same name).",
     )
     serve.add_argument(
         "--address-file",

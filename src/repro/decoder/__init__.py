@@ -23,11 +23,6 @@ from repro.decoder.matching import (
     build_matcher,
 )
 from repro.decoder.decoder import DecoderStats, SurfaceCodeDecoder
-from repro.decoder.artifacts import (
-    DecoderArtifactStore,
-    default_artifact_dir,
-    get_artifact_store,
-)
 from repro.decoder.fault_injection import FaultInjector, FaultSignature
 
 __all__ = [
@@ -40,9 +35,6 @@ __all__ = [
     "build_matcher",
     "DecoderStats",
     "SurfaceCodeDecoder",
-    "DecoderArtifactStore",
-    "get_artifact_store",
-    "default_artifact_dir",
     "FaultInjector",
     "FaultSignature",
 ]

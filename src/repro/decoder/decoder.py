@@ -44,7 +44,6 @@ from repro.codes.layout import StabilizerType
 from repro.codes.base import StabilizerCode
 from repro.decoder.graph import DecodingGraph, shared_decoding_graph
 from repro.decoder.matching import (
-    AutoMatcher,
     build_matcher,
     canonical_method,
     enumerate_small_syndromes,
@@ -64,14 +63,12 @@ class DecoderStats:
     its space-time table was built.  The graph is shared by every decoder
     of the same configuration in a process, so each decoder reports only
     what happened since it was constructed: summed over decoders, the
-    counter equals the builds that actually ran.  ``lru_prewarmed`` counts the
-    syndrome->correction entries restored into the LRU at construction
-    from the artifact store (:mod:`repro.decoder.artifacts`).
-    ``frame_fallbacks`` counts ambiguous frame queries (shortest paths of
-    both observable parities tie) that the matcher answered with an exact
-    per-source Dijkstra row instead of the table.  Every matched syndrome
-    took exactly one path: ``matched == enumerated + blossom + greedy``,
-    where ``enumerated`` counts the small-syndrome enumeration and
+    counter equals the builds that actually ran.  ``frame_fallbacks``
+    counts ambiguous frame queries (shortest paths of both observable
+    parities tie) that the matcher answered with an exact per-source
+    Dijkstra row instead of the table.  Every matched syndrome took exactly
+    one path: ``matched == enumerated + blossom + greedy``, where
+    ``enumerated`` counts the small-syndrome enumeration and
     ``blossom``/``greedy`` mirror the matcher's own counters.
     """
 
@@ -81,7 +78,6 @@ class DecoderStats:
     cache_hits: int = 0
     matched: int = 0
     frame_table_builds: int = 0
-    lru_prewarmed: int = 0
     frame_fallbacks: int = 0
     enumerated: int = 0
     blossom: int = 0
@@ -108,13 +104,6 @@ class SurfaceCodeDecoder:
             weights (see :class:`~repro.decoder.graph.DecodingGraph`).
         cache_size: Bound on the syndrome->correction LRU (``0`` disables
             caching).  Performance-only.
-        artifact_store: Optional
-            :class:`~repro.decoder.artifacts.DecoderArtifactStore` (or a
-            directory's store from
-            :func:`~repro.decoder.artifacts.get_artifact_store`).  When set,
-            the syndrome->correction LRU is pre-warmed from, and persisted
-            to (:meth:`save_artifacts`), the store.  Performance-only:
-            corrections are bit-identical with the store on or off.
     """
 
     code: StabilizerCode
@@ -125,7 +114,6 @@ class SurfaceCodeDecoder:
     time_weight: float = 1.0
     diagonal_weight: Optional[float] = None
     cache_size: int = DEFAULT_CACHE_SIZE
-    artifact_store: Optional[object] = None
     stats: DecoderStats = field(default_factory=DecoderStats, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -142,14 +130,6 @@ class SurfaceCodeDecoder:
         self._matcher = build_matcher(self.graph, method=self.method)
         self._enumerates = canonical_method(self.method) != "greedy"
         self._correction_cache: "OrderedDict[bytes, int]" = OrderedDict()
-        if self.artifact_store is not None and self.cache_size > 0:
-            stored = self.artifact_store.load_lru(self.graph, self._lru_identity())
-            if stored:
-                for key, correction in stored.items():
-                    self._correction_cache[key] = int(correction)
-                while len(self._correction_cache) > self.cache_size:
-                    self._correction_cache.popitem(last=False)
-                self.stats.lru_prewarmed = len(self._correction_cache)
         self._sync_graph_stats()
         # Static per-decoder lookups, built once instead of per decode call.
         checks = list(self.graph.checks)
@@ -237,24 +217,8 @@ class SurfaceCodeDecoder:
         return int(data_bits[self._logical_support_indices].sum() % 2)
 
     # ------------------------------------------------------------------
-    # Artifact persistence
+    # Decoding
     # ------------------------------------------------------------------
-    def _lru_identity(self) -> Dict[str, object]:
-        """What the persisted LRU's corrections depend on, beyond the graph.
-
-        Corrections differ between matching engines (greedy is approximate,
-        mwpm exact) and — for ``auto`` — on the exact/greedy switchover
-        size, so those join the identity (the method by its canonical name
-        from :data:`~repro.decoder.matching.MATCHER_ALIASES`).  ``cache_size``
-        does *not*: corrections are bit-identical for any bound, so
-        differently sized decoders share one persisted cache.
-        """
-        method = canonical_method(self.method)
-        return {
-            "method": method,
-            "exact_threshold": AutoMatcher.EXACT_THRESHOLD if method == "auto" else None,
-        }
-
     def _sync_graph_stats(self) -> None:
         """Mirror the graph's build counter (since construction) and the
         matcher's fallback and engine counters."""
@@ -264,26 +228,6 @@ class SurfaceCodeDecoder:
         self.stats.blossom = matcher_stats.get("blossom", 0)
         self.stats.greedy = matcher_stats.get("greedy", 0)
 
-    def save_artifacts(self) -> None:
-        """Persist the syndrome->correction LRU to the artifact store.
-
-        Merge-on-save: the store combines these entries with whatever an
-        earlier run (or a concurrent worker) already persisted, bounded by
-        ``cache_size``.  A no-op without an artifact store.
-        """
-        if self.artifact_store is None:
-            return
-        if self.cache_size > 0 and self._correction_cache:
-            self.artifact_store.save_lru(
-                self.graph,
-                self._lru_identity(),
-                self._correction_cache,
-                bound=self.cache_size,
-            )
-
-    # ------------------------------------------------------------------
-    # Decoding
-    # ------------------------------------------------------------------
     def clear_caches(self) -> None:
         """Drop the correction LRU and the graph's space-time table."""
         self._correction_cache.clear()

@@ -20,9 +20,8 @@ still roughly ``1.92 / (shots + 3.84)`` (rule of three).
 
 The knobs ride on :class:`~repro.experiments.jobs.SweepJob` as perf-only
 fields (``target_ci_halfwidth``, ``target_rel_halfwidth``,
-``adaptive_min_chunks``) excluded from cache identity, exactly like
-``decoder_artifact_dir``: they change how much of the job runs, never the
-content of any statistic.
+``adaptive_min_chunks``) excluded from cache identity: they change how
+much of the job runs, never the content of any statistic.
 
 Rare-event estimator
 --------------------
@@ -151,9 +150,8 @@ def apply_adaptive(plan: SweepPlan, config: Optional[AdaptiveConfig]) -> SweepPl
 
     Jobs that already carry their own target keep it; non-decode jobs are
     left untouched (they have no LER to resolve); ``None`` or a disabled
-    config returns the plan unchanged.  Mirrors
-    :func:`~repro.experiments.executor.apply_decoder_artifact_dir` — the
-    stamped fields are perf-only and do not change any job's cache identity.
+    config returns the plan unchanged.  The stamped fields are perf-only and
+    do not change any job's cache identity.
     """
     if config is None or not config.enabled:
         return plan

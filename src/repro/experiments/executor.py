@@ -56,7 +56,7 @@ def execute_chunk_with_stats(
 
     The sweep service uses this variant so its telemetry layer can merge
     every worker's :class:`~repro.decoder.decoder.DecoderStats` (cache/LRU
-    hits, LRU pre-warm, table builds) into the shared
+    hits, table builds) into the shared
     :class:`~repro.experiments.metrics.MetricsRegistry`.
     """
     shots = job.chunk_sizes()[index]
@@ -182,22 +182,6 @@ class SweepStats:
                 f"({self.shots_saved} shot(s) saved)"
             )
         return text
-
-
-def apply_decoder_artifact_dir(plan: SweepPlan, artifact_dir: Optional[str]) -> SweepPlan:
-    """Give every job of ``plan`` the persistent decoder-artifact directory.
-
-    Jobs that already carry their own directory keep it; ``None`` returns the
-    plan unchanged.  Shared by the in-process executor and the sweep service.
-    """
-    if not artifact_dir:
-        return plan
-    return SweepPlan(
-        [
-            job if job.decoder_artifact_dir else replace(job, decoder_artifact_dir=artifact_dir)
-            for job in plan.jobs
-        ]
-    )
 
 
 class PlanExecution:
@@ -602,12 +586,6 @@ class SweepExecutor:
             ``cache_dir`` is not given — the switch that lets an interrupted
             invocation pick up where it left off.
         store: Pre-built :class:`ResultStore` (overrides ``cache_dir``).
-        decoder_artifact_dir: Persistent decoder-artifact store directory
-            (:mod:`repro.decoder.artifacts`).  When set, every decode job in
-            the plan inherits it (jobs that already carry their own keep it),
-            and its decoders pre-warm their syndrome->correction LRU from,
-            and persist it to, that directory.  Perf-only: job cache
-            identity is unchanged.
         metrics: Optional :class:`~repro.experiments.metrics.MetricsRegistry`
             mirroring every :class:`SweepStats` counter (chunk, cache and
             stopping-rule traffic).  Per-chunk latency is observed only by
@@ -631,7 +609,6 @@ class SweepExecutor:
         cache_dir: Optional[str] = None,
         resume: bool = False,
         store: Optional[ResultStore] = None,
-        decoder_artifact_dir: Optional[str] = None,
         metrics: Optional[MetricsRegistry] = None,
         adaptive: Optional[AdaptiveConfig] = None,
     ) -> None:
@@ -642,7 +619,6 @@ class SweepExecutor:
             root = cache_dir if cache_dir else (default_cache_dir() if resume else None)
             store = ResultStore(root) if root else None
         self.store = store
-        self.decoder_artifact_dir = decoder_artifact_dir
         self.metrics = metrics
         self.adaptive = adaptive
         self.last_stats = SweepStats()
@@ -655,7 +631,6 @@ class SweepExecutor:
     def run(self, plan: SweepPlan) -> List[MemoryExperimentResult]:
         """Execute ``plan`` and return results in plan order."""
         started = time.perf_counter()
-        plan = apply_decoder_artifact_dir(plan, self.decoder_artifact_dir)
         plan = apply_adaptive(plan, self.adaptive)
         execution = PlanExecution(plan, store=self.store, metrics=self.metrics)
 

@@ -62,10 +62,13 @@ RESULT_SEMANTICS_VERSION = 1
 
 #: Wire keys of removed perf-only fields, ignored by
 #: :meth:`SweepJob.from_wire`.  ``decoder_dp_threshold`` capped the retired
-#: bitmask-DP matcher and ``decoder_cache_size`` bounded the decoder's
-#: correction LRU; neither joined :meth:`SweepJob.config_dict`, so dropping
-#: them leaves every cache key unchanged.
-_RETIRED_WIRE_FIELDS = frozenset({"decoder_dp_threshold", "decoder_cache_size"})
+#: bitmask-DP matcher, ``decoder_cache_size`` bounded the decoder's
+#: correction LRU and ``decoder_artifact_dir`` named the retired on-disk
+#: store of LRU snapshots; none joined :meth:`SweepJob.config_dict`, so
+#: dropping them leaves every cache key unchanged.
+_RETIRED_WIRE_FIELDS = frozenset(
+    {"decoder_dp_threshold", "decoder_cache_size", "decoder_artifact_dir"}
+)
 
 #: :class:`SweepJob` field metadata key declaring the field's role in the
 #: cache identity.  A field without it always joins
@@ -192,11 +195,6 @@ class SweepJob:
     seed_entropy: int = 0
     spawn_key: Tuple[int, ...] = ()
     chunk_shots: int = DEFAULT_CHUNK_SHOTS
-    #: Persistent decoder-artifact store directory
-    #: (``repro.decoder.artifacts``).  Perf-only: the store only pre-warms
-    #: the decoder's syndrome->correction LRU, never changes a single
-    #: correction, so jobs with and without it address the same cache entry.
-    decoder_artifact_dir: Optional[str] = field(default=None, metadata=_PERF_ONLY)
     #: Sequential stopping rule (``repro.experiments.adaptive``): stop
     #: dispatching chunks once the Wilson interval on the job's LER is
     #: tighter than this absolute half-width.  Perf-only: adaptivity only
@@ -357,7 +355,6 @@ class SweepJob:
             protocol=self.protocol,
             decode=self.decode,
             decoder_method=self.decoder_method,
-            decoder_artifact_dir=self.decoder_artifact_dir,
             seed=rng,
             engine=self.engine,
             batch_size=self.batch_size,

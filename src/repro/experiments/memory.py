@@ -97,11 +97,6 @@ class MemoryExperiment:
         protocol: ``"swap"`` (main text) or ``"dqlr"`` (Appendix A.2).
         decode: Whether to decode shots (disable for LPR-only studies).
         decoder_method: Matching engine passed to the decoder.
-        decoder_artifact_dir: Directory of a persistent decoder-artifact
-            store (:mod:`repro.decoder.artifacts`).  The decoder pre-warms
-            its syndrome->correction cache from there and persists it at
-            the end of :meth:`run`.  Performance-only: corrections are
-            bit-identical either way.
         seed: Seed or generator for reproducibility.
         engine: ``"packed"`` (bit-packed word-parallel execution, 64 shots
             per uint64 word), ``"scalar"`` (the reference one-shot-at-a-time
@@ -125,7 +120,6 @@ class MemoryExperiment:
         protocol: str = PROTOCOL_SWAP,
         decode: bool = True,
         decoder_method: str = "auto",
-        decoder_artifact_dir: Optional[str] = None,
         seed: RngLike = None,
         engine: str = "auto",
         batch_size: Optional[int] = None,
@@ -175,18 +169,11 @@ class MemoryExperiment:
         )
         self.decoder: Optional[SurfaceCodeDecoder] = None
         if decode:
-            artifact_store = None
-            if decoder_artifact_dir:
-                # One shared store instance per resolved path, per process.
-                from repro.decoder.artifacts import get_artifact_store
-
-                artifact_store = get_artifact_store(decoder_artifact_dir)
             self.decoder = SurfaceCodeDecoder(
                 code=code,
                 num_rounds=rounds,
                 stabilizer_type=StabilizerType.Z,
                 method=decoder_method,
-                artifact_store=artifact_store,
             )
         self.policy.bind(code, rng=self.rng)
         self._data_indices = np.asarray(code.data_indices, dtype=np.int64)
@@ -436,11 +423,6 @@ class MemoryExperiment:
         lpr_total /= shots
         lpr_data /= shots
         lpr_parity /= shots
-        if self.decoder is not None:
-            # Persist the syndrome->correction cache (merge-on-save) so the
-            # next process decoding this graph pre-warms from it.  No-op
-            # without an artifact store.
-            self.decoder.save_artifacts()
         return MemoryExperimentResult(
             policy=self.policy.name,
             distance=self.code.distance,

@@ -72,6 +72,10 @@ from repro.experiments.results import MemoryExperimentResult, result_from_wire, 
 #: Format 1 kept each entry's arrays in a second, binary file.
 STORE_FORMAT_VERSION = 2
 
+#: Suffix of format 1's binary sibling file, deleted whenever its entry is
+#: rewritten or removed.
+_FORMAT_1_SUFFIX = ".npz"
+
 #: Directory used when a sweep asks for resumption without naming a cache.
 DEFAULT_CACHE_DIR = ".eraser-repro-cache"
 
@@ -178,6 +182,12 @@ class ResultStore:
             return None
         return self.root / path.name
 
+    def _locations(self, key: str) -> List[Path]:
+        """Where ``key``'s JSON file may live: its shard, then the flat root."""
+        path = self.json_path(key)
+        fallback = self._fallback_path(path)
+        return [path] if fallback is None else [path, fallback]
+
     def contains(self, key: str) -> bool:
         """Whether a *complete* entry exists for ``key``."""
         return self.load(key) is not None
@@ -196,7 +206,11 @@ class ResultStore:
         return len(stem) >= 8 and all(c in "0123456789abcdef" for c in stem[:8])
 
     def keys(self) -> Iterator[str]:
-        """Hashes of every committed (JSON-present) entry."""
+        """Hashes of every entry :meth:`load` serves.
+
+        Files that read as misses (torn, stale-format, filed under another
+        key or in another shard) are not listed.
+        """
         seen = set()
         directories = self.shard_dirs()
         if self.shards > 1:
@@ -205,9 +219,10 @@ class ResultStore:
             if not directory.is_dir():
                 continue
             for path in directory.glob("*.json"):
-                if self._is_entry_key(path.stem):
-                    seen.add(path.stem)
-        yield from sorted(seen)
+                key = path.stem
+                if self._is_entry_key(key) and (self.shards == 1 or self._is_shardable_key(key)):
+                    seen.add(key)
+        yield from (key for key in sorted(seen) if self.contains(key))
 
     def __len__(self) -> int:
         return sum(1 for _ in self.keys())
@@ -229,6 +244,8 @@ class ResultStore:
             "result": result_to_wire(result),
         }
         atomic_write(self.json_path(key), json.dumps(payload, sort_keys=True).encode("utf-8"))
+        for location in self._locations(key):
+            self._unlink(location.with_suffix(_FORMAT_1_SUFFIX))
 
     def load(self, key: str) -> Optional[MemoryExperimentResult]:
         """Return the stored result, or ``None`` for a missing/torn/stale entry.
@@ -255,15 +272,18 @@ class ResultStore:
             return None
 
     def remove(self, key: str) -> None:
-        """Delete an entry from both layouts (idempotent)."""
-        path = self.json_path(key)
-        for location in (path, self._fallback_path(path)):
-            if location is None:
-                continue
-            try:
-                location.unlink()
-            except FileNotFoundError:
-                pass
+        """Delete an entry, and any format-1 sibling, from both layouts
+        (idempotent)."""
+        for location in self._locations(key):
+            self._unlink(location)
+            self._unlink(location.with_suffix(_FORMAT_1_SUFFIX))
+
+    @staticmethod
+    def _unlink(path: Path) -> None:
+        try:
+            path.unlink()
+        except FileNotFoundError:
+            pass
 
     def record_path(self, key: str) -> Path:
         return self.root / RECORDS_DIR / f"{key}.json"

@@ -34,13 +34,11 @@ A runner takes everything its plan builder takes, plus the executor options:
   configuration already computed there skip its Monte-Carlo work entirely,
 * ``resume`` — reuse the default cache directory so an interrupted sweep
   continues from the configurations already finished,
-* ``decoder_artifact_dir`` — persistent decoder-artifact store, stamped on
-  every job,
 * ``adaptive`` — an :class:`~repro.experiments.adaptive.AdaptiveConfig`
   stopping rule, stamped on every decode job,
 * ``executor`` — a ready :class:`SweepExecutor` to run the plan on instead;
-  ``jobs``, ``cache_dir`` and ``resume`` are then ignored, while the two
-  stamped options above still apply.
+  ``jobs``, ``cache_dir`` and ``resume`` are then ignored, while the
+  stamped ``adaptive`` option above still applies.
 """
 
 from __future__ import annotations
@@ -50,11 +48,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.experiments.adaptive import AdaptiveConfig, apply_adaptive
-from repro.experiments.executor import (
-    SweepExecutor,
-    apply_decoder_artifact_dir,
-    warn_unseeded_cache,
-)
+from repro.experiments.executor import SweepExecutor, warn_unseeded_cache
 from repro.experiments.jobs import SweepJob, SweepPlan
 from repro.experiments.results import MemoryExperimentResult, PolicySweepResult
 from repro.noise.profiles import NoiseProfile
@@ -71,18 +65,16 @@ def _run(
     cache_dir: Optional[str] = None,
     resume: bool = False,
     executor: Optional[SweepExecutor] = None,
-    decoder_artifact_dir: Optional[str] = None,
     adaptive: Optional[AdaptiveConfig] = None,
     **fields,
 ) -> List[MemoryExperimentResult]:
     """Build the plan ``build(*grid, seed=seed, **fields)`` and execute it.
 
     The executor options are described in the module docstring.
-    ``decoder_artifact_dir`` and ``adaptive`` are stamped on the plan
-    itself, so a caller's ``executor`` receives them too.
+    ``adaptive`` is stamped on the plan itself, so a caller's ``executor``
+    receives it too.
     """
     plan = build(*grid, seed=seed, **fields)
-    plan = apply_decoder_artifact_dir(plan, decoder_artifact_dir)
     plan = apply_adaptive(plan, adaptive)
     if executor is None:
         warn_unseeded_cache(seed, cache_dir, resume)

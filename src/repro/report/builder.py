@@ -74,9 +74,6 @@ class ReportBuilder:
         chunk_shots: Executor chunk granularity (``None`` = default).
         jobs / cache_dir / resume: Passed to :class:`SweepExecutor` — the
             same orchestration knobs every sweep command shares.
-        decoder_artifact_dir: Persistent decoder-artifact store passed to the
-            executor; decode sweeps then pre-warm their syndrome->correction
-            LRU from it.
         figures: Attempt PNG rendering (skipped gracefully without
             matplotlib).
         executor: Pre-built executor (overrides jobs/cache_dir/resume).
@@ -98,7 +95,6 @@ class ReportBuilder:
         jobs: int = 1,
         cache_dir: Optional[str] = None,
         resume: bool = False,
-        decoder_artifact_dir: Optional[str] = None,
         figures: bool = True,
         executor: Optional[SweepExecutor] = None,
         service_url: Optional[str] = None,
@@ -116,20 +112,11 @@ class ReportBuilder:
             executor = ServiceExecutor(service_url, timeout=None)
         if executor is None:
             if cache_dir or resume:
-                executor = SweepExecutor(
-                    jobs=jobs,
-                    cache_dir=cache_dir,
-                    resume=resume,
-                    decoder_artifact_dir=decoder_artifact_dir,
-                )
+                executor = SweepExecutor(jobs=jobs, cache_dir=cache_dir, resume=resume)
             else:
                 # Even without an on-disk cache, identical jobs shared between
                 # figures (fig14/table4, fig5/fig15/fig16) should simulate once.
-                executor = SweepExecutor(
-                    jobs=jobs,
-                    store=InMemoryResultStore(),
-                    decoder_artifact_dir=decoder_artifact_dir,
-                )
+                executor = SweepExecutor(jobs=jobs, store=InMemoryResultStore())
         self.executor = executor
 
     # ------------------------------------------------------------------

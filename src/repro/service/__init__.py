@@ -3,8 +3,7 @@
 Promotes the Section 6 Monte-Carlo sweep machinery from a one-shot CLI
 helper to a long-running local service: many clients share one warm
 content-addressed result cache (sharded so concurrent workers never contend
-on a single directory), one persistent decoder LRU store, and one
-supervised worker pool.  The paper's figures each burn millions of shots;
+on a single directory) and one supervised worker pool.  The paper's figures each burn millions of shots;
 a resident scheduler with chunk-granular scheduling, crash recovery and
 live telemetry is what makes that traffic cheap to serve repeatedly.
 

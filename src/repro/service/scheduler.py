@@ -69,11 +69,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional
 
-from repro.experiments.executor import (
-    PlanExecution,
-    apply_decoder_artifact_dir,
-    execute_chunk_with_stats,
-)
+from repro.experiments.executor import PlanExecution, execute_chunk_with_stats
 from repro.experiments.jobs import SweepPlan
 from repro.experiments.metrics import MetricsRegistry
 from repro.experiments.results import MemoryExperimentResult
@@ -248,9 +244,6 @@ class SweepScheduler:
             worker death and the chunk's re-dispatch.
         heartbeat_interval: Worker heartbeat period (seconds); the
             supervisor scans at the same cadence.
-        decoder_artifact_dir: Persistent syndrome->correction LRU store
-            inherited by every submitted job (perf-only, like the
-            executor's knob).
         journal: Durable submission journal
             (:class:`~repro.service.journal.SubmissionJournal`).  When set,
             every acceptance is logged before admission, terminal states are
@@ -277,7 +270,6 @@ class SweepScheduler:
         max_chunk_retries: int = 3,
         retry_backoff: float = 0.1,
         heartbeat_interval: float = 0.25,
-        decoder_artifact_dir: Optional[str] = None,
         journal: Optional[SubmissionJournal] = None,
         max_pending_submissions: Optional[int] = None,
         max_inflight_chunks: Optional[int] = None,
@@ -289,7 +281,6 @@ class SweepScheduler:
         self.max_chunk_retries = int(max_chunk_retries)
         self.retry_backoff = float(retry_backoff)
         self.heartbeat_interval = float(heartbeat_interval)
-        self.decoder_artifact_dir = decoder_artifact_dir
         self.journal = journal
         self.max_pending_submissions = max_pending_submissions
         self.max_inflight_chunks = max_inflight_chunks
@@ -433,7 +424,6 @@ class SweepScheduler:
         submission_key: Optional[str] = None,
     ) -> str:
         """Admission core shared by :meth:`submit` and journal recovery."""
-        plan = apply_decoder_artifact_dir(plan, self.decoder_artifact_dir)
         execution = await asyncio.to_thread(
             PlanExecution, plan, self.store, self.metrics, self._chunk_store
         )

@@ -394,7 +394,6 @@ async def run_service(
     cache_dir: Optional[str] = None,
     shards: Optional[int] = DEFAULT_SERVICE_SHARDS,
     workers: int = 2,
-    decoder_artifact_dir: Optional[str] = None,
     address_file: Optional[str] = None,
     metrics: Optional[MetricsRegistry] = None,
     journal_dir: Optional[str] = None,
@@ -441,7 +440,6 @@ async def run_service(
             store=store,
             workers=workers,
             metrics=metrics,
-            decoder_artifact_dir=decoder_artifact_dir,
             journal=journal,
             max_pending_submissions=max_pending_submissions,
             max_inflight_chunks=max_inflight_chunks,

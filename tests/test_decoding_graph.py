@@ -5,7 +5,11 @@ import pytest
 
 from repro.codes.layout import StabilizerType
 from repro.codes.rotated_surface import RotatedSurfaceCode
-from repro.decoder.graph import DecodingGraph
+from repro.decoder.decoder import SurfaceCodeDecoder
+from repro.decoder.graph import DecodingGraph, clear_shared_graphs
+from repro.experiments.executor import execute_chunk_with_stats
+from repro.experiments.jobs import SweepJob
+from repro.experiments.metrics import MetricsRegistry
 
 
 @pytest.fixture(scope="module")
@@ -124,3 +128,42 @@ class TestDetectorConversion:
         matrix[2, 1] = True
         nodes = graph.detector_nodes(matrix)
         assert list(nodes) == [2 * graph.num_checks + 1]
+
+
+class TestSharedGraphs:
+    """In-process decoding-graph dedup keyed by construction parameters."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_shared_graphs(self):
+        """Isolate the module-level shared-graph registry per test."""
+        clear_shared_graphs()
+        yield
+        clear_shared_graphs()
+
+    def test_same_config_shares_graph(self):
+        code = RotatedSurfaceCode(3)
+        a = SurfaceCodeDecoder(code, num_rounds=4)
+        b = SurfaceCodeDecoder(code, num_rounds=4, method="greedy")
+        assert a.graph is b.graph
+        c = SurfaceCodeDecoder(code, num_rounds=5)
+        assert c.graph is not a.graph
+
+    def test_clear_drops_registry(self):
+        code = RotatedSurfaceCode(3)
+        a = SurfaceCodeDecoder(code, num_rounds=4)
+        clear_shared_graphs()
+        b = SurfaceCodeDecoder(code, num_rounds=4)
+        assert a.graph is not b.graph
+
+    def test_chunk_stats_count_one_build_per_shared_graph(self):
+        """Decoders sharing a graph report per-decoder deltas, so merging
+        every chunk's stats counts the one table build exactly once."""
+        job = SweepJob(distance=3, policy="eraser", shots=40, rounds=30, chunk_shots=10)
+        assert job.num_chunks == 4
+        registry = MetricsRegistry()
+        for chunk in range(job.num_chunks):
+            _, stats = execute_chunk_with_stats(job, chunk)
+            registry.merge_counts(stats, prefix="decoder_")
+        counters = registry.snapshot()["counters"]
+        assert counters["decoder_frame_table_builds"] == 1
+        assert counters["decoder_shots"] == job.shots

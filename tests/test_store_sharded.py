@@ -156,6 +156,23 @@ class TestMigration:
         sharded.remove(fake_key(3))
         assert list(sharded.keys()) == []
 
+    def test_rewrite_after_migration_deletes_flat_format_1_arrays(self, tmp_path):
+        """A format-1 entry's ``.npz`` stays in the root when its JSON
+        migrates into a shard; the recompute that rewrites it deletes it."""
+        root = tmp_path / "cache"
+        root.mkdir()
+        key = fake_key(4)
+        scalars, arrays = make_result().to_state()
+        np.savez_compressed(root / f"{key}.npz", **arrays)
+        (root / f"{key}.json").write_text(
+            json.dumps({"format": 1, "key": key, "config": None, "result": scalars})
+        )
+        sharded = ResultStore(root, shards=4)
+        assert sharded.migrate_flat_entries() == 1
+        assert sharded.load(key) is None
+        sharded.save(key, make_result())
+        assert list(root.rglob("*.npz")) == []
+
 
 class TestRecords:
     """Keyed JSON records live in ``records/``, apart from the entries."""

@@ -5,7 +5,6 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.dqlr.protocol import run_dqlr_comparison
 from repro.experiments import EXPERIMENTS
 from repro.experiments.adaptive import AdaptiveConfig
 from repro.experiments.executor import SweepExecutor
@@ -112,26 +111,6 @@ class TestPlanIdentity:
         assert digest == REGISTRY_PLAN_DIGEST
 
 
-class _RecordingExecutor:
-    """Runs plans serially and remembers every job it was handed."""
-
-    def __init__(self):
-        self.jobs = []
-
-    def run(self, plan):
-        self.jobs.extend(plan.jobs)
-        return SweepExecutor().run(plan)
-
-
-RUNNERS = {
-    "run_single": lambda **kw: run_single(3, "eraser", **kw),
-    "compare_policies": lambda **kw: compare_policies([3], ["eraser"], **kw),
-    "lpr_time_series": lambda **kw: lpr_time_series(3, ["eraser"], **kw),
-    "ler_vs_cycles": lambda **kw: ler_vs_cycles(3, ["eraser"], [1], **kw),
-    "run_dqlr_comparison": lambda **kw: run_dqlr_comparison([3], ["eraser"], **kw),
-}
-
-
 class TestHelperKeywords:
     def test_unknown_keyword_raises(self):
         with pytest.raises(TypeError):
@@ -140,17 +119,6 @@ class TestHelperKeywords:
     def test_arguments_past_the_grid_are_keyword_only(self):
         with pytest.raises(TypeError):
             compare_policies([3], ["eraser"], 1e-3, 1, 2, True)
-
-    @pytest.mark.parametrize("name", sorted(RUNNERS))
-    def test_artifact_dir_reaches_a_caller_executor(self, name, tmp_path):
-        """``decoder_artifact_dir`` is stamped even when ``executor=`` is given."""
-        executor = _RecordingExecutor()
-        kwargs = dict(shots=2, seed=1, executor=executor, decoder_artifact_dir=str(tmp_path))
-        if name != "ler_vs_cycles":
-            kwargs["cycles"] = 1
-        RUNNERS[name](**kwargs)
-        assert executor.jobs
-        assert {job.decoder_artifact_dir for job in executor.jobs} == {str(tmp_path)}
 
     def test_adaptive_reaches_a_caller_executor(self):
         """``adaptive`` is stamped even when ``executor=`` is given."""

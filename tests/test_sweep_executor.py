@@ -174,16 +174,21 @@ class TestResume:
         for a, b in zip(reference, results):
             assert a.statistically_equal(b)
 
+    @staticmethod
+    def _downgrade_to_format_1(root):
+        """Rewrite every entry under ``root`` in the old two-file layout."""
+        store = ResultStore(root)
+        for key in list(store.keys()):
+            entry = json.loads(store.json_path(key).read_text())
+            scalars, arrays = store.load(key).to_state()
+            np.savez_compressed(root / f"{key}.npz", **arrays)
+            entry.update(format=1, result=scalars)
+            store.json_path(key).write_text(json.dumps(entry))
+
     def test_format_1_entries_are_recomputed(self, tmp_path):
         """A cache written in the old two-file layout is read as all misses."""
         reference = SweepExecutor(jobs=1, cache_dir=tmp_path).run(build_plan())
-        store = ResultStore(tmp_path)
-        for key in store.keys():
-            entry = json.loads(store.json_path(key).read_text())
-            scalars, arrays = store.load(key).to_state()
-            np.savez_compressed(tmp_path / f"{key}.npz", **arrays)
-            entry.update(format=1, result=scalars)
-            store.json_path(key).write_text(json.dumps(entry))
+        self._downgrade_to_format_1(tmp_path)
 
         resumed = SweepExecutor(jobs=1, cache_dir=tmp_path)
         results = resumed.run(build_plan())
@@ -194,6 +199,14 @@ class TestResume:
         warm = SweepExecutor(jobs=1, cache_dir=tmp_path)
         warm.run(build_plan())
         assert warm.last_stats.cache_hits == 2
+
+    def test_recompute_over_format_1_cache_leaves_no_npz(self, tmp_path):
+        SweepExecutor(jobs=1, cache_dir=tmp_path).run(build_plan())
+        self._downgrade_to_format_1(tmp_path)
+        assert len(list(tmp_path.glob("*.npz"))) == 2
+        SweepExecutor(jobs=1, cache_dir=tmp_path).run(build_plan())
+        assert list(tmp_path.glob("*.npz")) == []
+        assert len(ResultStore(tmp_path)) == 2
 
     def test_resume_recomputes_only_missing_jobs(self, tmp_path):
         SweepExecutor(jobs=1, cache_dir=tmp_path).run(build_plan())

@@ -1,5 +1,7 @@
 """Tests for the job/plan layer of the sweep orchestration engine."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,9 @@ from repro.experiments.jobs import (
     resolve_policy,
     resolve_rounds,
 )
+from repro.experiments.sweep import compare_policies_plan
 from repro.noise.profiles import NoiseProfile
+from repro.service.journal import SubmissionJournal
 
 
 def make_job(**overrides):
@@ -431,9 +435,10 @@ class TestCanonicalJob:
 
 
 class TestWireCompatibility:
-    #: Wire keys of the retired bitmask-DP size limit and decoder LRU bound,
-    #: still present in journals and submissions written before their removal.
-    RETIRED_KEYS = ("decoder_dp_threshold", "decoder_cache_size")
+    #: Wire keys of the retired bitmask-DP size limit, decoder LRU bound and
+    #: on-disk LRU store, still present in journals and submissions written
+    #: before their removal.
+    RETIRED_KEYS = ("decoder_dp_threshold", "decoder_cache_size", "decoder_artifact_dir")
 
     def test_default_cache_key_is_pinned(self):
         # The key the job had while the DP knob still existed.
@@ -441,7 +446,7 @@ class TestWireCompatibility:
             "0b1ded2b48fe92d5c8cc55e2cb116de3e2ab4fd84df2a0e0429e7986725e19a3"
         )
 
-    @pytest.mark.parametrize("value", [None, 0, 12])
+    @pytest.mark.parametrize("value", [None, 0, 12, "artifact-cache"])
     def test_retired_key_is_dropped_with_any_value(self, value):
         job = make_job()
         payload = dict(job.to_wire(), **{key: value for key in self.RETIRED_KEYS})
@@ -453,3 +458,70 @@ class TestWireCompatibility:
         payload = dict(make_job().to_wire(), decoder_dp_limit=12)
         with pytest.raises(TypeError):
             SweepJob.from_wire(payload)
+
+    @pytest.mark.parametrize("value", [None, "artifact-cache"])
+    def test_retired_keys_are_dropped_on_journal_replay(self, tmp_path, value):
+        job = make_job()
+        payload = dict(job.to_wire(), **{key: value for key in self.RETIRED_KEYS})
+        with SubmissionJournal(tmp_path / "journal") as journal:
+            journal.append(
+                {"event": "accepted", "id": "sweep-000001", "key": None, "ts": 0.0,
+                 "plan": {"jobs": [payload]}}
+            )
+        (record,) = SubmissionJournal(tmp_path / "journal").replay().live.values()
+        replayed = SweepPlan.from_wire(record["plan"])
+        assert replayed.jobs == [job]
+        assert replayed.jobs[0].cache_key() == job.cache_key()
+
+
+class TestFieldRoles:
+    def test_every_field_is_identity_or_perf_only(self):
+        """Every ``SweepJob`` field is either identity or perf-only.
+
+        Changing an identity field moves ``cache_key()``; changing a
+        perf-only field leaves it alone.  A new field fails here until it
+        is classified.
+        """
+        base = compare_policies_plan(
+            distances=[3], policies=["eraser"], shots=10, cycles=2, seed=3
+        ).jobs[0]
+        names = {f.name for f in dataclasses.fields(SweepJob)}
+        assert names == set(IDENTITY_CHANGES) | set(PERF_ONLY_CHANGES)
+        assert len(IDENTITY_CHANGES) == 18
+        assert not names & set(TestWireCompatibility.RETIRED_KEYS)
+        for name, value in IDENTITY_CHANGES.items():
+            assert getattr(base, name) != value, name
+            assert dataclasses.replace(base, **{name: value}).cache_key() != base.cache_key(), name
+        for name, value in PERF_ONLY_CHANGES.items():
+            assert getattr(base, name) != value, name
+            assert dataclasses.replace(base, **{name: value}).cache_key() == base.cache_key(), name
+
+
+#: A changed value for every ``SweepJob`` field that joins the cache identity.
+IDENTITY_CHANGES = {
+    "distance": 5,
+    "policy": "always-lrc",
+    "shots": 11,
+    "rounds": 7,
+    "p": 2e-3,
+    "code_family": "repetition",
+    "noise_profile": NoiseProfile.biased(10.0).canonical_json(),
+    "leakage_enabled": False,
+    "transport_model": "exchange",
+    "protocol": "dqlr",
+    "decode": False,
+    "decoder_method": "mwpm",
+    "engine": "scalar",
+    "batch_size": 64,
+    "policy_kwargs": (("num_backups", 2),),
+    "seed_entropy": 1,
+    "spawn_key": (9,),
+    "chunk_shots": 3,
+}
+
+#: A changed value for every perf-only ``SweepJob`` field.
+PERF_ONLY_CHANGES = {
+    "target_ci_halfwidth": 0.1,
+    "target_rel_halfwidth": 0.5,
+    "adaptive_min_chunks": 4,
+}

@@ -152,6 +152,15 @@ class TestRoundTrip:
         assert payload["config"] == SAMPLE_CONFIG
 
 
+def _write_format_1_entry(store, key):
+    """An entry in the old two-file layout: scalars in JSON, arrays in .npz."""
+    scalars, arrays = make_result().to_state()
+    np.savez_compressed(store.json_path(key).with_suffix(".npz"), **arrays)
+    store.json_path(key).write_text(
+        json.dumps({"format": 1, "key": key, "config": None, "result": scalars})
+    )
+
+
 class TestPartialAndCorruptEntries:
     def test_missing_entry_is_a_miss(self, tmp_path):
         assert ResultStore(tmp_path).load("nothing") is None
@@ -204,6 +213,29 @@ class TestPartialAndCorruptEntries:
         payload["format"] = 999
         store.json_path("k").write_text(json.dumps(payload))
         assert store.load("k") is None
+
+    def test_keys_and_len_list_only_entries_load_serves(self, tmp_path):
+        """Regression: a format-1 entry and an entry filed under another key
+        read as misses, so they are not listed or counted either."""
+        store = ResultStore(tmp_path)
+        store.save("good", make_result())
+        _write_format_1_entry(store, "old")
+        store.json_path("other").write_bytes(store.json_path("good").read_bytes())
+        assert list(store.keys()) == ["good"]
+        assert len(store) == 1
+
+    def test_rewrite_deletes_format_1_arrays(self, tmp_path):
+        store = ResultStore(tmp_path)
+        _write_format_1_entry(store, "k")
+        store.save("k", make_result())
+        assert store.load("k") is not None
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["k.json"]
+
+    def test_remove_deletes_format_1_arrays(self, tmp_path):
+        store = ResultStore(tmp_path)
+        _write_format_1_entry(store, "k")
+        store.remove("k")
+        assert list(tmp_path.iterdir()) == []
 
     def test_no_temp_files_left_behind(self, tmp_path):
         store = ResultStore(tmp_path)
