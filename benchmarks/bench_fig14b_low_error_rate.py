@@ -11,8 +11,7 @@ For actually resolving this regime, use the adaptive path instead:
 ``bench_adaptive_allocation.py`` runs the same grid under the sequential
 stopping rule from :mod:`repro.experiments.adaptive` (registry entry
 ``ler-low-p-adaptive``), which drains the shot budget to the points whose
-Wilson intervals are still loose, and its rare-event estimator resolves
-LERs far below what direct sampling reaches at these budgets.
+Wilson intervals are still loose.
 """
 
 from conftest import emit

@@ -62,6 +62,27 @@ from repro.hardware.rtl_gen import generate_eraser_rtl
 from repro.noise.leakage import LeakageTransportModel
 
 
+def _positive(kind):
+    """An argparse ``type=`` parsing ``kind`` and rejecting values ``<= 0``.
+
+    Out-of-range counts and targets then exit 2 with a usage message
+    instead of a traceback from the job or stopping-rule constructor.
+    """
+
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" message
+    return parse
+
+
+_POSITIVE_INT = _positive(int)
+_POSITIVE_FLOAT = _positive(float)
+
+
 def _add_common_sweep_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--distances", type=int, nargs="+", default=[3, 5])
     parser.add_argument(
@@ -71,7 +92,7 @@ def _add_common_sweep_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--p", type=float, default=1e-3)
     parser.add_argument("--cycles", type=int, default=10)
-    parser.add_argument("--shots", type=int, default=100)
+    parser.add_argument("--shots", type=_POSITIVE_INT, default=100)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument(
         "--transport",
@@ -135,7 +156,7 @@ def _add_orchestration_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--chunk-shots",
-        type=int,
+        type=_POSITIVE_INT,
         default=None,
         help="Shots per scheduled work chunk (default 256); smaller chunks "
         "spread one large configuration across more workers.",
@@ -146,7 +167,7 @@ def _add_adaptive_args(parser: argparse.ArgumentParser) -> None:
     """Sequential stopping-rule knobs (sweeps that decode)."""
     parser.add_argument(
         "--target-ci-width",
-        type=float,
+        type=_POSITIVE_FLOAT,
         default=None,
         metavar="HW",
         help="Adaptive shot allocation: keep simulating each decode "
@@ -157,7 +178,7 @@ def _add_adaptive_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--max-shots",
-        type=int,
+        type=_POSITIVE_INT,
         default=None,
         help="Per-configuration shot budget ceiling (overrides --shots). "
         "Intended with --target-ci-width: set a generous ceiling and let "
@@ -317,52 +338,6 @@ def _cmd_rtl(args: argparse.Namespace) -> int:
 def _cmd_dm_study(args: argparse.Namespace) -> int:
     study = SingleStabilizerLeakageStudy()
     print(study.summary())
-    return 0
-
-
-def _cmd_rare_event(args: argparse.Namespace) -> int:
-    """Rare-event LER estimation for the deep low-``p`` tail."""
-    from repro.experiments.adaptive import RareEventSampler, cross_check
-
-    sampler = RareEventSampler(
-        distance=args.distance,
-        rounds=args.rounds if args.rounds is not None else args.distance,
-        p=args.p,
-        decoder_method=args.decoder_method,
-    )
-    print(
-        f"rare-event model: d={sampler.distance}, rounds={sampler.rounds}, "
-        f"p={sampler.p:g}, {sampler.num_cells} error cells, "
-        f"conditioning on >= {sampler.min_events} events"
-    )
-    headers = ["method", "ler", "ci_low", "ci_high", "shots", "failures", "weight"]
-    if args.cross_check:
-        report = cross_check(
-            sampler,
-            direct_shots=args.direct_shots,
-            conditioned_shots=args.shots,
-            seed=args.seed if args.seed is not None else 0,
-        )
-        rows = [
-            [
-                est["method"],
-                est["ler"],
-                est["ci_low"],
-                est["ci_high"],
-                est["shots"],
-                est["failures"],
-                est["weight"],
-            ]
-            for est in (report["direct"], report["conditioned"])
-        ]
-        print(format_table(headers, rows, float_format="{:.3e}"))
-        print()
-        print(f"Wilson intervals overlap: {report['overlap']}")
-        return 0 if report["overlap"] else 1
-    estimator = getattr(sampler, args.method)
-    est = estimator(args.shots, seed=args.seed if args.seed is not None else 0)
-    rows = [[est.method, est.ler, est.ci_low, est.ci_high, est.shots, est.failures, est.weight]]
-    print(format_table(headers, rows, float_format="{:.3e}"))
     return 0
 
 
@@ -594,56 +569,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="Experiment to run (e.g. fig14); see 'experiments list'.",
     )
-    experiments.add_argument("--shots", type=int, default=200)
+    experiments.add_argument("--shots", type=_POSITIVE_INT, default=200)
     experiments.add_argument("--max-distance", type=int, default=5)
     experiments.add_argument("--seed", type=int, default=None)
     _add_orchestration_args(experiments)
     _add_adaptive_args(experiments)
     experiments.set_defaults(func=_cmd_experiments)
-
-    rare = subparsers.add_parser(
-        "rare-event",
-        help="Rare-event LER estimation (importance sampling / multilevel "
-        "splitting) for the deep low-p tail",
-    )
-    rare.add_argument("--distance", type=int, default=3)
-    rare.add_argument(
-        "--rounds",
-        type=int,
-        default=None,
-        help="Syndrome-extraction rounds (default: --distance).",
-    )
-    rare.add_argument("--p", type=float, default=1e-4)
-    rare.add_argument("--shots", type=int, default=20000)
-    rare.add_argument("--seed", type=int, default=0)
-    rare.add_argument(
-        "--method",
-        choices=["direct", "conditioned", "stratified"],
-        default="conditioned",
-        help="Estimator: plain Monte-Carlo, importance sampling conditioned "
-        "on >= (d+1)//2 error events, or exact-count multilevel splitting.",
-    )
-    rare.add_argument(
-        "--decoder-method",
-        choices=["mwpm", "greedy"],
-        default="mwpm",
-        help="Matching engine (mwpm keeps the conditioned estimator exactly "
-        "unbiased: every discarded low-count shot is a guaranteed success).",
-    )
-    rare.add_argument(
-        "--cross-check",
-        action="store_true",
-        help="Run direct and conditioned estimators side by side and exit "
-        "nonzero unless their Wilson intervals overlap (run at a p where "
-        "direct sampling still resolves the LER).",
-    )
-    rare.add_argument(
-        "--direct-shots",
-        type=int,
-        default=20000,
-        help="Shots for the direct estimator in --cross-check mode.",
-    )
-    rare.set_defaults(func=_cmd_rare_event)
 
     report = subparsers.add_parser(
         "report",
@@ -657,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument(
         "--shots",
-        type=int,
+        type=_POSITIVE_INT,
         default=None,
         help="Monte-Carlo shots per configuration (default 200; 40 with --quick).",
     )
@@ -781,10 +712,10 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment_id",
         help="Experiment to run (e.g. fig14); see 'experiments list'.",
     )
-    submit.add_argument("--shots", type=int, default=200)
+    submit.add_argument("--shots", type=_POSITIVE_INT, default=200)
     submit.add_argument("--max-distance", type=int, default=5)
     submit.add_argument("--seed", type=int, default=None)
-    submit.add_argument("--chunk-shots", type=int, default=None)
+    submit.add_argument("--chunk-shots", type=_POSITIVE_INT, default=None)
     submit.add_argument(
         "--service-url",
         type=str,

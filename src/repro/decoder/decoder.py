@@ -324,10 +324,9 @@ class SurfaceCodeDecoder:
         """Predicted corrections for a ``(shots, layers, checks)`` batch.
 
         The batched twin of :meth:`predict_correction`, for callers that
-        build detector matrices themselves (e.g. the rare-event estimator's
-        signature-table path in :mod:`repro.experiments.adaptive`) rather
-        than from raw measurements via :meth:`decode_batch`.  Runs through
-        the same layered dedup/LRU dispatch.
+        build detector matrices themselves rather than from raw
+        measurements via :meth:`decode_batch`.  Runs through the same
+        layered dedup/LRU dispatch.
         """
         matrix = np.asarray(detectors, dtype=bool)
         expected = (self.graph.num_layers, self.graph.num_checks)

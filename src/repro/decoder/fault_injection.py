@@ -67,7 +67,6 @@ class FaultInjector:
         inject_round: int = -1,
         data_qubit: int = -1,
         pauli: str = "",
-        faults: Tuple[Tuple[int, int], ...] = (),
     ) -> Tuple[np.ndarray, np.ndarray]:
         noise = NoiseParams.noiseless()
         leakage = LeakageModel.disabled()
@@ -79,9 +78,6 @@ class FaultInjector:
                     sim.x[data_qubit] ^= True
                 if pauli in ("Z", "Y"):
                     sim.z[data_qubit] ^= True
-            for fault_round, fault_qubit in faults:
-                if fault_round == round_index:
-                    sim.x[fault_qubit] ^= True
             ops, layout = self.qsg.build_round({})
             records = sim.run(ops)
             bits, _, _ = self.qsg.assemble_syndrome(records, layout)
@@ -105,18 +101,6 @@ class FaultInjector:
         if pauli not in ("X", "Y", "Z"):
             raise ValueError("pauli must be X, Y, or Z")
         history, final_bits = self._run(round_index, data_qubit, pauli)
-        return self._signature(history, final_bits)
-
-    def data_pauli_set(self, cells: Tuple[Tuple[int, int], ...]) -> FaultSignature:
-        """Inject X errors on several ``(round, data_qubit)`` cells in one run.
-
-        By Pauli-frame linearity the combined signature must equal the XOR
-        of the per-cell :meth:`data_pauli` signatures — the property the
-        rare-event estimator's signature table
-        (:mod:`repro.experiments.adaptive`) is built on, pinned by a
-        regression test.
-        """
-        history, final_bits = self._run(faults=tuple(cells))
         return self._signature(history, final_bits)
 
     def measurement_flip(self, round_index: int, stabilizer_index: int) -> FaultSignature:

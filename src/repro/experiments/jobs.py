@@ -63,11 +63,17 @@ RESULT_SEMANTICS_VERSION = 1
 #: Wire keys of removed perf-only fields, ignored by
 #: :meth:`SweepJob.from_wire`.  ``decoder_dp_threshold`` capped the retired
 #: bitmask-DP matcher, ``decoder_cache_size`` bounded the decoder's
-#: correction LRU and ``decoder_artifact_dir`` named the retired on-disk
-#: store of LRU snapshots; none joined :meth:`SweepJob.config_dict`, so
+#: correction LRU, ``decoder_artifact_dir`` named the retired on-disk
+#: store of LRU snapshots and ``target_rel_halfwidth`` was the stopping
+#: rule's relative target; none joined :meth:`SweepJob.config_dict`, so
 #: dropping them leaves every cache key unchanged.
 _RETIRED_WIRE_FIELDS = frozenset(
-    {"decoder_dp_threshold", "decoder_cache_size", "decoder_artifact_dir"}
+    {
+        "decoder_dp_threshold",
+        "decoder_cache_size",
+        "decoder_artifact_dir",
+        "target_rel_halfwidth",
+    }
 )
 
 #: :class:`SweepJob` field metadata key declaring the field's role in the
@@ -202,10 +208,6 @@ class SweepJob:
     #: content of any chunk, so a truncated run is bit-identical to the
     #: prefix of a fixed run and is cached under that prefix job's address.
     target_ci_halfwidth: Optional[float] = field(default=None, metadata=_PERF_ONLY)
-    #: Relative variant of the stopping target: stop once the Wilson
-    #: half-width falls below ``target_rel_halfwidth * LER-hat`` (only
-    #: meaningful once at least one failure was observed).  Perf-only.
-    target_rel_halfwidth: Optional[float] = field(default=None, metadata=_PERF_ONLY)
     #: Minimum chunks the stopping rule must observe before it may stop
     #: (``None`` = the module default).  Perf-only.
     adaptive_min_chunks: Optional[int] = field(default=None, metadata=_PERF_ONLY)

@@ -1,9 +1,10 @@
 """Asyncio sweep scheduler: supervised workers, retries, crash recovery.
 
-The resident core of the sweep service (ROADMAP "heavy traffic" unlock for
-the Section 6 Monte-Carlo evaluation).  A :class:`SweepScheduler` accepts
-:class:`~repro.experiments.jobs.SweepPlan` submissions and dispatches their
-chunks to a supervised ``ProcessPoolExecutor`` worker pool through the shared
+The resident core of the sweep service, which runs the Section 6
+Monte-Carlo evaluation (Figures 14-18) for many clients at once.  A
+:class:`SweepScheduler` accepts :class:`~repro.experiments.jobs.SweepPlan`
+submissions and dispatches their chunks to a supervised
+``ProcessPoolExecutor`` worker pool through the shared
 :class:`~repro.experiments.executor.PlanExecution` core, speaking the same
 ``claim_tasks``/``record_chunk`` protocol as the in-process executor (so
 statistics are bit-identical between backends).  Admission claims
@@ -21,7 +22,7 @@ Supervision and fault tolerance:
   the pool; every in-flight chunk gets ``BrokenProcessPool``.  The pool is
   rebuilt once (generation-guarded) and the chunks requeue with exponential
   backoff, bounded by ``max_chunk_retries``.  Because chunk random streams
-  are position-keyed (the PR 2 seed discipline), a re-executed chunk
+  are position-keyed (see :mod:`repro.experiments.jobs`), a re-executed chunk
   reproduces its result exactly, so crashes never change a statistic.
 * **Job-granular persistence** — each job merges and persists to the
   (sharded) :class:`~repro.experiments.store.ResultStore` the moment its

@@ -1,4 +1,4 @@
-"""Tests for adaptive shot allocation and rare-event sampling.
+"""Tests for adaptive shot allocation.
 
 Covers the low-LER-regime machinery of :mod:`repro.experiments.adaptive`:
 
@@ -8,8 +8,6 @@ Covers the low-LER-regime machinery of :mod:`repro.experiments.adaptive`:
 * the sequential stopping rule (never stops before ``min_chunks``; a
   truncated run is bit-for-bit the prefix of a fixed run; warm reruns
   execute zero chunks; disabling adaptivity is bit-identical to fixed),
-* the rare-event estimators (signature-table linearity, exact binomial
-  weights, unbiasedness cross-check against direct sampling),
 * hypothesis property suites for ``wilson_interval``/``binomial_stderr``
   and the stopping-rule statistic.
 """
@@ -18,19 +16,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.decoder.fault_injection import FaultInjector
-from repro.codes import make_code
 from repro.experiments.adaptive import (
     AdaptiveConfig,
-    RareEventSampler,
     apply_adaptive,
-    binomial_logpmf,
-    binomial_tail,
-    cross_check,
-    intervals_overlap,
     job_adaptive_config,
 )
 from repro.experiments.executor import SweepExecutor, SweepStats
@@ -196,7 +187,7 @@ class TestAdaptiveConfigProperties:
         with pytest.raises(ValueError):
             AdaptiveConfig(target_ci_halfwidth=0.0)
         with pytest.raises(ValueError):
-            AdaptiveConfig(target_rel_halfwidth=-1.0)
+            AdaptiveConfig(target_ci_halfwidth=-1.0)
         with pytest.raises(ValueError):
             AdaptiveConfig(target_ci_halfwidth=0.1, min_chunks=0)
 
@@ -264,6 +255,13 @@ class TestStoppingRule:
             assert job_adaptive_config(adaptive_job) is not None
             assert adaptive_job.cache_key() == job.cache_key()
 
+    def test_job_carries_the_stamped_config(self):
+        # Every AdaptiveConfig field must survive the trip onto the job, so
+        # a knob added to the config cannot be dropped silently.
+        config = AdaptiveConfig(target_ci_halfwidth=0.1, min_chunks=3)
+        for job in apply_adaptive(build_plan(), config).jobs:
+            assert job_adaptive_config(job) == config
+
     def test_stats_wire_roundtrip_and_tolerance(self):
         stats = SweepStats(
             jobs_total=4, cache_hits=1, jobs_run=3, chunks_run=9,
@@ -276,92 +274,3 @@ class TestStoppingRule:
         assert legacy.shots_saved == 0
         assert legacy.jobs_stopped_early == 0
         assert "stopped early" in stats.summary()
-
-
-# ----------------------------------------------------------------------
-# Tentpole: rare-event estimator.
-# ----------------------------------------------------------------------
-class TestSignatureLinearity:
-    def test_multi_fault_signature_is_xor_of_singles(self):
-        # Pauli-frame linearity: the detector/observable footprint of a
-        # multi-error shot equals the XOR of its single-fault signatures —
-        # the property the rare-event signature table is built on.
-        injector = FaultInjector(make_code("rotated-surface", 3), num_rounds=2)
-        cells = ((0, 0), (1, 3), (0, 5))
-        combined = injector.data_pauli_set(cells)
-        expected_detectors = set()
-        expected_flip = False
-        for round_index, qubit in cells:
-            single = injector.data_pauli(round_index, qubit, "X")
-            expected_detectors ^= set(single.flipped_detectors)
-            expected_flip ^= single.observable_flip
-        assert set(combined.flipped_detectors) == expected_detectors
-        assert combined.observable_flip == expected_flip
-
-    def test_sampler_table_matches_injector(self):
-        # Each row of the rare-event signature table is the single-fault
-        # signature of its (round, data qubit) cell.
-        sampler = RareEventSampler(distance=3, rounds=2, p=0.01)
-        injector = FaultInjector(sampler.code, num_rounds=2)
-        checks = list(sampler.decoder.graph.checks)
-        cells = [(r, q) for r in range(2) for q in sampler.code.data_indices]
-        assert len(cells) == sampler.num_cells
-        for cell, (round_index, qubit) in enumerate(cells):
-            signature = injector.data_pauli(round_index, qubit, "X")
-            row = sampler._det_table[cell].reshape(3, len(checks))
-            flipped = tuple(
-                (int(layer), checks[int(local)]) for layer, local in zip(*np.nonzero(row))
-            )
-            assert flipped == signature.flipped_detectors
-            assert bool(sampler._obs_table[cell]) == signature.observable_flip
-
-
-class TestBinomialHelpers:
-    @given(data=st.data())
-    @settings(max_examples=50, deadline=None)
-    def test_tail_matches_closed_form_for_small_k(self, data):
-        n = data.draw(st.integers(min_value=2, max_value=200))
-        p = data.draw(st.floats(min_value=1e-6, max_value=0.2))
-        exact = 1.0 - (1.0 - p) ** n - n * p * (1.0 - p) ** (n - 1)
-        assert binomial_tail(n, p, 2) == pytest.approx(max(exact, 0.0), abs=1e-12)
-
-    def test_logpmf_normalises(self):
-        n, p = 30, 0.03
-        total = sum(math.exp(binomial_logpmf(n, p, j)) for j in range(n + 1))
-        assert total == pytest.approx(1.0)
-
-
-class TestRareEvent:
-    @pytest.fixture(scope="class")
-    def sampler(self):
-        return RareEventSampler(distance=3, rounds=3, p=0.02)
-
-    def test_conditioned_weight_is_exact_binomial_tail(self, sampler):
-        estimate = sampler.conditioned(500, seed=1)
-        assert estimate.weight == pytest.approx(
-            binomial_tail(sampler.num_cells, sampler.p, sampler.min_events)
-        )
-        assert estimate.min_events == sampler.min_events == 2
-
-    def test_conditioned_agrees_with_direct(self, sampler):
-        report = cross_check(sampler, direct_shots=4000, conditioned_shots=4000, seed=0)
-        assert report["overlap"] is True
-
-    def test_stratified_agrees_with_conditioned(self, sampler):
-        conditioned = sampler.conditioned(4000, seed=2)
-        stratified = sampler.stratified(4000, seed=3)
-        assert intervals_overlap(
-            (conditioned.ci_low, conditioned.ci_high),
-            (stratified.ci_low, stratified.ci_high),
-        )
-
-    def test_estimates_are_deterministic_in_seed(self, sampler):
-        a = sampler.conditioned(300, seed=9)
-        b = sampler.conditioned(300, seed=9)
-        assert a.ler == b.ler
-        assert a.failures == b.failures
-
-    def test_intervals_overlap_nan_safe(self):
-        assert not intervals_overlap((float("nan"), 1.0), (0.0, 1.0))
-        assert intervals_overlap((0.0, 0.5), (0.5, 1.0))
-        assert not intervals_overlap((0.0, 0.4), (0.5, 1.0))

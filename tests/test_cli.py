@@ -1,5 +1,10 @@
 """Tests for the eraser-repro command-line interface."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -61,6 +66,27 @@ class TestParser:
         assert args.cache_dir == "c/"
         assert args.resume is True
         assert args.no_figures is True
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ler", "--target-ci-width", "0"],
+            ["ler", "--target-ci-width", "nan"],
+            ["ler", "--max-shots", "0"],
+            ["ler", "--chunk-shots", "0"],
+            ["ler", "--shots", "-5"],
+            ["experiments", "run", "fig14", "--shots", "0"],
+        ],
+        ids=["target-ci-width", "target-ci-width-nan", "max-shots", "chunk-shots",
+             "shots", "experiments-shots"],
+    )
+    def test_non_positive_value_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "must be > 0" in err
 
 
 class TestCommands:
@@ -243,3 +269,24 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "round" in out
+
+    def test_ler_run_does_not_import_networkx(self):
+        # networkx backs only the reference decoder the tests compare
+        # against; a decoded sweep must run without it.
+        script = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "code = main(['ler', '--distances', '3', '--cycles', '2', '--shots', '20',\n"
+            "             '--policies', 'eraser', '--seed', '0'])\n"
+            "print(code, 'networkx' in sys.modules)\n"
+        )
+        repo_root = pathlib.Path(__file__).resolve().parent.parent
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(repo_root / "src")},
+            cwd=str(repo_root),
+            check=True,
+        )
+        assert out.stdout.strip().splitlines()[-1] == "0 False"

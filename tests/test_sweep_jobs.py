@@ -435,10 +435,15 @@ class TestCanonicalJob:
 
 
 class TestWireCompatibility:
-    #: Wire keys of the retired bitmask-DP size limit, decoder LRU bound and
-    #: on-disk LRU store, still present in journals and submissions written
-    #: before their removal.
-    RETIRED_KEYS = ("decoder_dp_threshold", "decoder_cache_size", "decoder_artifact_dir")
+    #: Wire keys of the retired bitmask-DP size limit, decoder LRU bound,
+    #: on-disk LRU store and relative stopping target, still present in
+    #: journals and submissions written before their removal.
+    RETIRED_KEYS = (
+        "decoder_dp_threshold",
+        "decoder_cache_size",
+        "decoder_artifact_dir",
+        "target_rel_halfwidth",
+    )
 
     def test_default_cache_key_is_pinned(self):
         # The key the job had while the DP knob still existed.
@@ -522,6 +527,5 @@ IDENTITY_CHANGES = {
 #: A changed value for every perf-only ``SweepJob`` field.
 PERF_ONLY_CHANGES = {
     "target_ci_halfwidth": 0.1,
-    "target_rel_halfwidth": 0.5,
     "adaptive_min_chunks": 4,
 }
